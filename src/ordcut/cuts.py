@@ -197,11 +197,13 @@ def _boundary(c):
     return ents, 0
 
 
+_ENT_RANK = {"-inf": -1, "v": 0, "+inf": 1}
+
+
 def _ent_cmp(a, b):
     if a == b:
         return 0
-    order = {"-inf": -1, "v": 0, "+inf": 1}
-    ra, rb = order[a[0]], order[b[0]]
+    ra, rb = _ENT_RANK[a[0]], _ENT_RANK[b[0]]
     if ra != rb:
         return -1 if ra < rb else 1
     return scalars.compare_cross(a[1], b[1])
@@ -430,7 +432,8 @@ def _witness_positive(c, g):
     for positive g outside the invariance subgroup."""
     k = c.level
     j = iota(g)
-    assert j <= k
+    if j > k:
+        raise AssertionError("witness needs g outside C_level")
     grp = c.group
     if isinstance(c, Principal):
         if c.side == BELOW:
@@ -465,7 +468,8 @@ def invariance_witness(c, g):
         raise DomainError("element lies in the invariance subgroup")
     positive = lex_compare(g, zero(g.group)) > 0
     lo, hi = _witness_positive(c, g if positive else -g)
-    assert member(c, lo) == MINUS and member(c, hi) == PLUS
+    if member(c, lo) != MINUS or member(c, hi) != PLUS:
+        raise AssertionError("invariance witness does not straddle the cut")
     if positive:
         return lo, hi
     return hi, lo

@@ -209,10 +209,8 @@ class _Parser:
                 self.error("scale needs %d entries" % group.rank)
             cod = []
             for kind, s in zip(group.factors, rats):
-                gens = [scalars.ONE]
-                if kind.d:
-                    gens.append(Scalar.make(0, 1, kind.d))
-                if all(scalars.contains(kind, g * s) for g in gens):
+                if all(scalars.contains(kind, g * s)
+                       for g in kind.generators()):
                     cod.append(kind)
                 else:
                     cod.append(scalars.divisible_hull_kind(kind))

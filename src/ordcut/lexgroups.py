@@ -161,10 +161,7 @@ class FactorwiseInjection:
         for kd, kc, s in zip(self.dom.factors, self.cod.factors, self.scales):
             if s <= 0:
                 raise DomainError("scales must be positive")
-            gens = [ONE]
-            if kd.d:
-                gens.append(Scalar.make(0, 1, kd.d))
-            for g in gens:
+            for g in kd.generators():
                 if not scalars.contains(kc, g * s):
                     raise DomainError(
                         "scaled factor image leaves the codomain factor")

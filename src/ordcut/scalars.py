@@ -2,31 +2,43 @@
 
 Scalars are the coordinate domain for every rank-one factor and for gap
 anchors.  All order decisions are exact: signs are resolved by case analysis
-and squaring, never by floating point.
+and squaring, never by floating point.  A radicand is factored once, when it
+enters through `Scalar.make` or `RankOneKind`; arithmetic on canonical
+scalars keeps their square-free radicand, and signs never factor.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import floor, isqrt
 
 from .errors import DomainError
 
 
 def _square_free(d):
-    """Split d >= 0 as k^2 * d0 with d0 square-free; returns (k, d0)."""
+    """Split d >= 0 as k^2 * d0 with d0 square-free; returns (k, d0).
+
+    Trial division stops once f^3 exceeds the cofactor r: r then has no
+    prime below f, hence at most two prime factors, so it is 1, p, pq or
+    p^2 and one isqrt tells them apart.  O(d^(1/3)) steps.
+    """
     if d < 0:
         raise DomainError("negative radicand %d" % d)
     if d == 0:
         return 1, 0
-    k = 1
-    d0 = d
-    f = 2
-    while f * f <= d0:
-        while d0 % (f * f) == 0:
-            d0 //= f * f
-            k *= f
-        f += 1
-    return k, d0
+    k, d0, r, f = 1, 1, d, 2
+    while f * f * f <= r:
+        if r % f == 0:
+            while r % (f * f) == 0:
+                r //= f * f
+                k *= f
+            if r % f == 0:
+                r //= f
+                d0 *= f
+        f += 1 + (f & 1)  # 2, then odd f only
+    s = isqrt(r)
+    if s * s == r:
+        return k * s, d0
+    return k, d0 * r
 
 
 def _sgn(q):
@@ -38,64 +50,42 @@ def _sgn(q):
 
 
 def _quad_sign(a, b, d):
-    """Exact sign of a + b*sqrt(d) for rational a, b and integer d >= 0."""
-    k, d0 = _square_free(d)
-    b = b * k
-    if d0 <= 1:
-        return _sgn(a + b * d0)
-    if b == 0:
+    """Exact sign of a + b*sqrt(d) for rational a, b and any integer d >= 0.
+
+    When a and b differ in sign, squaring gives sgn(a) * sgn(a^2 - b^2*d);
+    d need not be square-free.
+    """
+    if b == 0 or d == 0:
         return _sgn(a)
-    if a == 0:
+    if a == 0 or (a > 0) == (b > 0):
         return _sgn(b)
-    if a > 0 and b > 0:
-        return 1
-    if a < 0 and b < 0:
-        return -1
-    c = _sgn(a * a - b * b * d0)
-    if c == 0:
-        return 0
-    return c * _sgn(a)
+    return _sgn(a) * _sgn(a * a - b * b * d)
 
 
 def _sign3(u, v, d, w, e):
-    """Exact sign of u + v*sqrt(d) + w*sqrt(e), d and e square-free."""
-    if d == 0:
-        v = Fraction(0)
-    if e == 0:
-        w = Fraction(0)
-    if v == 0 and w == 0:
-        return _sgn(u)
-    if w == 0:
+    """Exact sign of u + v*sqrt(d) + w*sqrt(e) for any integers d, e >= 0."""
+    if w == 0 or e == 0:
         return _quad_sign(u, v, d)
-    if v == 0:
+    if v == 0 or d == 0:
         return _quad_sign(u, w, e)
     if d == e:
         return _quad_sign(u, v + w, d)
-    if v > 0 and w > 0:
-        s_l = 1
-    elif v < 0 and w < 0:
-        s_l = -1
-    else:
-        c = _sgn(v * v * d - w * w * e)
-        if c == 0:
-            s_l = 0
-        elif c > 0:
-            s_l = _sgn(v)
-        else:
-            s_l = _sgn(w)
-    if u == 0:
-        return s_l
+    s_l = _sgn(v)  # sign of v*sqrt(d) + w*sqrt(e)
+    if (v > 0) != (w > 0):
+        s_l *= _sgn(v * v * d - w * w * e)
     s_u = _sgn(u)
-    if s_l == 0:
-        return s_u
-    if s_l == s_u:
-        return s_l
-    c = _quad_sign(v * v * d + w * w * e - u * u, 2 * v * w, d * e)
-    if c > 0:
-        return s_l
-    if c < 0:
-        return s_u
-    return 0
+    if s_l * s_u >= 0:
+        return s_l or s_u
+    # opposite signs: the larger of (v*sqrt(d) + w*sqrt(e))^2 and u^2 wins
+    return s_l * _quad_sign(v * v * d + w * w * e - u * u, 2 * v * w, d * e)
+
+
+def _scalar(a, b, d):
+    """The scalar a + b*sqrt(d) from Fractions a, b and a square-free d.
+
+    The path of arithmetic on canonical scalars: it never factors.
+    """
+    return Scalar(a, b, d if b else 0)
 
 
 @dataclass(frozen=True)
@@ -108,18 +98,14 @@ class Scalar:
 
     @staticmethod
     def make(a, b=0, d=0):
-        a = Fraction(a)
-        b = Fraction(b)
+        """The canonical form of a + b*sqrt(d); factors d."""
+        a, b = Fraction(a), Fraction(b)
         k, d0 = _square_free(d)
-        b = b * k
-        if d0 == 1:
-            a += b
-            b = Fraction(0)
         if d0 == 0:
-            b = Fraction(0)
-        if b == 0:
-            d0 = 0
-        return Scalar(a, b, d0)
+            return Scalar(a, Fraction(0), 0)
+        if d0 == 1:
+            return Scalar(a + b * k, Fraction(0), 0)
+        return _scalar(a, b * k, d0)
 
     def is_rational(self):
         return self.b == 0
@@ -138,7 +124,7 @@ class Scalar:
         d = self._merged(other)
         if d is None:
             raise DomainError("cannot add scalars over distinct radicals")
-        return Scalar.make(self.a + other.a, self.b + other.b, d)
+        return _scalar(self.a + other.a, self.b + other.b, d)
 
     def __neg__(self):
         return Scalar(-self.a, -self.b, self.d)
@@ -150,43 +136,41 @@ class Scalar:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Scalar.make(self.a * other, self.b * other, self.d)
+            return _scalar(self.a * other, self.b * other, self.d)
         d = self.d if self.b != 0 else other.d
         if self.b != 0 and other.b != 0 and self.d != other.d:
             raise DomainError("cannot multiply scalars over distinct radicals")
-        return Scalar.make(self.a * other.a + self.b * other.b * d,
-                           self.a * other.b + self.b * other.a, d)
+        return _scalar(self.a * other.a + self.b * other.b * d,
+                       self.a * other.b + self.b * other.a, d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Scalar.make(self.a / other, self.b / other, self.d)
+            return _scalar(self.a / other, self.b / other, self.d)
         norm = other.a * other.a - other.b * other.b * other.d
         if norm == 0:
             raise ZeroDivisionError("division by zero scalar")
-        inv = Scalar.make(other.a / norm, -other.b / norm, other.d)
-        return self * inv
+        return self * _scalar(other.a / norm, -other.b / norm, other.d)
 
     def sign(self):
         return _quad_sign(self.a, self.b, self.d)
 
     def floor(self):
-        """Exact floor, certified by sign checks."""
+        """Exact floor, certified by sign checks.
+
+        With b = p/q, b*sqrt(d) lies within 1/q of sgn(p)*isqrt(p^2*d)/q,
+        so the floor of a plus that estimate is off by at most one.
+        """
         if self.b == 0:
-            return self.a.numerator // self.a.denominator
-        scale = 10 ** 20
-        s = isqrt(self.d * scale * scale)
-        lo = Fraction(s, scale)
-        hi = Fraction(s + 1, scale)
-        if self.b > 0:
-            xlo = self.a + self.b * lo
-        else:
-            xlo = self.a + self.b * hi
-        n = xlo.numerator // xlo.denominator
-        while (self - Scalar.make(n + 1)).sign() >= 0:
-            n += 1
-        assert (self - Scalar.make(n)).sign() >= 0
+            return floor(self.a)
+        p, q = self.b.numerator, self.b.denominator
+        t = isqrt(p * p * self.d)
+        n = floor(self.a + Fraction(t if p > 0 else -t, q))
+        if _quad_sign(self.a - n, self.b, self.d) < 0:
+            return n - 1
+        if _quad_sign(self.a - (n + 1), self.b, self.d) >= 0:
+            return n + 1
         return n
 
     def height(self):
@@ -196,15 +180,6 @@ class Scalar:
 
 ZERO = Scalar.make(0)
 ONE = Scalar.make(1)
-
-
-def sign(x):
-    return x.sign()
-
-
-def compare(x, y):
-    """Exact ordering of two scalars in compatible fields: -1, 0, or +1."""
-    return compare_cross(x, y)
 
 
 def compare_cross(x, y):
@@ -231,6 +206,12 @@ class RankOneKind:
             k, d0 = _square_free(self.d)
             if k != 1 or d0 < 2:
                 raise DomainError("radicand %d is not square-free >= 2" % self.d)
+
+    def generators(self):
+        """1, and sqrt(d) for a quadratic kind: they span the group."""
+        if self.d:
+            return (ONE, _scalar(Fraction(0), Fraction(1), self.d))
+        return (ONE,)
 
 
 KIND_Z = RankOneKind("Z", 0)
@@ -322,6 +303,6 @@ def element_below(kind, delta, gap):
     q = u * m
     if compare_cross(q, target) == 0:
         q = q - u
-    assert compare_cross(q, delta) < 0
-    assert compare_cross(q + gap, delta) > 0
+    if compare_cross(q, delta) >= 0 or compare_cross(q + gap, delta) <= 0:
+        raise AssertionError("element_below left (delta - gap, delta)")
     return q

@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 
 from ordcut import cli
 
@@ -160,3 +161,12 @@ def test_flag_forms():
     a = run("classify", "lex(Z)", "below([3]; C 1)", "--seed", "7", "--box=9")
     b = run("classify", "lex(Z)", "below([3]; C 1)")
     assert a == b
+
+
+def test_hull_of_large_radicand_is_quick():
+    # about 1e6 trial divisions up to the cube root; up to sqrt(d), 1e9
+    t0 = time.perf_counter()
+    code, out, _ = run("hull", "lex(Z[sqrt 1000000000000000003])")
+    assert code == 0
+    assert out == "result_group: lex(Q[sqrt 1000000000000000003])\n"
+    assert time.perf_counter() - t0 < 5

@@ -1,11 +1,15 @@
-"""Scalar arithmetic tests against an interval-arithmetic oracle."""
+"""Scalar arithmetic tests against interval-arithmetic and sympy oracles."""
 
+import time
 from fractions import Fraction
 from math import isqrt
 
+import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from ordcut import scalars
+from ordcut.errors import DomainError
 from ordcut.scalars import (KIND_Q, KIND_Z, Scalar, compare_cross, contains,
                             divisible_hull_kind, is_discrete_kind, quad_q,
                             quad_z)
@@ -174,3 +178,155 @@ def test_canonical_form():
     assert Scalar.make(1, 1, 8) == Scalar.make(1, 2, 2)
     assert Scalar.make(1, 2, 1) == Scalar.make(3)
     assert Scalar.make(1, 0, 7) == Scalar.make(1)
+
+
+# ---------------------------------------------------------------------------
+# sympy as an independent oracle: factoring, signs and floors at large heights
+
+def sympy_square_free(d):
+    k = d0 = 1
+    for p, e in sympy.factorint(d).items():
+        k *= p ** (e // 2)
+        d0 *= p ** (e % 2)
+    return k, d0
+
+
+def sympy_value(a, b, d):
+    return sympy.Rational(a) + sympy.Rational(b) * sympy.sqrt(d)
+
+
+def sympy_sign(value):
+    s = sympy.sign(value)
+    assert s in (-1, 0, 1), "sympy left the sign undecided"
+    return int(s)
+
+
+def near(p, d):
+    """An integer within 1 of p*sqrt(d)."""
+    t = isqrt(p * p * d)
+    return t if p > 0 else -t
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=10 ** 12))
+def test_square_free_matches_sympy(d):
+    assert scalars._square_free(d) == sympy_square_free(d)
+
+
+def test_square_free_cube_root_boundary():
+    p, q = 999983, 1000003
+    for d in (p * p, p ** 3, 2 * p * p, p * q, 4 * p * q, p ** 4 * 3):
+        assert scalars._square_free(d) == sympy_square_free(d), d
+    assert scalars._square_free(0) == (1, 0)
+    with pytest.raises(DomainError):
+        scalars._square_free(-3)
+
+
+TALL_RADS = [2, 3, 7, 8, 12, 18, 99991, 10 ** 8 + 7, 4 * 999983]
+heights = st.sampled_from([10 ** 30, 10 ** 60])
+
+
+@st.composite
+def tall_parts(draw):
+    """(a, b, d) with |b| >= 10^30 and d possibly not square-free; half the
+    draws put a + b*sqrt(d) within 1/q of an integer."""
+    h = draw(heights)
+    p = draw(st.sampled_from([-1, 1])) * (h + draw(st.integers(0, 10 ** 6)))
+    q = draw(st.integers(1, 1000))
+    d = draw(st.sampled_from(TALL_RADS))
+    if draw(st.booleans()):
+        num = -near(p, d) + draw(st.integers(-2, 2))
+    else:
+        num = draw(st.integers(-h * 10 ** 4, h * 10 ** 4))
+    return Fraction(num, q), Fraction(p, q), d
+
+
+@settings(max_examples=200, deadline=None)
+@given(tall_parts())
+def test_quad_sign_matches_sympy(parts):
+    a, b, d = parts
+    assert scalars._quad_sign(a, b, d) == sympy_sign(sympy_value(a, b, d))
+    assert Scalar.make(a, b, d).sign() == scalars._quad_sign(a, b, d)
+
+
+def test_quad_sign_pell_pairs():
+    # x^2 - d*y^2 = +-1 puts x - y*sqrt(d) within 1/(2x) of zero
+    for d, x, y in ((2, 1, 1), (2, 3, 2), (8, 3, 1), (12, 7, 2)):
+        X, Y = x, y
+        while X < 10 ** 30:  # powers of the unit x + y*sqrt(d)
+            X, Y = X * x + d * Y * y, X * y + Y * x
+        for a, b in ((X, -Y), (-X, Y), (X + 1, -Y), (X - 1, -Y)):
+            assert scalars._quad_sign(Fraction(a), Fraction(b), d) == \
+                sympy_sign(sympy_value(a, b, d))
+
+
+@settings(max_examples=150, deadline=None)
+@given(heights, st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 6, 10 ** 6),
+       st.sampled_from(TALL_RADS), st.sampled_from(TALL_RADS),
+       st.integers(-2, 2))
+def test_compare_cross_matches_sympy(h, i, j, d, e, off):
+    p = h + i if j % 2 else -(h + i)
+    c = h + j if i % 2 else -(h + j)
+    x = Scalar.make(0, p, d)
+    # y - x = off plus two errors of size below 1: a delicate comparison
+    y = Scalar.make(near(p, d) - near(c, e) + off, c, e)
+    expected = sympy_sign(sympy_value(x.a, x.b, x.d) -
+                          sympy_value(y.a, y.b, y.d))
+    assert compare_cross(x, y) == expected
+    assert compare_cross(y, x) == -expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(tall_parts())
+def test_floor_matches_sympy(parts):
+    x = Scalar.make(*parts)
+    assert x.floor() == int(sympy.floor(sympy_value(x.a, x.b, x.d)))
+
+
+canon_rads = st.sampled_from([0, 1, 2, 3, 4, 8, 12, 18, 50])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.builds(Scalar.make, rats, rats, canon_rads),
+       st.builds(Scalar.make, rats, rats, canon_rads), rats)
+def test_arithmetic_results_are_canonical(x, y, r):
+    results = [-x, x * r, x * 3]
+    if r != 0:
+        results.append(x / r)
+    if x._merged(y) is not None:
+        results += [x + y, x - y]
+    if x.b == 0 or y.b == 0 or x.d == y.d:
+        results.append(x * y)
+        if y.sign() != 0:
+            results.append(x / y)
+    for z in results:
+        assert z == Scalar.make(z.a, z.b, z.d)
+
+
+def test_signs_and_arithmetic_never_factor(monkeypatch):
+    x = Scalar.make(Fraction(-7, 3), 5, 12)
+    y = Scalar.make(1, Fraction(1, 2), 3)
+    z = Scalar.make(2, 10 ** 30, 10 ** 8 + 7)
+    kind = quad_q(3)
+
+    def refuse(d):
+        raise AssertionError("factored %d outside ingestion" % d)
+
+    monkeypatch.setattr(scalars, "_square_free", refuse)
+    w = (x + y) * x / y - x * 3
+    assert w.sign() != 0
+    w.floor()
+    z.floor()
+    compare_cross(w, z)
+    scalars._sign3(Fraction(1), Fraction(2), 12, Fraction(-3), 50)
+    assert [contains(kind, g) for g in kind.generators()] == [True, True]
+
+
+def test_floor_of_tall_scalar_is_quick():
+    # a floor stepping by one from a fixed 1e-20 estimate needs ~1e10 steps
+    x = Scalar.make(Fraction(1, 3), 10 ** 30 + 1, 101)
+    expected = int(sympy.floor(sympy_value(x.a, x.b, x.d)))
+    t0 = time.perf_counter()
+    assert x.floor() == expected
+    assert (-x).floor() == -expected - 1
+    assert time.perf_counter() - t0 < 5
