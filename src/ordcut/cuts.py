@@ -337,8 +337,16 @@ def symmetric_interval_member(c, sigma, xi):
 # ---------------------------------------------------------------------------
 # images along injective factorwise morphisms
 
-def _map_prefix(m, prefix):
-    return tuple(c * s for c, s in zip(prefix, m.scales))
+def _push_gap(m, c, side):
+    """The image of a gap cut, collapsed to the given side of the scaled
+    anchor when that anchor lies in the codomain factor."""
+    k = c.level
+    p = tuple(x * s for x, s in zip(c.prefix, m.scales))
+    d = c.delta * m.scales[k - 1]
+    if scalars.contains(m.cod.factors[k - 1], d):
+        coords = p + (d,) + (ZERO,) * (m.cod.rank - k)
+        return principal(m.cod, side, coords, k)
+    return gap_cut(m.cod, p, k, d)
 
 
 def push_lower(m, c):
@@ -351,14 +359,7 @@ def push_lower(m, c):
         return AllAbove(m.cod)
     if isinstance(c, Principal):
         return principal(m.cod, c.side, m.apply(c.anchor).coords, c.level)
-    k = c.level
-    p = _map_prefix(m, c.prefix)
-    d = c.delta * m.scales[k - 1]
-    if scalars.contains(m.cod.factors[k - 1], d):
-        # gap collapse: the anchor point exists in the larger factor
-        coords = p + (d,) + (ZERO,) * (m.cod.rank - k)
-        return principal(m.cod, ABOVE, coords, k)
-    return gap_cut(m.cod, p, k, d)
+    return _push_gap(m, c, ABOVE)
 
 
 def push_upper(m, c):
@@ -379,13 +380,7 @@ def push_upper(m, c):
             img[k - 1] = img[k - 1] + Scalar.make(m.scales[k - 1])
             return principal(m.cod, ABOVE, img, k)
         return principal(m.cod, c.side, img, k)
-    k = c.level
-    p = _map_prefix(m, c.prefix)
-    d = c.delta * m.scales[k - 1]
-    if scalars.contains(m.cod.factors[k - 1], d):
-        coords = p + (d,) + (ZERO,) * (m.cod.rank - k)
-        return principal(m.cod, BELOW, coords, k)
-    return gap_cut(m.cod, p, k, d)
+    return _push_gap(m, c, BELOW)
 
 
 def pull(m, c):

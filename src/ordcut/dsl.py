@@ -4,6 +4,7 @@ Recursive-descent parser over the grammar pinned in the CLI contract, plus
 canonical printers; printing any value and reparsing yields an equal value.
 """
 
+import re
 from fractions import Fraction
 
 from .errors import ParseError
@@ -14,6 +15,8 @@ from .lexgroups import LexGroup, FactorwiseInjection
 from . import cuts
 from . import hahnomega
 from .hahnomega import OmegaGroup
+
+_UINT = re.compile("[0-9]+")  # not str.isdigit, which also accepts '²'
 
 
 class _Parser:
@@ -52,12 +55,14 @@ class _Parser:
 
     def parse_uint(self):
         self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
+        m = _UINT.match(self.text, self.pos)
+        if m is None:
             self.error("expected an integer")
-        return int(self.text[start:self.pos])
+        self.pos = m.end()
+        try:
+            return int(m.group())
+        except ValueError:  # more digits than int() converts
+            raise ParseError("integer literal too long", m.start()) from None
 
     def parse_int(self):
         neg = self.eat("-")
@@ -76,26 +81,18 @@ class _Parser:
     def parse_scalar(self):
         a = self.parse_rat()
         save = self.pos
-        sign = 0
-        if self.eat("+"):
-            sign = 1
-        elif self.eat("-"):
-            sign = -1
-        if sign == 0:
-            return Scalar.make(a)
-        self.skip_ws()
-        mark = self.pos
-        try:
-            b = self.parse_rat()
-        except ParseError:
-            self.pos = save
-            return Scalar.make(a)
-        if not self.eat("*sqrt("):
-            self.pos = save
-            return Scalar.make(a)
-        d = self.parse_uint()
-        self.expect(")")
-        return Scalar.make(a, sign * b, d)
+        sign = 1 if self.eat("+") else -1 if self.eat("-") else 0
+        if sign:
+            try:
+                b = self.parse_rat()
+            except ParseError:
+                b = None
+            if b is not None and self.eat("*sqrt("):
+                d = self.parse_uint()
+                self.expect(")")
+                return Scalar.make(a, sign * b, d)
+        self.pos = save  # a lone rational; the sign belongs to the caller
+        return Scalar.make(a)
 
     def parse_factor(self):
         for tag in ("Z", "Q"):
@@ -313,6 +310,7 @@ def print_oanchor(a):
 
 
 def print_morphism(m):
-    if all(s == 1 for s in m.scales) and m.cod == lexgroups.widening(m.dom).cod:
+    if all(s == 1 for s in m.scales) and m.cod.factors == tuple(
+            scalars.divisible_hull_kind(k) for k in m.dom.factors):
         return "widen"
     return "scale(%s)" % ",".join(print_rat(s) for s in m.scales)

@@ -13,9 +13,7 @@ from fractions import Fraction
 from .errors import DomainError
 from . import scalars
 from .scalars import Scalar, ZERO, ONE
-
-MINUS = "minus"
-PLUS = "plus"
+from .cuts import GAPPED, MINUS, PLUS, RP_BELOW, TIGHTENED
 
 
 @dataclass(frozen=True)
@@ -222,11 +220,6 @@ def omega_invariance(anchor):
     if isinstance(anchor, OmegaGapAt):
         return omega_tail(anchor.group, anchor.index + 1)
     return omega_zero_subgroup(anchor.group)
-
-
-RP_BELOW = "relatively_principal_below"
-GAPPED = "gapped"
-TIGHTENED = "tightened"
 
 
 def omega_classify(anchor):

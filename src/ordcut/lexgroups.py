@@ -38,17 +38,26 @@ class GroupElement:
     def __add__(self, other):
         if self.group != other.group:
             raise DomainError("elements of different groups")
-        return GroupElement(self.group, tuple(a + b for a, b in
-                                              zip(self.coords, other.coords)))
+        return _unchecked_element(self.group, tuple(
+            a + b for a, b in zip(self.coords, other.coords)))
 
     def __neg__(self):
-        return GroupElement(self.group, tuple(-c for c in self.coords))
+        return _unchecked_element(self.group, tuple(-c for c in self.coords))
 
     def __sub__(self, other):
         return self + (-other)
 
     def is_zero(self):
         return all(c.sign() == 0 for c in self.coords)
+
+
+def _unchecked_element(group, coords):
+    """A GroupElement from coordinates known to lie in the group, without
+    the check in __post_init__; tests/test_source.py lists its callers."""
+    x = object.__new__(GroupElement)
+    object.__setattr__(x, "group", group)
+    object.__setattr__(x, "coords", coords)
+    return x
 
 
 @dataclass(frozen=True)
@@ -161,13 +170,16 @@ class FactorwiseInjection:
         for kd, kc, s in zip(self.dom.factors, self.cod.factors, self.scales):
             if s <= 0:
                 raise DomainError("scales must be positive")
-            for g in kd.generators():
-                if not scalars.contains(kc, g * s):
-                    raise DomainError(
-                        "scaled factor image leaves the codomain factor")
+            # a divisible factor spans its generators over Q, not only Z
+            if kd.tag == "Q" and kc.tag != "Q" or not all(
+                    scalars.contains(kc, g * s) for g in kd.generators()):
+                raise DomainError(
+                    "scaled factor image leaves the codomain factor")
 
     def apply(self, x):
-        return GroupElement(self.cod, tuple(
+        if x.group != self.dom:
+            raise DomainError("element is not in the morphism domain")
+        return _unchecked_element(self.cod, tuple(
             c * s for c, s in zip(x.coords, self.scales)))
 
 

@@ -41,37 +41,39 @@ def _square_free(d):
     return k, d0 * r
 
 
+_FZERO = Fraction(0)
+
+
 def _sgn(q):
-    if q > 0:
-        return 1
-    if q < 0:
-        return -1
-    return 0
+    n = q.numerator  # a Fraction compared with 0 makes an ABC isinstance check
+    return (n > 0) - (n < 0)
 
 
 def _quad_sign(a, b, d):
     """Exact sign of a + b*sqrt(d) for rational a, b and any integer d >= 0.
 
-    When a and b differ in sign, squaring gives sgn(a) * sgn(a^2 - b^2*d);
-    d need not be square-free.
+    When a and b differ in sign, squaring gives sgn(a) * sgn(a^2 - b^2*d),
+    decided on integers; d need not be square-free.
     """
-    if b == 0 or d == 0:
+    na, nb = a.numerator, b.numerator
+    if nb == 0 or d == 0:
         return _sgn(a)
-    if a == 0 or (a > 0) == (b > 0):
+    if na == 0 or (na > 0) == (nb > 0):
         return _sgn(b)
-    return _sgn(a) * _sgn(a * a - b * b * d)
+    t, u = na * b.denominator, nb * a.denominator
+    return _sgn(a) * _sgn(t * t - u * u * d)
 
 
 def _sign3(u, v, d, w, e):
     """Exact sign of u + v*sqrt(d) + w*sqrt(e) for any integers d, e >= 0."""
-    if w == 0 or e == 0:
+    if w.numerator == 0 or e == 0:
         return _quad_sign(u, v, d)
-    if v == 0 or d == 0:
+    if v.numerator == 0 or d == 0:
         return _quad_sign(u, w, e)
     if d == e:
         return _quad_sign(u, v + w, d)
     s_l = _sgn(v)  # sign of v*sqrt(d) + w*sqrt(e)
-    if (v > 0) != (w > 0):
+    if s_l != _sgn(w):
         s_l *= _sgn(v * v * d - w * w * e)
     s_u = _sgn(u)
     if s_l * s_u >= 0:
@@ -98,17 +100,15 @@ class Scalar:
 
     @staticmethod
     def make(a, b=0, d=0):
-        """The canonical form of a + b*sqrt(d); factors d."""
-        a, b = Fraction(a), Fraction(b)
+        """The canonical form of a + b*sqrt(d); factors d unless d == 0."""
+        a = a if type(a) is Fraction else Fraction(a)
+        if d == 0:
+            return Scalar(a, _FZERO, 0)
+        b = b if type(b) is Fraction else Fraction(b)
         k, d0 = _square_free(d)
-        if d0 == 0:
-            return Scalar(a, Fraction(0), 0)
         if d0 == 1:
-            return Scalar(a + b * k, Fraction(0), 0)
-        return _scalar(a, b * k, d0)
-
-    def is_rational(self):
-        return self.b == 0
+            return Scalar(a + b * k, _FZERO, 0)
+        return _scalar(a, b if k == 1 else b * k, d0)
 
     def _merged(self, other):
         # radical of the sum/difference; None when incompatible
@@ -121,13 +121,15 @@ class Scalar:
     def __add__(self, other):
         if not isinstance(other, Scalar):
             other = Scalar.make(other)
+        if not (self.d or other.d):
+            return Scalar(self.a + other.a, _FZERO, 0)
         d = self._merged(other)
         if d is None:
             raise DomainError("cannot add scalars over distinct radicals")
         return _scalar(self.a + other.a, self.b + other.b, d)
 
     def __neg__(self):
-        return Scalar(-self.a, -self.b, self.d)
+        return Scalar(-self.a, -self.b if self.d else _FZERO, self.d)
 
     def __sub__(self, other):
         if not isinstance(other, Scalar):
@@ -136,6 +138,8 @@ class Scalar:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
+            if not self.d:
+                return Scalar(self.a * other, _FZERO, 0)
             return _scalar(self.a * other, self.b * other, self.d)
         d = self.d if self.b != 0 else other.d
         if self.b != 0 and other.b != 0 and self.d != other.d:
@@ -184,7 +188,10 @@ ONE = Scalar.make(1)
 
 def compare_cross(x, y):
     """Exact ordering of any two scalars, possibly over distinct radicals."""
-    return _sign3(x.a - y.a, x.b, x.d, -y.b, y.d)
+    if x.d or y.d:
+        return _sign3(x.a - y.a, x.b, x.d, -y.b, y.d)
+    p, q = x.a.numerator * y.a.denominator, y.a.numerator * x.a.denominator
+    return (p > q) - (p < q)
 
 
 @dataclass(frozen=True)
@@ -228,21 +235,17 @@ def quad_q(d):
 
 def contains(kind, x):
     """Membership of the scalar x in the rank-one group."""
-    if kind.d == 0:
-        if x.b != 0:
-            return False
-        if kind.tag == "Q":
-            return True
-        return x.a.denominator == 1
-    if x.d not in (0, kind.d):
+    if x.d not in (0, kind.d):  # canonical x: d == 0 exactly when b == 0
         return False
-    if kind.tag == "Q":
-        return True
-    return x.a.denominator == 1 and x.b.denominator == 1
+    return kind.tag == "Q" or x.a.denominator == 1 == x.b.denominator
 
 
 def divisible_hull_kind(kind):
-    return RankOneKind("Q", kind.d)
+    # kind.d is square-free already: skip the factoring in __post_init__
+    hull = object.__new__(RankOneKind)
+    object.__setattr__(hull, "tag", "Q")
+    object.__setattr__(hull, "d", kind.d)
+    return hull
 
 
 def is_discrete_kind(kind):

@@ -170,3 +170,22 @@ def test_hull_of_large_radicand_is_quick():
     assert code == 0
     assert out == "result_group: lex(Q[sqrt 1000000000000000003])\n"
     assert time.perf_counter() - t0 < 5
+
+
+def test_bad_integer_literals_are_syntax_errors():
+    # '²' passes str.isdigit but not int(); int() takes the Arabic-Indic
+    # '٣', but the grammar's INT is ASCII; a literal past the interpreter's
+    # int-to-str digit limit makes int() raise
+    long_literal = "1" * 5000
+    cases = [("hull", "lex(Z[sqrt ²])", "sqrt "),
+             ("hull", "lex(Z[sqrt ٣])", "sqrt "),
+             ("hull", "lex(Z[sqrt %s])" % long_literal, "sqrt "),
+             ("member", "lex(Q)", "below([%s]; C 1)" % long_literal, "[1]",
+              "[")]
+    for *argv, before in cases:
+        code, out, err = run(*argv)
+        assert code == 1 and out == "", argv[:2]
+        assert err.startswith("syntax error:"), err[:200]
+        text = argv[1] if argv[0] == "hull" else argv[2]
+        pos = text.index(before) + len(before)
+        assert err.rstrip().endswith("(at position %d)" % pos), err[:200]

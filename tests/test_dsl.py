@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from ordcut import dsl, sampling
+from ordcut import dsl, sampling, scalars
 from ordcut.errors import DomainError, ParseError
-from ordcut.lexgroups import LexGroup, widening
+from ordcut.lexgroups import LexGroup, divisible_hull, widening
 from ordcut.hahnomega import OmegaGroup, omega_gap_at, omega_periodic, omega_point
 from ordcut.scalars import KIND_Q, KIND_Z, Scalar, quad_q, quad_z
 
@@ -67,6 +67,26 @@ def test_morphism_round_trip():
     # non-integral scaling of Z forces the divisible hull on that factor
     m3 = dsl.parse_morphism("scale(1/2,1)", g)
     assert m3.cod == LexGroup((KIND_Q, KIND_Q))
+
+
+def test_hull_widen_and_print_never_factor_again(monkeypatch):
+    # a parsed kind's radicand is square-free: building its hull, the widen
+    # morphism, or printing a morphism must not factor it a second time
+    g = dsl.parse_group("lex(Z[sqrt 100000007],Q[sqrt 3],Z)")
+    expected = LexGroup((quad_q(100000007), quad_q(3), KIND_Q))
+
+    def refuse(d):
+        raise AssertionError("factored %d after parsing" % d)
+
+    monkeypatch.setattr(scalars, "_square_free", refuse)
+    hull, m = divisible_hull(g)
+    assert hull == expected
+    assert widening(g) == m and m.cod == hull
+    assert dsl.print_morphism(m) == "widen"
+    m2 = dsl.parse_morphism("scale(1/2,1,1)", g)
+    assert dsl.print_morphism(m2) == "scale(1/2,1,1)"
+    assert dsl.print_group(hull) == \
+        "lex(Q[sqrt 100000007],Q[sqrt 3],Q)"
 
 
 def test_parse_errors_carry_positions():

@@ -3,10 +3,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ordcut import lexgroups, sampling, scalars
+from ordcut import dsl, lexgroups, sampling, scalars
 from ordcut.errors import DomainError
-from ordcut.lexgroups import (ConvexSubgroup, LexGroup, convex_subgroups,
+from ordcut.lexgroups import (ConvexSubgroup, GroupElement,
+                              FactorwiseInjection, LexGroup, convex_subgroups,
                               discreteness, divisible_hull, element,
                               epsilon_lower, epsilon_upper, hahn_embed,
                               initial_part, iota, is_convex_dense,
@@ -174,3 +176,68 @@ def test_factorwise_injection_validation():
     m = lexgroups.FactorwiseInjection(ZZ, ZQ, (Fraction(3), Fraction(1, 2)))
     assert m.apply(element(ZZ, (2, 4))) == element(
         ZQ, (Scalar.make(6), Scalar.make(2)))
+
+
+# ---------------------------------------------------------------------------
+# group operations build results without checking them again: each result
+# must be what the checked constructor GroupElement(...) accepts and builds
+
+FAST_GROUPS = TEST_GROUPS + [LexGroup((quad_q(3), quad_z(5), KIND_Z))]
+
+
+@st.composite
+def element_pair_and_morphism(draw):
+    g = draw(st.sampled_from(FAST_GROUPS))
+    rng = sampling.rng_for(draw(st.integers(0, 10 ** 9)))
+    x, y = (sampling.sample_element(g, rng, 9) for _ in range(2))
+    if draw(st.booleans()):
+        return x, y, widening(g)
+    scales = [Fraction(draw(st.integers(1, 9)), draw(st.integers(1, 9)))
+              for _ in g.factors]
+    text = "scale(%s)" % ",".join(dsl.print_rat(s) for s in scales)
+    return x, y, dsl.parse_morphism(text, g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(element_pair_and_morphism())
+def test_unchecked_results_equal_checked_construction(case):
+    x, y, m = case
+    g = x.group
+    results = [
+        (x + y, GroupElement(g, tuple(a + b for a, b in
+                                      zip(x.coords, y.coords)))),
+        (x - y, GroupElement(g, tuple(a - b for a, b in
+                                      zip(x.coords, y.coords)))),
+        (-x, GroupElement(g, tuple(-c for c in x.coords))),
+        (m.apply(x), GroupElement(m.cod, tuple(
+            c * s for c, s in zip(x.coords, m.scales)))),
+    ]
+    for fast, checked in results:
+        assert type(fast) is GroupElement
+        assert fast == checked and hash(fast) == hash(checked)
+
+
+def test_operations_refuse_elements_of_another_group():
+    x = element(ZZ, (1, 2))
+    y = element(ZQ, (1, 2))
+    with pytest.raises(DomainError):
+        x + y
+    with pytest.raises(DomainError):
+        y - x
+    with pytest.raises(DomainError):
+        widening(ZQ).apply(x)
+    m = FactorwiseInjection(ZZ, ZQ, (Fraction(3), Fraction(1, 2)))
+    with pytest.raises(DomainError):
+        m.apply(y)
+
+
+def test_factorwise_injection_keeps_divisible_factors_divisible():
+    # 1 maps into Z, but 1/2 in Q would not: the image must stay a group
+    q, z = LexGroup((KIND_Q,)), LexGroup((KIND_Z,))
+    with pytest.raises(DomainError):
+        FactorwiseInjection(q, z, (Fraction(1),))
+    with pytest.raises(DomainError):
+        FactorwiseInjection(LexGroup((quad_q(2),)), LexGroup((quad_z(2),)),
+                            (Fraction(2),))
+    m = FactorwiseInjection(q, LexGroup((quad_q(2),)), (Fraction(2),))
+    assert m.apply(element(q, (Fraction(1, 2),))).coords == (Scalar.make(1),)

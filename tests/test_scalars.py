@@ -330,3 +330,67 @@ def test_floor_of_tall_scalar_is_quick():
     assert x.floor() == expected
     assert (-x).floor() == -expected - 1
     assert time.perf_counter() - t0 < 5
+
+
+# ---------------------------------------------------------------------------
+# rational fast paths: signs read from numerators, no factoring when d == 0
+
+wide_rats = st.fractions(min_value=-10 ** 40, max_value=10 ** 40,
+                         max_denominator=10 ** 20)
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_rats, wide_rats | st.integers(-10 ** 30, 10 ** 30))
+def test_compare_cross_of_rationals_is_the_fraction_order(p, q):
+    diff = p - q
+    expected = (diff > 0) - (diff < 0)
+    assert compare_cross(Scalar.make(p), Scalar.make(q)) == expected
+    assert compare_cross(Scalar.make(p), Scalar.make(p)) == 0
+
+
+@st.composite
+def mixed_sign_parts(draw):
+    """(a, b, d) with a and b of opposite signs; half the draws put a
+    within 1/q of -b*sqrt(d), where the sign is delicate."""
+    b = Fraction(draw(st.integers(1, 10 ** 12)), draw(st.integers(1, 10 ** 6)))
+    d = draw(st.sampled_from(TALL_RADS))
+    q = draw(st.integers(1, 10 ** 6))
+    if draw(st.booleans()):
+        a = Fraction(isqrt(int(b * b * d * q * q)) + draw(st.integers(-2, 2)),
+                     q)
+    else:
+        a = Fraction(draw(st.integers(1, 10 ** 18)), q)
+    s = draw(st.sampled_from([-1, 1]))
+    return s * a, -s * b, d
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_sign_parts())
+def test_quad_sign_of_mixed_signs_matches_sympy(parts):
+    a, b, d = parts
+    assert scalars._quad_sign(a, b, d) == sympy_sign(sympy_value(a, b, d))
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_sign_parts(), mixed_sign_parts(), st.integers(-3, 3))
+def test_sign3_of_mixed_signs_matches_sympy(p1, p2, off):
+    # u + v*sqrt(d) + w*sqrt(e) with v, w of opposite signs and u set
+    # against their sum, so the squaring branches decide
+    _, v, d = p1
+    _, w, e = p2
+    if (v > 0) == (w > 0):
+        w = -w
+    lead = sympy_value(0, v, d) + sympy_value(0, w, e)
+    u = -Fraction(int(sympy.floor(lead * 10 ** 6)) + off, 10 ** 6)
+    expected = sympy_sign(sympy.Rational(u) + lead)
+    assert scalars._sign3(u, v, d, w, e) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_rats, wide_rats | st.integers(-10 ** 30, 10 ** 30))
+def test_make_with_zero_radicand_is_rational_and_canonical(a, b):
+    x = Scalar.make(a, b, 0)
+    assert x == Scalar.make(a)
+    assert (x.a, x.b, x.d) == (Fraction(a), 0, 0)
+    assert type(x.a) is Fraction and type(x.b) is Fraction
+    assert Scalar.make(int(a)) == Scalar.make(Fraction(int(a)))

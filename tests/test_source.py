@@ -16,3 +16,43 @@ def test_library_has_no_assert_statements():
             if isinstance(node, ast.Assert):
                 found.append("%s:%d" % (path.name, node.lineno))
     assert found == []
+
+
+# Functions that may build a GroupElement without its membership check.
+# Each one checks its input first: operands from one group (__add__, and
+# __sub__ through it), an operand already in the group (__neg__), or an
+# element of the morphism domain (apply).
+UNCHECKED_ELEMENT_CALLERS = {"GroupElement.__add__", "GroupElement.__neg__",
+                             "FactorwiseInjection.apply"}
+
+
+def _uses(tree, name):
+    """(enclosing function, line) of each reference to `name` outside its
+    own definition; the enclosing function is qualified by its class."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        if isinstance(node, ast.Name) and node.id == name or \
+                isinstance(node, ast.Attribute) and node.attr == name or \
+                isinstance(node, ast.alias) and name in (node.name,
+                                                         node.asname):
+            found.append((".".join(scope), node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_unchecked_element_has_only_allowed_callers():
+    name = "_unchecked_element"
+    uses = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for scope, line in _uses(tree, name):
+            uses.setdefault(scope, []).append("%s:%d" % (path.name, line))
+    assert set(uses) == UNCHECKED_ELEMENT_CALLERS, uses
+    assert all(p.startswith("lexgroups.py:")
+               for places in uses.values() for p in places), uses
