@@ -1,12 +1,17 @@
 """Command-line front end: one process, one command, deterministic output.
 
-Usage: ordcut VERB ARGS... [--json] [--seed INT] [--box INT]
+Usage: ordcut VERB ARGS... [--json]
+
+Every verb but `orders` is one row of `_VERBS`: the kinds of its arguments
+after GROUP, its result over a lex group and, if it has one, its result
+over a hahn_omega group.  `_run` does the rest once for all of them.
 
 Exit codes: 0 success, 1 syntax error, 2 domain error.
 """
 
 import json
 import sys
+from typing import Callable, NamedTuple, Optional
 
 from .errors import DomainError, ParseError
 from . import cuts
@@ -25,230 +30,185 @@ class _Usage(Exception):
 
 
 def _parse_flags(argv):
-    args = []
-    flags = {"json": False, "seed": 0, "box": 6}
-    i = 0
-    while i < len(argv):
-        a = argv[i]
+    args, as_json = [], False
+    for a in argv:
         if a == "--json":
-            flags["json"] = True
-        elif a in ("--seed", "--box") or a.startswith(("--seed=", "--box=")):
-            if "=" in a:
-                name, _, raw = a.partition("=")
-            else:
-                name = a
-                i += 1
-                if i >= len(argv):
-                    raise _Usage("missing value for %s" % name)
-                raw = argv[i]
-            try:
-                flags[name[2:]] = int(raw)
-            except ValueError:
-                raise _Usage("non-integer value for %s" % name)
+            as_json = True
         elif a.startswith("--"):
             raise _Usage("unknown flag %s" % a)
         else:
             args.append(a)
-        i += 1
-    return args, flags
+    return args, as_json
 
 
-def _need(args, count, usage):
-    if len(args) != count:
-        raise _Usage("expected: %s" % usage)
-
-
-def _level(text):
+def _int(text):
     try:
         return int(text)
     except ValueError:
         raise _Usage("expected a level integer, got %r" % text)
 
 
-def _inv_text(sub):
-    if sub.index is None:
-        return "zero"
-    return "tail(%d)" % sub.index
+class _Arg(NamedTuple):
+    """An argument after GROUP: its word in the usage line and its parsers,
+    each (text, group) -> value, over a lex and a hahn_omega group.  With
+    `over_cod` it is read over the codomain of the morphism before it."""
+    word: str
+    lex: Callable
+    omega: Optional[Callable] = None
+    over_cod: bool = False
 
 
-def _is_omega(group):
-    return isinstance(group, OmegaGroup)
+def _level(text, g):
+    return ConvexSubgroup(g, _int(text))
 
 
-def _run_classify(args, flags):
-    _need(args, 2, "classify GROUP CUT")
-    g = dsl.parse_group(args[0])
-    if _is_omega(g):
-        return {"type": hahnomega.omega_classify(dsl.parse_oanchor(args[1], g))}
-    return {"type": cuts.classify(dsl.parse_cut(args[1], g))}
+def _keep(text, g):  # a cut or an element; `_compare` decides
+    return text
 
 
-def _run_invariance(args, flags):
-    _need(args, 2, "invariance GROUP CUT")
-    g = dsl.parse_group(args[0])
-    if _is_omega(g):
-        a = dsl.parse_oanchor(args[1], g)
-        return {"invariance": _inv_text(hahnomega.omega_invariance(a)),
-                "index_cut": str(hahnomega.index_cut(a))}
-    return {"invariance_level": cuts.invariance(dsl.parse_cut(args[1], g)).level}
+CUT = _Arg("CUT", dsl.parse_cut, dsl.parse_oanchor)
+ELEMENT = _Arg("ELEMENT", dsl.parse_element, dsl.parse_oelement)
+LEVEL = _Arg("LEVEL", _level)
+MORPHISM = _Arg("MORPHISM", dsl.parse_morphism)
+COD_CUT = _Arg("CUT", dsl.parse_cut, over_cod=True)
 
 
-def _run_member(args, flags):
-    _need(args, 3, "member GROUP CUT ELEMENT")
-    g = dsl.parse_group(args[0])
-    if _is_omega(g):
-        a = dsl.parse_oanchor(args[1], g)
-        x = dsl.parse_oelement(args[2], g)
-        return {"side": hahnomega.omega_member(a, x)}
-    c = dsl.parse_cut(args[1], g)
-    x = dsl.parse_element(args[2], g)
-    return {"side": cuts.member(c, x)}
+class _Verb(NamedTuple):
+    args: tuple
+    lex: Callable  # (group, *argument values) -> result dict
+    omega: Optional[Callable] = None
 
 
-def _run_compare(args, flags):
-    _need(args, 3, "compare GROUP A B")
-    g = dsl.parse_group(args[0])
-    if _is_omega(g):
-        x = dsl.parse_oelement(args[1], g)
-        y = dsl.parse_oelement(args[2], g)
-        return {"order": _ORDER_NAMES[hahnomega.omega_compare(x, y)]}
+def _order(sign):
+    return {"order": _ORDER_NAMES[sign]}
+
+
+def _compare(g, a, b):
     try:
-        c1 = dsl.parse_cut(args[1], g)
-        c2 = dsl.parse_cut(args[2], g)
-        return {"order": _ORDER_NAMES[cuts.compare_cuts(c1, c2)]}
+        c1, c2 = dsl.parse_cut(a, g), dsl.parse_cut(b, g)
     except ParseError:
-        x = dsl.parse_element(args[1], g)
-        y = dsl.parse_element(args[2], g)
-        return {"order": _ORDER_NAMES[lexgroups.lex_compare(x, y)]}
+        x, y = dsl.parse_element(a, g), dsl.parse_element(b, g)
+        return _order(lexgroups.lex_compare(x, y))
+    return _order(cuts.compare_cuts(c1, c2))
 
 
-def _run_translate(args, flags):
-    _need(args, 3, "translate GROUP CUT ELEMENT")
-    g = dsl.parse_group(args[0])
-    if _is_omega(g):
-        a = dsl.parse_oanchor(args[1], g)
-        x = dsl.parse_oelement(args[2], g)
-        return {"result_anchor":
-                dsl.print_oanchor(hahnomega.omega_translate(a, x))}
-    c = dsl.parse_cut(args[1], g)
-    x = dsl.parse_element(args[2], g)
-    return {"result_cut": dsl.print_cut(cuts.translate(c, x))}
+def _cut_in(c):
+    return {"result_group": dsl.print_group(c.group),
+            "result_cut": dsl.print_cut(c)}
 
 
-def _run_project(args, flags):
-    _need(args, 3, "project GROUP CUT LEVEL")
-    g = dsl.parse_group(args[0])
-    c = dsl.parse_cut(args[1], g)
-    theta = ConvexSubgroup(g, _level(args[2]))
-    out = cuts.quotient_image(c, theta)
-    return {"result_group": dsl.print_group(out.group),
-            "result_cut": dsl.print_cut(out)}
+def _omega_invariance(g, a):
+    sub = hahnomega.omega_invariance(a)
+    return {"invariance": "zero" if sub.index is None
+            else "tail(%d)" % sub.index,
+            "index_cut": str(hahnomega.index_cut(a))}
 
 
-def _run_trace(args, flags):
-    _need(args, 3, "trace GROUP CUT LEVEL")
-    g = dsl.parse_group(args[0])
-    c = dsl.parse_cut(args[1], g)
-    theta = ConvexSubgroup(g, _level(args[2]))
-    out = cuts.trace(c, theta)
-    return {"result_group": dsl.print_group(out.group),
-            "result_cut": dsl.print_cut(out)}
-
-
-def _run_transport(args, flags):
-    _need(args, 4, "transport GROUP CUT LEVEL1 LEVEL2")
-    g = dsl.parse_group(args[0])
-    c = dsl.parse_cut(args[1], g)
-    t1 = ConvexSubgroup(g, _level(args[2]))
-    t2 = ConvexSubgroup(g, _level(args[3]))
-    out = cuts.transport(c, t1, t2)
-    return {"result_group": dsl.print_group(out.group),
-            "result_cut": dsl.print_cut(out),
-            "invariance_level": cuts.invariance(out).level}
-
-
-def _run_bounds(args, flags):
-    _need(args, 3, "bounds GROUP CUT ELEMENT")
-    g = dsl.parse_group(args[0])
-    c = dsl.parse_cut(args[1], g)
-    x = dsl.parse_element(args[2], g)
+def _bounds(g, c, x):
     pm, fm, pp, fp = cuts.interval_bounds(c, x)
     return {"psi_minus": pm.level, "phi_minus": fm.level,
             "psi_plus": pp.level, "phi_plus": fp.level}
 
 
-def _run_push(args, flags):
-    _need(args, 3, "push GROUP MORPHISM CUT")
-    g = dsl.parse_group(args[0])
-    m = dsl.parse_morphism(args[1], g)
-    c = dsl.parse_cut(args[2], g)
-    return {"result_group": dsl.print_group(m.cod),
-            "lower": dsl.print_cut(cuts.push_lower(m, c)),
-            "upper": dsl.print_cut(cuts.push_upper(m, c))}
+def _with_invariance(c):
+    return dict(_cut_in(c), invariance_level=cuts.invariance(c).level)
 
 
-def _run_pull(args, flags):
-    _need(args, 3, "pull GROUP MORPHISM CUT")
-    g = dsl.parse_group(args[0])
-    m = dsl.parse_morphism(args[1], g)
-    c = dsl.parse_cut(args[2], m.cod)
-    out = cuts.pull(m, c)
-    return {"result_group": dsl.print_group(m.dom),
-            "result_cut": dsl.print_cut(out),
-            "invariance_level": cuts.invariance(out).level}
-
-
-def _run_skeleton(args, flags):
-    _need(args, 1, "skeleton GROUP")
-    g = dsl.parse_group(args[0])
-    if _is_omega(g):
-        return {"size": "omega", "factors": dsl.print_factor(g.factor)}
+def _skeleton(g):
     chain, factors = lexgroups.skeleton(g)
     return {"size": chain.size,
             "factors": ",".join(dsl.print_factor(k) for k in factors)}
 
 
-def _run_embed(args, flags):
-    _need(args, 2, "embed GROUP ELEMENT")
-    g = dsl.parse_group(args[0])
-    x = dsl.parse_element(args[1], g)
-    hull, m = lexgroups.divisible_hull(g)
-    image = lexgroups.hahn_embed(m.apply(x))
+def _embed(g, x):
+    image = lexgroups.hahn_embed(lexgroups.divisible_hull(g)[1].apply(x))
     return {"image": "[%s]" % ",".join(dsl.print_scalar(c) for c in image)}
 
 
-def _run_convex_subgroups(args, flags):
-    _need(args, 1, "convex-subgroups GROUP")
-    g = dsl.parse_group(args[0])
+def _convex_subgroups(g):
     subs = lexgroups.convex_subgroups(g)
     return {"levels": ",".join(str(s.level) for s in subs),
             "principal": ",".join(str(s.level) for s in subs
                                   if lexgroups.is_principal(s))}
 
 
-def _run_discreteness(args, flags):
-    _need(args, 1, "discreteness GROUP")
-    g = dsl.parse_group(args[0])
+def _discreteness(g):
     disc, disc_ord, least = lexgroups.discreteness(g)
     return {"discrete": "true" if disc else "false",
             "discretely_ordered": "true" if disc_ord else "false",
             "min_positive": dsl.print_element(least) if least else "none"}
 
 
-def _run_hull(args, flags):
-    _need(args, 1, "hull GROUP")
+_VERBS = {
+    "classify": _Verb(
+        (CUT,), lambda g, c: {"type": cuts.classify(c)},
+        lambda g, a: {"type": hahnomega.omega_classify(a)}),
+    "invariance": _Verb(
+        (CUT,), lambda g, c: {"invariance_level": cuts.invariance(c).level},
+        _omega_invariance),
+    "member": _Verb(
+        (CUT, ELEMENT), lambda g, c, x: {"side": cuts.member(c, x)},
+        lambda g, a, x: {"side": hahnomega.omega_member(a, x)}),
+    "compare": _Verb(
+        (_Arg("A", _keep, dsl.parse_oelement),
+         _Arg("B", _keep, dsl.parse_oelement)), _compare,
+        lambda g, x, y: _order(hahnomega.omega_compare(x, y))),
+    "translate": _Verb(
+        (CUT, ELEMENT),
+        lambda g, c, x: {"result_cut": dsl.print_cut(cuts.translate(c, x))},
+        lambda g, a, x: {"result_anchor": dsl.print_oanchor(
+            hahnomega.omega_translate(a, x))}),
+    "project": _Verb(
+        (CUT, LEVEL), lambda g, c, t: _cut_in(cuts.quotient_image(c, t))),
+    "trace": _Verb((CUT, LEVEL), lambda g, c, t: _cut_in(cuts.trace(c, t))),
+    "transport": _Verb(
+        (CUT, LEVEL._replace(word="LEVEL1"), LEVEL._replace(word="LEVEL2")),
+        lambda g, c, t1, t2: _with_invariance(cuts.transport(c, t1, t2))),
+    "bounds": _Verb((CUT, ELEMENT), _bounds),
+    "push": _Verb(
+        (MORPHISM, CUT),
+        lambda g, m, c: {"result_group": dsl.print_group(m.cod),
+                         "lower": dsl.print_cut(cuts.push_lower(m, c)),
+                         "upper": dsl.print_cut(cuts.push_upper(m, c))}),
+    "pull": _Verb((MORPHISM, COD_CUT),
+                  lambda g, m, c: _with_invariance(cuts.pull(m, c))),
+    "skeleton": _Verb(
+        (), _skeleton,
+        lambda g: {"size": "omega", "factors": dsl.print_factor(g.factor)}),
+    "embed": _Verb((ELEMENT,), _embed),
+    "convex-subgroups": _Verb((), _convex_subgroups),
+    "discreteness": _Verb((), _discreteness),
+    "hull": _Verb((), lambda g: {"result_group": dsl.print_group(
+        lexgroups.divisible_hull(g)[0])}),
+}
+
+
+def _run(verb, args):
+    """Check the argument count, parse GROUP, pick the lex or hahn_omega
+    side, parse each argument by its kind and compute the result."""
+    row = _VERBS[verb]
+    if len(args) != 1 + len(row.args):
+        raise _Usage("expected: %s" % " ".join(
+            [verb, "GROUP"] + [a.word for a in row.args]))
     g = dsl.parse_group(args[0])
-    hull, _ = lexgroups.divisible_hull(g)
-    return {"result_group": dsl.print_group(hull)}
+    side = "omega" if isinstance(g, OmegaGroup) else "lex"
+    result = getattr(row, side)
+    if result is None:
+        raise DomainError("%s takes a lex group" % verb)
+    values = []
+    for arg, text in zip(row.args, args[1:]):
+        over = values[-1].cod if arg.over_cod else g
+        values.append(getattr(arg, side)(text, over))
+    return result(g, *values)
 
 
-def _run_orders(args, flags):
-    _need(args, 1, "orders SIZE")
-    n = _level(args[0])
+def _orders(args):
+    if len(args) != 1:
+        raise _Usage("expected: orders SIZE")
+    n = _int(args[0])
     if n < 0:
         raise DomainError("chain size must be nonnegative")
-    chain = ordsets.FiniteChain(n)
-    segs = ordsets.all_segments(chain)
+    segs = ordsets.all_segments(ordsets.FiniteChain(n))
     bounds = []
     for s in segs:
         lo, hi = ordsets.cut_bounds(s)
@@ -259,41 +219,22 @@ def _run_orders(args, flags):
             "bounds": ",".join(bounds)}
 
 
-_VERBS = {
-    "classify": _run_classify,
-    "invariance": _run_invariance,
-    "member": _run_member,
-    "compare": _run_compare,
-    "translate": _run_translate,
-    "project": _run_project,
-    "trace": _run_trace,
-    "transport": _run_transport,
-    "bounds": _run_bounds,
-    "push": _run_push,
-    "pull": _run_pull,
-    "skeleton": _run_skeleton,
-    "embed": _run_embed,
-    "convex-subgroups": _run_convex_subgroups,
-    "discreteness": _run_discreteness,
-    "hull": _run_hull,
-    "orders": _run_orders,
-}
-
-
 def main(argv=None, out=None, err=None):
     if argv is None:
         argv = sys.argv[1:]
     out = out or sys.stdout
     err = err or sys.stderr
     try:
-        args, flags = _parse_flags(argv)
+        args, as_json = _parse_flags(argv)
         if not args:
-            raise _Usage("expected: VERB GROUP ARGS... "
-                         "[--json] [--seed INT] [--box INT]")
+            raise _Usage("expected: VERB GROUP ARGS... [--json]")
         verb, rest = args[0], args[1:]
-        if verb not in _VERBS:
+        if verb == "orders":
+            result = _orders(rest)
+        elif verb in _VERBS:
+            result = _run(verb, rest)
+        else:
             raise _Usage("unknown verb %r" % verb)
-        result = _VERBS[verb](rest, flags)
     except (_Usage, ParseError) as e:
         print("syntax error: %s" % e, file=err)
         return 1
@@ -303,7 +244,7 @@ def main(argv=None, out=None, err=None):
             msg += " (witness: %s)" % dsl.print_element(e.payload)
         print("domain error: %s" % msg, file=err)
         return 2
-    if flags["json"]:
+    if as_json:
         print(json.dumps(result), file=out)
     else:
         for key, value in result.items():

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from .errors import DomainError
 from . import scalars
 from .scalars import Scalar, ZERO, ONE
-from .lexgroups import (ConvexSubgroup, FactorwiseInjection, GroupElement,
-                        LexGroup, iota, lex_compare, slice_group, unit, zero)
+from .lexgroups import (ConvexSubgroup, GroupElement, LexGroup, iota,
+                        lex_compare, slice_group, zero)
 
 MINUS = "minus"
 PLUS = "plus"

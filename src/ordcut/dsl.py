@@ -1,10 +1,14 @@
 """Mini-DSL for groups, elements, cuts, anchors, and morphisms.
 
 Recursive-descent parser over the grammar pinned in the CLI contract, plus
-canonical printers; printing any value and reparsing yields an equal value.
+canonical printers.  The printers print any value in full; printing a value
+and reparsing it yields an equal value when every integer in it is below the
+parser's literal limit (the interpreter's int-to-str limit, 4300 digits by
+default).
 """
 
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import ParseError
@@ -80,19 +84,14 @@ class _Parser:
 
     def parse_scalar(self):
         a = self.parse_rat()
-        save = self.pos
         sign = 1 if self.eat("+") else -1 if self.eat("-") else 0
-        if sign:
-            try:
-                b = self.parse_rat()
-            except ParseError:
-                b = None
-            if b is not None and self.eat("*sqrt("):
-                d = self.parse_uint()
-                self.expect(")")
-                return Scalar.make(a, sign * b, d)
-        self.pos = save  # a lone rational; the sign belongs to the caller
-        return Scalar.make(a)
+        if not sign:
+            return Scalar.make(a)
+        b = self.parse_rat()
+        self.expect("*sqrt(")
+        d = self.parse_uint()
+        self.expect(")")
+        return Scalar.make(a, sign * b, d)
 
     def parse_factor(self):
         for tag in ("Z", "Q"):
@@ -255,9 +254,15 @@ def parse_morphism(text, group):
 # printers (canonical: lowest terms, radical omitted when b = 0)
 
 def print_rat(q):
-    if q.denominator == 1:
-        return str(q.numerator)
-    return "%d/%d" % (q.numerator, q.denominator)
+    try:
+        if q.denominator == 1:
+            return str(q.numerator)
+        return "%d/%d" % (q.numerator, q.denominator)
+    except ValueError:  # past the int-to-str limit, which Decimal does not have
+        text = str(Decimal(q.numerator))
+        if q.denominator != 1:
+            text += "/%s" % Decimal(q.denominator)
+        return text
 
 
 def print_scalar(x):

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .errors import DomainError
 from . import scalars
-from .scalars import Scalar, ZERO, ONE
+from .scalars import Scalar, ZERO
 from .cuts import GAPPED, MINUS, PLUS, RP_BELOW, TIGHTENED
 
 

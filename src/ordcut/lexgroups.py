@@ -143,20 +143,6 @@ class QuotientProjection:
 
 
 @dataclass(frozen=True)
-class SubgroupInclusion:
-    group: LexGroup
-    level: int
-
-    @property
-    def dom(self):
-        return LexGroup(self.group.factors[self.level:])
-
-    def apply(self, x):
-        return GroupElement(self.group,
-                            (ZERO,) * self.level + tuple(x.coords))
-
-
-@dataclass(frozen=True)
 class FactorwiseInjection:
     dom: LexGroup
     cod: LexGroup

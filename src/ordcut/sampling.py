@@ -9,7 +9,6 @@ from fractions import Fraction
 
 from . import scalars
 from .scalars import Scalar
-from . import lexgroups
 from .lexgroups import GroupElement
 from . import cuts
 from . import hahnomega

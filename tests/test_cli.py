@@ -3,6 +3,8 @@
 import io
 import json
 import time
+from decimal import Decimal
+from fractions import Fraction
 
 from ordcut import cli
 
@@ -146,6 +148,24 @@ def test_json_parity():
         ("push", "lex(Z[sqrt 2])", "widen", "gap([]; 1; 1/2)"),
         ("orders", "3"),
         ("invariance", "hahn_omega(Z)", "periodic([]; [1])"),
+        ("member", "lex(Z,Z)", "below([1,0]; C 1)", "[1,100]"),
+        ("compare", "lex(Q)", "above([0]; C 1)", "below([0]; C 1)"),
+        ("compare", "lex(Z,Z)", "[1,-5]", "[1,3]"),
+        ("translate", "lex(Z,Z)", "below([1,0]; C 1)", "[2,5]"),
+        ("project", "lex(Z,Z)", "below([1,0]; C 1)", "1"),
+        ("trace", "lex(Z,Z,Q)", "gap([1,2]; 3; 0+1*sqrt(2))", "1"),
+        ("transport", "lex(Z,Z,Z,Z)", "below([1,2,3,0]; C 3)", "3", "1"),
+        ("pull", "lex(Z,Q)", "widen", "below([1/2,0]; C 2)"),
+        ("skeleton", "lex(Z,Q[sqrt 3])"),
+        ("embed", "lex(Z,Z)", "[2,-1]"),
+        ("convex-subgroups", "lex(Z,Q)"),
+        ("discreteness", "lex(Q,Z)"),
+        ("hull", "lex(Z,Z[sqrt 2])"),
+        ("classify", "hahn_omega(Z)", "periodic([]; [1])"),
+        ("member", "hahn_omega(Q)", "gap_at({}; 1; 0+1*sqrt(2))", "{1:1}"),
+        ("compare", "hahn_omega(Z)", "{0:1}", "{0:1,2:-3}"),
+        ("translate", "hahn_omega(Q)", "point({0:1})", "{1:1/2}"),
+        ("skeleton", "hahn_omega(Q)"),
     ]
     for argv in commands:
         code, plain, _ = run(*argv)
@@ -158,9 +178,72 @@ def test_json_parity():
 
 
 def test_flag_forms():
-    a = run("classify", "lex(Z)", "below([3]; C 1)", "--seed", "7", "--box=9")
-    b = run("classify", "lex(Z)", "below([3]; C 1)")
-    assert a == b
+    # --json in any position; no other flag exists
+    a = run("classify", "--json", "lex(Z)", "below([3]; C 1)")
+    b = run("classify", "lex(Z)", "below([3]; C 1)", "--json")
+    assert a == b == (0, '{"type": "relative_jump"}\n', "")
+    for argv in (("--seed", "7"), ("--box=9",)):
+        code, out, err = run("classify", "lex(Z)", "below([3]; C 1)", *argv)
+        assert code == 1 and out == "", argv
+        assert err == "syntax error: unknown flag %s\n" % argv[0]
+
+
+# the usage line of every verb, as each verb reports one argument too few
+USAGES = {
+    "classify": "classify GROUP CUT",
+    "invariance": "invariance GROUP CUT",
+    "member": "member GROUP CUT ELEMENT",
+    "compare": "compare GROUP A B",
+    "translate": "translate GROUP CUT ELEMENT",
+    "project": "project GROUP CUT LEVEL",
+    "trace": "trace GROUP CUT LEVEL",
+    "transport": "transport GROUP CUT LEVEL1 LEVEL2",
+    "bounds": "bounds GROUP CUT ELEMENT",
+    "push": "push GROUP MORPHISM CUT",
+    "pull": "pull GROUP MORPHISM CUT",
+    "skeleton": "skeleton GROUP",
+    "embed": "embed GROUP ELEMENT",
+    "convex-subgroups": "convex-subgroups GROUP",
+    "discreteness": "discreteness GROUP",
+    "hull": "hull GROUP",
+    "orders": "orders SIZE",
+}
+
+
+def test_usage_lines():
+    for verb, usage in USAGES.items():
+        words = usage.split()
+        too_few = [verb] + ["lex(Z)"] * (len(words) - 2)
+        assert run(*too_few) == (1, "", "syntax error: expected: %s\n"
+                                 % usage), verb
+        too_many = [verb] + ["lex(Z)"] * len(words)
+        assert run(*too_many)[0] == 1, verb
+
+
+# arguments as each verb takes them over lex(Q)
+LEX_ONLY = [
+    ("project", "below([1]; C 1)", "1"),
+    ("trace", "below([1]; C 1)", "1"),
+    ("transport", "below([1]; C 1)", "1", "0"),
+    ("bounds", "below([1]; C 1)", "[1]"),
+    ("push", "widen", "below([1]; C 1)"),
+    ("pull", "widen", "below([1]; C 1)"),
+    ("embed", "[1]"),
+    ("convex-subgroups",),
+    ("discreteness",),
+    ("hull",),
+]
+
+
+def test_lex_only_verbs_refuse_omega_groups():
+    assert sorted(v for v, *_ in LEX_ONLY) == sorted(
+        set(USAGES) - {"classify", "invariance", "member", "compare",
+                       "translate", "skeleton", "orders"})
+    for verb, *args in LEX_ONLY:
+        for json_flag in ((), ("--json",)):
+            code, out, err = run(verb, "hahn_omega(Q)", *args, *json_flag)
+            assert code == 2 and out == "", verb
+            assert err == "domain error: %s takes a lex group\n" % verb
 
 
 def test_hull_of_large_radicand_is_quick():
@@ -181,7 +264,10 @@ def test_bad_integer_literals_are_syntax_errors():
              ("hull", "lex(Z[sqrt ٣])", "sqrt "),
              ("hull", "lex(Z[sqrt %s])" % long_literal, "sqrt "),
              ("member", "lex(Q)", "below([%s]; C 1)" % long_literal, "[1]",
-              "[")]
+              "["),
+             # not hidden by the scalar's optional radical part
+             ("member", "lex(Q)", "below([1+%s*sqrt(2)]; C 1)" % long_literal,
+              "[1]", "[1+")]
     for *argv, before in cases:
         code, out, err = run(*argv)
         assert code == 1 and out == "", argv[:2]
@@ -189,3 +275,20 @@ def test_bad_integer_literals_are_syntax_errors():
         text = argv[1] if argv[0] == "hull" else argv[2]
         pos = text.index(before) + len(before)
         assert err.rstrip().endswith("(at position %d)" % pos), err[:200]
+
+
+def test_results_past_the_int_to_str_limit_print_in_full():
+    # each literal is under the limit, the sum's denominator (about 8000
+    # digits) is past it; Decimal reads the digits back without the limit
+    den1, den2 = "7" * 4000, "3" * 4001
+    code, out, err = run("translate", "lex(Q)", "below([1/%s]; C 1)" % den1,
+                         "[1/%s]" % den2)
+    assert code == 0 and err == ""
+    assert out.startswith("result_cut: below([")
+    assert out.endswith("]; C 1)\n")
+    num, den = out[len("result_cut: below(["):-len("]; C 1)\n")].split("/")
+    assert len(den) > 8000
+    total = Fraction(1, int(Decimal(den1))) + Fraction(1, int(Decimal(den2)))
+    # lowest terms, as print_rat prints every rational
+    assert (int(Decimal(num)), int(Decimal(den))) == (total.numerator,
+                                                       total.denominator)

@@ -56,3 +56,32 @@ def test_unchecked_element_has_only_allowed_callers():
     assert set(uses) == UNCHECKED_ELEMENT_CALLERS, uses
     assert all(p.startswith("lexgroups.py:")
                for places in uses.values() for p in places), uses
+
+
+def _unused_imports(tree):
+    """Names a module imports but never reads; a read of a local variable
+    of the same name counts as a read."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return {name: line for name, line in imported.items() if name not in read}
+
+
+def test_library_has_no_unused_imports():
+    # the package imports the names it re-exports in __all__
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        exported = set()
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and \
+                    getattr(node.targets[0], "id", None) == "__all__":
+                exported = set(ast.literal_eval(node.value))
+        found += ["%s:%d %s" % (path.name, line, name)
+                  for name, line in _unused_imports(tree).items()
+                  if name not in exported]
+    assert found == []
