@@ -10,6 +10,7 @@ default).
 import re
 from decimal import Decimal
 from fractions import Fraction
+from math import gcd
 
 from .errors import ParseError
 from . import scalars
@@ -253,22 +254,31 @@ def parse_morphism(text, group):
 # ---------------------------------------------------------------------------
 # printers (canonical: lowest terms, radical omitted when b = 0)
 
-def print_rat(q):
+def _print_ratio(num, den):
+    """num/den in lowest terms, den > 0; den omitted when it is 1."""
     try:
-        if q.denominator == 1:
-            return str(q.numerator)
-        return "%d/%d" % (q.numerator, q.denominator)
+        if den == 1:
+            return str(num)
+        return "%d/%d" % (num, den)
     except ValueError:  # past the int-to-str limit, which Decimal does not have
-        text = str(Decimal(q.numerator))
-        if q.denominator != 1:
-            text += "/%s" % Decimal(q.denominator)
+        text = str(Decimal(num))
+        if den != 1:
+            text += "/%s" % Decimal(den)
         return text
 
 
+def print_rat(q):
+    return _print_ratio(q.numerator, q.denominator)
+
+
 def print_scalar(x):
-    if x.b == 0:
-        return print_rat(x.a)
-    return "%s + %s*sqrt(%d)" % (print_rat(x.a), print_rat(x.b), x.d)
+    # from the ints of (p + q*sqrt(d))/n: a = p/n and b = q/n in lowest terms
+    g = gcd(x.p, x.n)
+    a = _print_ratio(x.p // g, x.n // g)
+    if not x.q:
+        return a
+    g = gcd(x.q, x.n)
+    return "%s + %s*sqrt(%d)" % (a, _print_ratio(x.q // g, x.n // g), x.d)
 
 
 def print_factor(kind):

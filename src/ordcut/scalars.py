@@ -1,7 +1,10 @@
 """Exact arithmetic and sign determination for numbers a + b*sqrt(d).
 
 Scalars are the coordinate domain for every rank-one factor and for gap
-anchors.  All order decisions are exact: signs are resolved by case analysis
+anchors.  A scalar is four Python ints (p, q, n, d) standing for
+(p + q*sqrt(d))/n, canonical: n > 0, gcd(p, q, n) = 1, d square-free, and
+d = 0 exactly when q = 0.  Arithmetic, signs and floors work on those ints
+alone.  All order decisions are exact: signs are resolved by case analysis
 and squaring, never by floating point.  A radicand is factored once, when it
 enters through `Scalar.make` or `RankOneKind`; arithmetic on canonical
 scalars keeps their square-free radicand, and signs never factor.
@@ -9,17 +12,86 @@ scalars keeps their square-free radicand, and signs never factor.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, isqrt
+from math import gcd, isqrt
 
 from .errors import DomainError
+
+_TRIAL = 1 << 10  # trial division bound before Miller-Rabin and rho
+# Miller-Rabin with the first 13 primes as bases decides primality of every
+# n below this bound (Sorenson and Webster, 2015)
+_MR_BOUND = 3317044064679887385961981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n):
+    """Deterministic Miller-Rabin for odd n with 41 < n < _MR_BOUND."""
+    s, t = 0, n - 1
+    while not t & 1:
+        s, t = s + 1, t >> 1
+    for a in _MR_BASES:
+        x = pow(a, t, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho(n):
+    """A proper factor of the odd composite n, by Pollard-Brent rho."""
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: redo its steps one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
+
+
+def _prime_factors(n, out):
+    """Append the primes of n to out, with multiplicity, for n < _MR_BOUND
+    with no prime factor below _TRIAL; each split is an exact division."""
+    if n == 1:
+        return
+    if _is_prime(n):
+        out.append(n)
+        return
+    f = isqrt(n)
+    if f * f != n:
+        f = _rho(n)
+    _prime_factors(f, out)
+    _prime_factors(n // f, out)
 
 
 def _square_free(d):
     """Split d >= 0 as k^2 * d0 with d0 square-free; returns (k, d0).
 
-    Trial division stops once f^3 exceeds the cofactor r: r then has no
-    prime below f, hence at most two prime factors, so it is 1, p, pq or
-    p^2 and one isqrt tells them apart.  O(d^(1/3)) steps.
+    Trial division runs while f^3 <= the cofactor r.  Past f = _TRIAL a
+    cofactor below _MR_BOUND is split into primes by Miller-Rabin and
+    Pollard-Brent rho.  Otherwise, once f^3 exceeds r, r has no prime below
+    f, hence at most two prime factors, so it is 1, p, pq or p^2 and one
+    isqrt tells them apart: O(d^(1/3)) steps for d >= _MR_BOUND.
     """
     if d < 0:
         raise DomainError("negative radicand %d" % d)
@@ -27,6 +99,14 @@ def _square_free(d):
         return 1, 0
     k, d0, r, f = 1, 1, d, 2
     while f * f * f <= r:
+        if f > _TRIAL and r < _MR_BOUND:
+            primes = []
+            _prime_factors(r, primes)
+            for p in set(primes):
+                e = primes.count(p)
+                k *= p ** (e >> 1)
+                d0 *= p ** (e & 1)
+            return k, d0
         if r % f == 0:
             while r % (f * f) == 0:
                 r //= f * f
@@ -39,9 +119,6 @@ def _square_free(d):
     if s * s == r:
         return k * s, d0
     return k, d0 * r
-
-
-_FZERO = Fraction(0)
 
 
 def _sgn(q):
@@ -82,54 +159,96 @@ def _sign3(u, v, d, w, e):
     return s_l * _quad_sign(v * v * d + w * w * e - u * u, 2 * v * w, d * e)
 
 
-def _scalar(a, b, d):
-    """The scalar a + b*sqrt(d) from Fractions a, b and a square-free d.
+def _ratio(x):
+    """Numerator and denominator of an int or a Fraction (else Fraction(x))."""
+    if type(x) is not int and type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator, x.denominator
 
-    The path of arithmetic on canonical scalars: it never factors.
-    """
-    return Scalar(a, b, d if b else 0)
+
+class _Ints:
+    __slots__ = ("p", "q", "n", "d")
 
 
-@dataclass(frozen=True)
-class Scalar:
-    """The exact real a + b*sqrt(d), canonical: d square-free, d=0 when b=0."""
+class _Draft(_Ints):
+    """Scalar's layout with plain attribute stores: `_raw` fills one in and
+    then makes it a Scalar, cheaper than four descriptor calls."""
 
-    a: Fraction
-    b: Fraction
-    d: int
+    __slots__ = ()
+
+
+class Scalar(_Ints):
+    """The exact real (p + q*sqrt(d))/n, canonical: n > 0, gcd(p, q, n) = 1,
+    d square-free, d = 0 exactly when q = 0.  Immutable."""
+
+    __slots__ = ()
 
     @staticmethod
     def make(a, b=0, d=0):
         """The canonical form of a + b*sqrt(d); factors d unless d == 0."""
-        a = a if type(a) is Fraction else Fraction(a)
+        an, ad = _ratio(a)
+        bn, bd = _ratio(b)  # b is converted, or refused, whatever d is
         if d == 0:
-            return Scalar(a, _FZERO, 0)
-        b = b if type(b) is Fraction else Fraction(b)
+            return _raw(an, 0, ad, 0)
         k, d0 = _square_free(d)
         if d0 == 1:
-            return Scalar(a + b * k, _FZERO, 0)
-        return _scalar(a, b if k == 1 else b * k, d0)
+            return _scalar(an * bd + bn * k * ad, 0, ad * bd, 0)
+        return _scalar(an * bd, bn * k * ad, ad * bd, d0)
+
+    @property
+    def a(self):
+        return Fraction(self.p, self.n)
+
+    @property
+    def b(self):
+        return Fraction(self.q, self.n)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Scalar is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Scalar is immutable")
+
+    def __reduce__(self):
+        return _raw, (self.p, self.q, self.n, self.d)
+
+    def __eq__(self, other):
+        if other.__class__ is not Scalar:
+            return NotImplemented
+        return self.p == other.p and self.q == other.q and \
+            self.n == other.n and self.d == other.d
+
+    def __hash__(self):
+        return hash((self.p, self.q, self.n, self.d))
+
+    def __repr__(self):
+        # the dataclass form of the Fraction parts, which error messages show
+        return "Scalar(a=%r, b=%r, d=%r)" % (self.a, self.b, self.d)
 
     def _merged(self, other):
         # radical of the sum/difference; None when incompatible
-        if self.b == 0:
+        if not self.d:
             return other.d
-        if other.b == 0 or self.d == other.d:
+        if not other.d or self.d == other.d:
             return self.d
         return None
 
     def __add__(self, other):
         if not isinstance(other, Scalar):
             other = Scalar.make(other)
-        if not (self.d or other.d):
-            return Scalar(self.a + other.a, _FZERO, 0)
-        d = self._merged(other)
-        if d is None:
-            raise DomainError("cannot add scalars over distinct radicals")
-        return _scalar(self.a + other.a, self.b + other.b, d)
+        d = self.d
+        if d != other.d:
+            d = self._merged(other)
+            if d is None:
+                raise DomainError("cannot add scalars over distinct radicals")
+        n, m = self.n, other.n
+        if n == m:
+            return _scalar(self.p + other.p, self.q + other.q, n, d)
+        return _scalar(self.p * m + other.p * n, self.q * m + other.q * n,
+                       n * m, d)
 
     def __neg__(self):
-        return Scalar(-self.a, -self.b if self.d else _FZERO, self.d)
+        return _raw(-self.p, -self.q, self.n, self.d)
 
     def __sub__(self, other):
         if not isinstance(other, Scalar):
@@ -137,49 +256,84 @@ class Scalar:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not self.d:
-                return Scalar(self.a * other, _FZERO, 0)
-            return _scalar(self.a * other, self.b * other, self.d)
-        d = self.d if self.b != 0 else other.d
-        if self.b != 0 and other.b != 0 and self.d != other.d:
-            raise DomainError("cannot multiply scalars over distinct radicals")
-        return _scalar(self.a * other.a + self.b * other.b * d,
-                       self.a * other.b + self.b * other.a, d)
+        if not isinstance(other, Scalar):  # an int or a Fraction
+            m = other.numerator
+            return _scalar(self.p * m, self.q * m, self.n * other.denominator,
+                           self.d)
+        d = self.d
+        if d != other.d:
+            d = self._merged(other)
+            if d is None:
+                raise DomainError(
+                    "cannot multiply scalars over distinct radicals")
+        p, q, r, s = self.p, self.q, other.p, other.q
+        return _scalar(p * r + q * s * d, p * s + q * r, self.n * other.n, d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return _scalar(self.a / other, self.b / other, self.d)
-        norm = other.a * other.a - other.b * other.b * other.d
+        if not isinstance(other, Scalar):  # an int or a Fraction
+            m, k = other.numerator, other.denominator
+            if m == 0:
+                raise ZeroDivisionError("division by zero")
+            if m < 0:
+                m, k = -m, -k
+            return _scalar(self.p * k, self.q * k, self.n * m, self.d)
+        r, s, m = other.p, other.q, other.n
+        norm = r * r - s * s * other.d
         if norm == 0:
             raise ZeroDivisionError("division by zero scalar")
-        return self * _scalar(other.a / norm, -other.b / norm, other.d)
+        if norm < 0:
+            norm, m = -norm, -m
+        # 1/other = m*(r - s*sqrt(d))/norm
+        return self * _scalar(r * m, -s * m, norm, other.d)
 
     def sign(self):
-        return _quad_sign(self.a, self.b, self.d)
+        return _quad_sign(self.p, self.q, self.d)
 
     def floor(self):
-        """Exact floor, certified by sign checks.
-
-        With b = p/q, b*sqrt(d) lies within 1/q of sgn(p)*isqrt(p^2*d)/q,
-        so the floor of a plus that estimate is off by at most one.
-        """
-        if self.b == 0:
-            return floor(self.a)
-        p, q = self.b.numerator, self.b.denominator
-        t = isqrt(p * p * self.d)
-        n = floor(self.a + Fraction(t if p > 0 else -t, q))
-        if _quad_sign(self.a - n, self.b, self.d) < 0:
-            return n - 1
-        if _quad_sign(self.a - (n + 1), self.b, self.d) >= 0:
-            return n + 1
-        return n
+        """Exact floor from ints alone: floor(x/n) = floor(floor(x)/n) for
+        x = p + q*sqrt(d), and floor(q*sqrt(d)) is isqrt(q^2*d) for q > 0,
+        -isqrt(q^2*d - 1) - 1 for q < 0."""
+        q = self.q
+        if not q:
+            return self.p // self.n
+        t = q * q * self.d
+        t = isqrt(t) if q > 0 else -isqrt(t - 1) - 1
+        return (self.p + t) // self.n
 
     def height(self):
-        return max(abs(self.a.numerator), self.a.denominator,
-                   abs(self.b.numerator), self.b.denominator)
+        """The largest numerator or denominator of a and b in lowest terms."""
+        p, q, n = self.p, self.q, self.n
+        g, h = gcd(p, n), gcd(q, n)
+        return max(abs(p) // g, n // g, abs(q) // h, n // h)
+
+
+_new = object.__new__
+
+
+def _raw(p, q, n, d):
+    """The scalar (p + q*sqrt(d))/n from ints already in canonical form."""
+    x = _new(_Draft)
+    x.p = p
+    x.q = q
+    x.n = n
+    x.d = d
+    x.__class__ = Scalar
+    return x
+
+
+def _scalar(p, q, n, d):
+    """The scalar (p + q*sqrt(d))/n from ints with n > 0 and d square-free.
+
+    The path of arithmetic on canonical scalars: one gcd (none when n = 1),
+    d zeroed when q = 0, and never a factoring.
+    """
+    if n != 1:
+        g = gcd(p, q, n)
+        if g != 1:
+            p, q, n = p // g, q // g, n // g
+    return _raw(p, q, n, d if q else 0)
 
 
 ZERO = Scalar.make(0)
@@ -188,10 +342,11 @@ ONE = Scalar.make(1)
 
 def compare_cross(x, y):
     """Exact ordering of any two scalars, possibly over distinct radicals."""
+    n, m = x.n, y.n
     if x.d or y.d:
-        return _sign3(x.a - y.a, x.b, x.d, -y.b, y.d)
-    p, q = x.a.numerator * y.a.denominator, y.a.numerator * x.a.denominator
-    return (p > q) - (p < q)
+        return _sign3(x.p * m - y.p * n, x.q * m, x.d, -y.q * n, y.d)
+    s, t = x.p * m, y.p * n
+    return (s > t) - (s < t)
 
 
 @dataclass(frozen=True)
@@ -217,7 +372,7 @@ class RankOneKind:
     def generators(self):
         """1, and sqrt(d) for a quadratic kind: they span the group."""
         if self.d:
-            return (ONE, _scalar(Fraction(0), Fraction(1), self.d))
+            return (ONE, _raw(0, 1, 1, self.d))
         return (ONE,)
 
 
@@ -235,9 +390,9 @@ def quad_q(d):
 
 def contains(kind, x):
     """Membership of the scalar x in the rank-one group."""
-    if x.d not in (0, kind.d):  # canonical x: d == 0 exactly when b == 0
-        return False
-    return kind.tag == "Q" or x.a.denominator == 1 == x.b.denominator
+    # canonical x: q == 0 exactly when d == 0, and a, b are integers
+    # exactly when n == 1
+    return x.d in (0, kind.d) and (kind.tag == "Q" or x.n == 1)
 
 
 def divisible_hull_kind(kind):
@@ -267,12 +422,23 @@ def small_positive(kind, bound):
         while compare_cross(Scalar.make(h), bound) >= 0:
             h /= 2
         return Scalar.make(h)
-    # Z + Z*sqrt(d): powers of the fractional part of sqrt(d) shrink to 0
-    u = Scalar.make(-isqrt(kind.d), 1, kind.d)
-    p = u
-    while compare_cross(p, bound) >= 0:
-        p = p * u
-    return p
+    # Z + Z*sqrt(d): the convergents p/q of sqrt(d) bring |q*sqrt(d) - p|
+    # below any bound, the first of them being sqrt(d) - floor(sqrt(d));
+    # q stays below 1/bound and the steps O(log(1/bound))
+    d = kind.d
+    a0 = isqrt(d)
+    m, s, a = 0, 1, a0  # (sqrt(d) + m)/s is the complete quotient; a its floor
+    p0, p, q0, q = 1, a0, 0, 1
+    while True:
+        x = _raw(-p, q, 1, d)  # q*sqrt(d) - p
+        if x.sign() < 0:
+            x = -x
+        if compare_cross(x, bound) < 0:
+            return x
+        m = a * s - m
+        s = (d - m * m) // s
+        a = (a0 + m) // s
+        p0, p, q0, q = p, a * p + p0, q, a * q + q0
 
 
 def _rationalize_below(delta, gap):

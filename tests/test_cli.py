@@ -255,6 +255,20 @@ def test_hull_of_large_radicand_is_quick():
     assert time.perf_counter() - t0 < 5
 
 
+def test_radicands_past_trial_division_are_decided_quickly():
+    # 10^24 + 7 is prime: about 5e7 trial divisions up to its cube root,
+    # one Miller-Rabin test past the trial bound; 3 * 100000000003^2 is
+    # split by rho
+    t0 = time.perf_counter()
+    code, out, _ = run("hull", "lex(Z[sqrt 1000000000000000000000007])")
+    assert code == 0
+    assert out == "result_group: lex(Q[sqrt 1000000000000000000000007])\n"
+    code, _, err = run("hull", "lex(Z[sqrt 30000000001800000000027])")
+    assert code == 2
+    assert "not square-free" in err
+    assert time.perf_counter() - t0 < 5
+
+
 def test_bad_integer_literals_are_syntax_errors():
     # '²' passes str.isdigit but not int(); int() takes the Arabic-Indic
     # '٣', but the grammar's INT is ASCII; a literal past the interpreter's

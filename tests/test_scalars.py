@@ -1,8 +1,10 @@
 """Scalar arithmetic tests against interval-arithmetic and sympy oracles."""
 
+import copy
+import pickle
 import time
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 import sympy
@@ -394,3 +396,197 @@ def test_make_with_zero_radicand_is_rational_and_canonical(a, b):
     assert (x.a, x.b, x.d) == (Fraction(a), 0, 0)
     assert type(x.a) is Fraction and type(x.b) is Fraction
     assert Scalar.make(int(a)) == Scalar.make(Fraction(int(a)))
+
+
+# ---------------------------------------------------------------------------
+# the integer core: (p + q*sqrt(d))/n against sympy at heights up to 10^40
+
+huge = st.integers(-10 ** 40, 10 ** 40)
+huge_rats = st.builds(Fraction, huge, st.integers(1, 10 ** 40))
+# square-free bases times squares: d square-free, a square, or neither
+base_rads = st.sampled_from([2, 3, 5, 6, 7, 10, 1009, 99991])
+radicands = st.one_of(st.just(0), base_rads,
+                      st.builds(lambda s, k: s * k * k,
+                                st.sampled_from([1, 2, 3, 6, 1009]),
+                                st.integers(2, 40)))
+
+
+def value(x):
+    return sympy_value(x.a, x.b, x.d)
+
+
+def assert_canonical(x):
+    assert x.n > 0 and gcd(x.p, x.q, x.n) == 1
+    assert (x.d == 0) == (x.q == 0)
+    assert x.d == 0 or sympy_square_free(x.d) == (1, x.d) and x.d >= 2
+    assert all(type(v) is int for v in (x.p, x.q, x.n, x.d))
+
+
+@st.composite
+def big_scalars(draw, d=None):
+    """A scalar of height up to 10^40; half the draws lie within 1/q of an
+    integer combination, where signs and floors are delicate."""
+    d = draw(radicands) if d is None else d
+    b = draw(huge_rats)
+    if d and draw(st.booleans()):
+        q = draw(st.integers(1, 10 ** 6))
+        a = Fraction(-near(b.numerator * q, d) // b.denominator
+                     + draw(st.integers(-2, 2)), q)
+    else:
+        a = draw(huge_rats)
+    return Scalar.make(a, b, d)
+
+
+@st.composite
+def compatible_pairs(draw):
+    """Two scalars whose sum and product are defined: one radical, or one
+    of them rational."""
+    s = draw(base_rads)
+    x = draw(big_scalars(d=s * draw(st.integers(1, 5)) ** 2))
+    y = draw(big_scalars(d=draw(st.sampled_from([0, s, 4 * s]))))
+    return (x, y) if draw(st.booleans()) else (y, x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(huge_rats | huge, huge_rats | huge, radicands)
+def test_make_matches_sympy(a, b, d):
+    x = Scalar.make(a, b, d)
+    assert_canonical(x)
+    assert sympy.expand(value(x) - sympy_value(a, b, d)) == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(compatible_pairs())
+def test_arithmetic_of_scalars_matches_sympy(pair):
+    x, y = pair
+    for z, expected in ((x + y, value(x) + value(y)),
+                        (x - y, value(x) - value(y)),
+                        (x * y, value(x) * value(y)), (-x, -value(x))):
+        assert_canonical(z)
+        assert sympy.expand(value(z) - expected) == 0
+    if y.sign() != 0:
+        z = x / y
+        assert_canonical(z)
+        assert sympy.expand(value(z) * value(y) - value(x)) == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(big_scalars(), huge_rats | huge)
+def test_arithmetic_with_rationals_matches_sympy(x, r):
+    v, s = value(x), sympy.Rational(r)
+    for z, expected in ((x + r, v + s), (x - r, v - s), (x * r, v * s),
+                        (r * x, v * s)):
+        assert_canonical(z)
+        assert sympy.expand(value(z) - expected) == 0
+    if r != 0:
+        z = x / r
+        assert_canonical(z)
+        assert sympy.expand(value(z) * s - v) == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(big_scalars(), big_scalars())
+def test_sign_floor_and_compare_match_sympy(x, y):
+    assert x.sign() == sympy_sign(value(x))
+    assert x.floor() == int(sympy.floor(value(x)))
+    assert compare_cross(x, y) == sympy_sign(value(x) - value(y))
+
+
+@settings(max_examples=150, deadline=None)
+@given(big_scalars(), big_scalars())
+def test_height_hash_and_parts(x, y):
+    assert type(x.a) is Fraction and type(x.b) is Fraction
+    assert x.height() == max(abs(x.a.numerator), x.a.denominator,
+                             abs(x.b.numerator), x.b.denominator)
+    z = Scalar.make(x.a, x.b, x.d)
+    assert z == x and hash(z) == hash(x)
+    if x == y:
+        assert hash(x) == hash(y)
+    assert x != (x.p, x.q, x.n, x.d) and x != (x.a, x.b, x.d)
+    assert x != x.a  # nor its Fraction part
+
+
+def test_scalars_are_immutable_and_round_trip():
+    x = Scalar.make(Fraction(-7, 3), 10 ** 40 + 1, 12)
+    for name in ("a", "b", "d", "p", "q", "n", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, 1)
+    with pytest.raises(AttributeError):
+        del x.d
+    assert (x.a, x.b, x.d) == (Fraction(-7, 3), 2 * (10 ** 40 + 1), 3)
+    for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert y == x and hash(y) == hash(x)
+        assert (y.p, y.q, y.n, y.d) == (x.p, x.q, x.n, x.d)
+    assert copy.deepcopy({x: [x]}) == {x: [x]}
+
+
+def test_make_checks_b_whatever_d():
+    for d in (0, 2):
+        with pytest.raises(ValueError):
+            Scalar.make(1, "abc", d)
+    assert Scalar.make(1, "1/2", 0) == Scalar.make(1)
+    assert Scalar.make(1, "1/2", 2) == Scalar.make(1, Fraction(1, 2), 2)
+
+
+def test_small_positive_over_z_sqrt_d_has_small_height():
+    bound = Scalar.make(Fraction(1, 10 ** 6))
+    w = scalars.small_positive(quad_z(9998), bound)
+    assert contains(quad_z(9998), w)
+    assert w.height() < 10 ** 20
+    assert 0 < value(w) < sympy.Rational(1, 10 ** 6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7, 13, 61, 94, 9998, 10 ** 6 + 3]),
+       st.integers(1, 30))
+def test_small_positive_over_z_sqrt_d_matches_sympy(d, k):
+    # convergents of sqrt(d): the witness's q stays below 10^k, p near q*sqrt(d)
+    bound = Scalar.make(Fraction(1, 10 ** k))
+    w = scalars.small_positive(quad_z(d), bound)
+    assert contains(quad_z(d), w)
+    assert 0 < value(w) < sympy.Rational(1, 10 ** k)
+    assert w.height() <= (isqrt(d) + 1) * 10 ** k
+
+
+# ---------------------------------------------------------------------------
+# factoring past trial division: Miller-Rabin and Pollard-Brent rho
+
+def test_square_free_of_large_radicands_is_quick():
+    p12, q12 = 999999999989, 1000000000039
+    p11 = 100000000003
+    p16 = 32749  # p16^2 lies just below the trial bound cubed
+    cases = [10 ** 24 + 7, p12 * q12, 3 * p11 ** 2, 331 * p11 ** 2,
+             p16 ** 2, 399165290221 * 798330580441, 99999989 ** 3]
+    assert p16 ** 2 < scalars._TRIAL ** 3 < 32771 ** 2
+    for d in cases:
+        t0 = time.process_time()
+        got = scalars._square_free(d)
+        assert time.process_time() - t0 < 1, d
+        assert got == sympy_square_free(d), d
+
+
+def test_miller_rabin_is_deterministic_below_its_bound():
+    # strong pseudoprimes to the first 9 and the first 12 prime bases
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not scalars._is_prime(n)
+    for n in (1031, 10 ** 24 + 7, 999999999989, scalars._MR_BOUND - 2):
+        assert scalars._is_prime(n) == sympy.isprime(n)
+
+
+@st.composite
+def rough_products(draw):
+    """k^2 * m * (primes above the trial bound, with exponents), below the
+    Miller-Rabin bound."""
+    d = draw(st.integers(1, 50))
+    for _ in range(draw(st.integers(1, 4))):
+        p = sympy.nextprime(draw(st.integers(scalars._TRIAL, 10 ** 8)))
+        e = draw(st.integers(1, 3))
+        if d * p ** e < scalars._MR_BOUND:
+            d *= p ** e
+    return d
+
+
+@settings(max_examples=100, deadline=None)
+@given(rough_products() | st.integers(10 ** 9, scalars._MR_BOUND - 1))
+def test_square_free_past_trial_division_matches_sympy(d):
+    assert scalars._square_free(d) == sympy_square_free(d)

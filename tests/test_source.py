@@ -85,3 +85,25 @@ def test_library_has_no_unused_imports():
                   for name, line in _unused_imports(tree).items()
                   if name not in exported]
     assert found == []
+
+
+# The integer scalar core: these bodies work on the ints (p, q, n, d) alone.
+FRACTION_FREE = {"Scalar.__add__", "Scalar.__neg__", "Scalar.__sub__",
+                 "Scalar.__mul__", "Scalar.sign", "Scalar.floor",
+                 "compare_cross", "contains"}
+
+
+def test_scalar_arithmetic_and_signs_name_no_fraction():
+    tree = ast.parse((SRC / "scalars.py").read_text(), "scalars.py")
+    bodies = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            bodies[node.name] = node
+        elif isinstance(node, ast.ClassDef) and node.name == "Scalar":
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    bodies["Scalar." + item.name] = item
+    assert FRACTION_FREE <= set(bodies)
+    found = ["%s:%d" % (name, line) for name in sorted(FRACTION_FREE)
+             for _, line in _uses(bodies[name], "Fraction")]
+    assert found == []
