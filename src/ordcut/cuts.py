@@ -8,6 +8,14 @@ A descriptor is one of:
   GapCut(prefix, k, delta)   the cut at an irrational point of a dense
                              factor k, below the k-1 prefix coordinates.
 
+Every descriptor reads as one boundary (ref, closed): a k-tuple ref and a
+flag, with lower part {x : x[:k] <= ref} when closed and {x : x[:k] < ref}
+when open.  The trivial cuts have k = 0 (AllBelow closed, AllAbove open); a
+principal cut's ref is the first k coordinates of its anchor; a gap's ref is
+its prefix followed by delta, and a gap is never closed.  Membership,
+comparison, translation, quotient images, traces, pushes and pulls all work
+on that boundary.
+
 Canonical forms: principal anchors zero every coordinate beyond the level;
 "above" over a discrete factor k rewrites to "below" at the predecessor
 coset (the relative-jump identification); gaps over discrete factors and
@@ -106,34 +114,36 @@ def level_of(c):
     return c.level
 
 
-def _prefix_cmp(xs, ys):
-    for a, b in zip(xs, ys):
-        s = scalars.compare_cross(a, b)
-        if s != 0:
-            return s
-    return 0
+def _ref(c):
+    """The boundary (ref, closed): the lower part is {x : x[:k] <= ref} when
+    closed, {x : x[:k] < ref} when open, for k = len(ref)."""
+    if isinstance(c, Principal):
+        return c.anchor.coords[:c.level], c.side == BELOW
+    if isinstance(c, GapCut):
+        # no coordinate of the factor equals delta: a gap is never closed
+        return c.prefix + (c.delta,), False
+    return (), isinstance(c, AllBelow)
+
+
+def _rebuild(c, group, ref):
+    """The descriptor of c's shape over group at a new ref (level len(ref))."""
+    k = len(ref)
+    if isinstance(c, Principal):
+        return principal(group, c.side,
+                         tuple(ref) + (ZERO,) * (group.rank - k), k)
+    return gap_cut(group, ref[:-1], k, ref[-1])
 
 
 def member(c, x):
     """Which side of the cut the element lies on."""
     if x.group != c.group:
         raise DomainError("element belongs to a different group")
-    if isinstance(c, AllBelow):
-        return MINUS
-    if isinstance(c, AllAbove):
-        return PLUS
-    if isinstance(c, Principal):
-        k = c.level
-        s = _prefix_cmp(x.coords[:k], c.anchor.coords[:k])
-        if c.side == BELOW:
-            return MINUS if s <= 0 else PLUS
-        return MINUS if s < 0 else PLUS
-    k = c.level
-    s = _prefix_cmp(x.coords[:k - 1], c.prefix)
-    if s != 0:
-        return MINUS if s < 0 else PLUS
-    return MINUS if scalars.compare_cross(x.coords[k - 1], c.delta) < 0 \
-        else PLUS
+    ref, closed = _ref(c)
+    for a, b in zip(x.coords, ref):
+        s = scalars.compare_cross(a, b)
+        if s:
+            return MINUS if s < 0 else PLUS
+    return MINUS if closed else PLUS
 
 
 def invariance(c):
@@ -167,61 +177,27 @@ def translate(c, g):
         return c
     if g.group != c.group:
         raise DomainError("element belongs to a different group")
-    if isinstance(c, Principal):
-        return principal(c.group, c.side, (c.anchor + g).coords, c.level)
-    k = c.level
-    prefix = tuple(a + b for a, b in zip(c.prefix, g.coords[:k - 1]))
-    return gap_cut(c.group, prefix, k, c.delta + g.coords[k - 1])
-
-
-_NINF = ("-inf",)
-_PINF = ("+inf",)
-
-
-def _boundary(c):
-    """Canonical boundary key: the lower part is {x : x < boundary}, with a
-    final tie tag (1 when equality at every coordinate still lands below)."""
-    n = c.group.rank
-    if isinstance(c, AllBelow):
-        return [_PINF] * n, 0
-    if isinstance(c, AllAbove):
-        return [_NINF] * n, 0
-    if isinstance(c, Principal):
-        k = c.level
-        fill = _PINF if c.side == BELOW else _NINF
-        ents = [("v", s) for s in c.anchor.coords[:k]] + [fill] * (n - k)
-        return ents, (1 if (c.side == BELOW and k == n) else 0)
-    k = c.level
-    ents = [("v", s) for s in c.prefix] + [("v", c.delta)] + \
-        [_NINF] * (n - k)
-    return ents, 0
-
-
-_ENT_RANK = {"-inf": -1, "v": 0, "+inf": 1}
-
-
-def _ent_cmp(a, b):
-    if a == b:
-        return 0
-    ra, rb = _ENT_RANK[a[0]], _ENT_RANK[b[0]]
-    if ra != rb:
-        return -1 if ra < rb else 1
-    return scalars.compare_cross(a[1], b[1])
+    return _rebuild(c, c.group,
+                    tuple(a + b for a, b in zip(_ref(c)[0], g.coords)))
 
 
 def compare_cuts(c1, c2):
     """Total order on cuts by inclusion of lower parts: -1, 0, or +1."""
     if c1.group != c2.group:
         raise DomainError("cuts over different groups")
-    e1, t1 = _boundary(c1)
-    e2, t2 = _boundary(c2)
-    for a, b in zip(e1, e2):
-        s = _ent_cmp(a, b)
-        if s != 0:
+    r1, closed1 = _ref(c1)
+    r2, closed2 = _ref(c2)
+    for a, b in zip(r1, r2):
+        s = scalars.compare_cross(a, b)
+        if s:
             return s
-    if t1 != t2:
-        return -1 if t1 < t2 else 1
-    return 0
+    # one ref extends the other: past the shorter ref, that cut's lower part
+    # holds everything when it is closed and nothing when it is open
+    if len(r1) < len(r2):
+        return 1 if closed1 else -1
+    if len(r2) < len(r1):
+        return -1 if closed2 else 1
+    return closed1 - closed2
 
 
 def quotient_image(c, theta):
@@ -230,23 +206,14 @@ def quotient_image(c, theta):
         raise DomainError("subgroup belongs to a different group")
     m = theta.level
     qg = LexGroup(c.group.factors[:m])
-    if isinstance(c, AllBelow):
-        return AllBelow(qg)
-    if isinstance(c, AllAbove):
-        return AllAbove(qg)
-    k = c.level
-    if m < k:
-        if isinstance(c, Principal):
-            coords = c.anchor.coords[:m]
-        else:
-            coords = c.prefix[:m]
-        witness = GroupElement(qg, coords)
+    if is_trivial(c):
+        return type(c)(qg)
+    ref = _ref(c)[0]
+    if m < len(ref):
         raise DomainError("quotient image is not a cut: the coset of the "
-                          "anchor lies in both image sides", payload=witness)
-    if isinstance(c, Principal):
-        coords = c.anchor.coords[:k] + (ZERO,) * (m - k)
-        return principal(qg, c.side, coords, k)
-    return gap_cut(qg, c.prefix, k, c.delta)
+                          "anchor lies in both image sides",
+                          payload=GroupElement(qg, ref[:m]))
+    return _rebuild(c, qg, ref)
 
 
 def trace(c, theta):
@@ -256,14 +223,10 @@ def trace(c, theta):
     if is_trivial(c):
         raise DomainError("trace of a trivial cut is trivial")
     m = theta.level
-    k = c.level
-    if m >= k:
+    if m >= c.level:
         raise DomainError("trace is trivial: the window lies inside the "
                           "invariance subgroup")
-    sg = slice_group(c.group, m, c.group.rank)
-    if isinstance(c, Principal):
-        return principal(sg, c.side, c.anchor.coords[m:], k - m)
-    return gap_cut(sg, c.prefix[m:], k - m, c.delta)
+    return _rebuild(c, slice_group(c.group, m, c.group.rank), _ref(c)[0][m:])
 
 
 def transport(c, theta1, theta2):
@@ -278,12 +241,9 @@ def transport(c, theta1, theta2):
     return quotient_image(t, ConvexSubgroup(t.group, m1 - m2))
 
 
-def _first_diff(c, x):
-    """First prefix position (1-based) where x departs from the anchor."""
-    if isinstance(c, Principal):
-        ref = c.anchor.coords[:c.level]
-    else:
-        ref = c.prefix
+def _first_diff(ref, x):
+    """First position (1-based) where x departs from the ref, else None; a
+    gap's delta always differs, so a gap's ref never runs out."""
     for i, (a, b) in enumerate(zip(x.coords, ref)):
         if scalars.compare_cross(a, b) != 0:
             return i + 1
@@ -308,18 +268,17 @@ def interval_bounds(c, sigma):
 
     if is_trivial(c):
         return levels(min(1, n), 0, 0, 0)
-    k = c.level
-    i0 = _first_diff(c, sigma)
-    if isinstance(c, Principal) and i0 == k and c.side == BELOW and \
-            scalars.is_discrete_kind(g.factors[k - 1]) and \
-            (sigma.coords[k - 1] - c.anchor.coords[k - 1]) == ONE:
-        # sigma sits on the successor coset of a relative jump: the dual
-        # Above presentation is anchored at sigma, so this is the matched
-        # case seen from the plus side
+    ref = _ref(c)[0]
+    k = len(ref)
+    i0 = _first_diff(ref, sigma)
+    if i0 == k and scalars.is_discrete_kind(g.factors[k - 1]) and \
+            (sigma.coords[k - 1] - ref[k - 1]) == ONE:
+        # a cut at a discrete factor is a relative jump (a canonical "below")
+        # and sigma sits on its successor coset: the dual Above presentation
+        # is anchored at sigma, so this is the matched case seen from the
+        # plus side
         i0 = None
     if i0 is None:
-        if isinstance(c, GapCut):
-            return levels(k, k, k - 1, k - 1)
         # matched principal: sigma sits on a closed side and S = C_k
         return levels(min(k + 1, n), k, k, k - 1)
     return levels(i0, i0, i0 - 1, i0 - 1)
@@ -337,50 +296,41 @@ def symmetric_interval_member(c, sigma, xi):
 # ---------------------------------------------------------------------------
 # images along injective factorwise morphisms
 
-def _push_gap(m, c, side):
-    """The image of a gap cut, collapsed to the given side of the scaled
-    anchor when that anchor lies in the codomain factor."""
-    k = c.level
-    p = tuple(x * s for x, s in zip(c.prefix, m.scales))
-    d = c.delta * m.scales[k - 1]
-    if scalars.contains(m.cod.factors[k - 1], d):
-        coords = p + (d,) + (ZERO,) * (m.cod.rank - k)
-        return principal(m.cod, side, coords, k)
-    return gap_cut(m.cod, p, k, d)
+def _push(m, c, gap_side):
+    """The image of a nontrivial cut: its ref scaled, with a gap collapsed
+    to gap_side of its scaled delta when that lies in the codomain factor."""
+    ref = tuple(x * s for x, s in zip(_ref(c)[0], m.scales))
+    k = len(ref)
+    if isinstance(c, GapCut) and \
+            scalars.contains(m.cod.factors[k - 1], ref[-1]):
+        return principal(m.cod, gap_side,
+                         ref + (ZERO,) * (m.cod.rank - k), k)
+    return _rebuild(c, m.cod, ref)
 
 
 def push_lower(m, c):
     """The smallest initial segment of the codomain containing the image."""
     if c.group != m.dom:
         raise DomainError("cut is not over the morphism domain")
-    if isinstance(c, AllBelow):
-        return AllBelow(m.cod)
-    if isinstance(c, AllAbove):
-        return AllAbove(m.cod)
-    if isinstance(c, Principal):
-        return principal(m.cod, c.side, m.apply(c.anchor).coords, c.level)
-    return _push_gap(m, c, ABOVE)
+    if is_trivial(c):
+        return type(c)(m.cod)
+    return _push(m, c, ABOVE)
 
 
 def push_upper(m, c):
     """The largest initial segment of the codomain pulling back into c."""
     if c.group != m.dom:
         raise DomainError("cut is not over the morphism domain")
-    if isinstance(c, AllBelow):
-        return AllBelow(m.cod)
-    if isinstance(c, AllAbove):
-        return AllAbove(m.cod)
-    if isinstance(c, Principal):
-        k = c.level
+    if is_trivial(c):
+        return type(c)(m.cod)
+    k = c.level
+    if scalars.is_discrete_kind(m.dom.factors[k - 1]):
+        # a cut at a discrete factor is a canonical "below"; adjoint computed
+        # exactly: everything below the image of the successor coset
         img = list(m.apply(c.anchor).coords)
-        if c.side == BELOW and \
-                scalars.is_discrete_kind(m.dom.factors[k - 1]):
-            # adjoint computed exactly: everything below the image of the
-            # successor coset
-            img[k - 1] = img[k - 1] + Scalar.make(m.scales[k - 1])
-            return principal(m.cod, ABOVE, img, k)
-        return principal(m.cod, c.side, img, k)
-    return _push_gap(m, c, BELOW)
+        img[k - 1] = img[k - 1] + Scalar.make(m.scales[k - 1])
+        return principal(m.cod, ABOVE, img, k)
+    return _push(m, c, BELOW)
 
 
 def pull(m, c):
@@ -388,24 +338,17 @@ def pull(m, c):
     if c.group != m.cod:
         raise DomainError("cut is not over the morphism codomain")
     dom = m.dom
-    if isinstance(c, AllBelow):
-        return AllBelow(dom)
-    if isinstance(c, AllAbove):
-        return AllAbove(dom)
-    k = c.level
-    if isinstance(c, Principal):
-        targets = c.anchor.coords[:k]
-    else:
-        targets = c.prefix + (c.delta,)
+    if is_trivial(c):
+        return type(c)(dom)
     pulled = []
-    for i in range(1, k + 1):
-        beta = targets[i - 1] / m.scales[i - 1]
-        kind = dom.factors[i - 1]
+    for target, s, kind in zip(_ref(c)[0], m.scales, dom.factors):
+        beta = target / s
         if scalars.contains(kind, beta):
             pulled.append(beta)
             continue
-        # the anchor coordinate falls outside factor i: the preimage cut is
-        # decided at position i
+        # the ref coordinate falls outside this factor: the preimage cut is
+        # decided at this position
+        i = len(pulled) + 1
         if scalars.is_discrete_kind(kind):
             coords = pulled + [Scalar.make(beta.floor())] + \
                 [ZERO] * (dom.rank - i)
@@ -415,8 +358,7 @@ def pull(m, c):
         # delta mapped back into the factor would contradict delta being
         # outside the codomain factor
         raise AssertionError("unreachable: gap anchor pulled into the factor")
-    coords = pulled + [ZERO] * (dom.rank - k)
-    return principal(dom, c.side, coords, k)
+    return _rebuild(c, dom, pulled)
 
 
 # ---------------------------------------------------------------------------
@@ -429,23 +371,17 @@ def _witness_positive(c, g):
     j = iota(g)
     if j > k:
         raise AssertionError("witness needs g outside C_level")
-    grp = c.group
-    if isinstance(c, Principal):
-        if c.side == BELOW:
-            lo = c.anchor
-            return lo, lo + g
-        kind = grp.factors[k - 1]
+    ref, closed = _ref(c)
+    if not closed:
+        # lower the last ref entry into the factor, by less than g moves it
+        kind = c.group.factors[k - 1]
         bound = ONE if j < k else g.coords[k - 1]
-        t = scalars.small_positive(kind, bound)
-        coords = list(c.anchor.coords)
-        coords[k - 1] = coords[k - 1] - t
-        lo = GroupElement(grp, tuple(coords))
-        return lo, lo + g
-    kind = grp.factors[k - 1]
-    gap = ONE if j < k else g.coords[k - 1]
-    q = scalars.element_below(kind, c.delta, gap)
-    coords = list(c.prefix) + [q] + [ZERO] * (grp.rank - k)
-    lo = GroupElement(grp, tuple(coords))
+        if isinstance(c, GapCut):
+            last = scalars.element_below(kind, c.delta, bound)
+        else:
+            last = ref[-1] - scalars.small_positive(kind, bound)
+        ref = ref[:-1] + (last,)
+    lo = GroupElement(c.group, ref + (ZERO,) * (c.group.rank - k))
     return lo, lo + g
 
 

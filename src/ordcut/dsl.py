@@ -8,13 +8,11 @@ default).
 """
 
 import re
-from decimal import Decimal
 from fractions import Fraction
-from math import gcd
 
 from .errors import ParseError
 from . import scalars
-from .scalars import Scalar, RankOneKind
+from .scalars import Scalar, RankOneKind, _print_ratio
 from . import lexgroups
 from .lexgroups import LexGroup, FactorwiseInjection
 from . import cuts
@@ -254,31 +252,11 @@ def parse_morphism(text, group):
 # ---------------------------------------------------------------------------
 # printers (canonical: lowest terms, radical omitted when b = 0)
 
-def _print_ratio(num, den):
-    """num/den in lowest terms, den > 0; den omitted when it is 1."""
-    try:
-        if den == 1:
-            return str(num)
-        return "%d/%d" % (num, den)
-    except ValueError:  # past the int-to-str limit, which Decimal does not have
-        text = str(Decimal(num))
-        if den != 1:
-            text += "/%s" % Decimal(den)
-        return text
-
-
 def print_rat(q):
     return _print_ratio(q.numerator, q.denominator)
 
 
-def print_scalar(x):
-    # from the ints of (p + q*sqrt(d))/n: a = p/n and b = q/n in lowest terms
-    g = gcd(x.p, x.n)
-    a = _print_ratio(x.p // g, x.n // g)
-    if not x.q:
-        return a
-    g = gcd(x.q, x.n)
-    return "%s + %s*sqrt(%d)" % (a, _print_ratio(x.q // g, x.n // g), x.d)
+print_scalar = Scalar.__str__
 
 
 def print_factor(kind):

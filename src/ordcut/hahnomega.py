@@ -134,13 +134,9 @@ class OmegaPeriodic:
         for v in self.preperiod + self.period:
             if not scalars.contains(self.group.factor, v):
                 raise DomainError("anchor entry %s outside the factor" % (v,))
-        lead = next((v for v in self.period if v.sign() != 0), None)
-        if lead is None:
+        if all(v.sign() == 0 for v in self.period):
             raise DomainError("all-zero period denotes a group element; "
                               "use a point anchor")
-        if lead.sign() < 0:
-            raise DomainError("period with non-positive leading entry "
-                              "rejected: sign analysis unsupported")
 
     def coord(self, i):
         if i < len(self.preperiod):

@@ -11,6 +11,7 @@ scalars keeps their square-free radicand, and signs never factor.
 """
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -166,6 +167,19 @@ def _ratio(x):
     return x.numerator, x.denominator
 
 
+def _print_ratio(num, den):
+    """num/den in lowest terms, den > 0; den omitted when it is 1."""
+    try:
+        if den == 1:
+            return str(num)
+        return "%d/%d" % (num, den)
+    except ValueError:  # past the int-to-str limit, which Decimal does not have
+        text = str(Decimal(num))
+        if den != 1:
+            text += "/%s" % Decimal(den)
+        return text
+
+
 class _Ints:
     __slots__ = ("p", "q", "n", "d")
 
@@ -221,9 +235,19 @@ class Scalar(_Ints):
     def __hash__(self):
         return hash((self.p, self.q, self.n, self.d))
 
+    def __str__(self):
+        """DSL text: a, then + b*sqrt(d) when b != 0, each in lowest terms
+        (a = p/n, b = q/n)."""
+        g = gcd(self.p, self.n)
+        a = _print_ratio(self.p // g, self.n // g)
+        if not self.q:
+            return a
+        g = gcd(self.q, self.n)
+        return "%s + %s*sqrt(%d)" % (a, _print_ratio(self.q // g, self.n // g),
+                                     self.d)
+
     def __repr__(self):
-        # the dataclass form of the Fraction parts, which error messages show
-        return "Scalar(a=%r, b=%r, d=%r)" % (self.a, self.b, self.d)
+        return "Scalar(%s)" % self
 
     def _merged(self, other):
         # radical of the sum/difference; None when incompatible

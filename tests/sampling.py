@@ -7,11 +7,9 @@ rational ones with numerator and denominator bounded by box.
 import random
 from fractions import Fraction
 
-from . import scalars
-from .scalars import Scalar
-from .lexgroups import GroupElement
-from . import cuts
-from . import hahnomega
+from ordcut import cuts, hahnomega, scalars
+from ordcut.lexgroups import GroupElement
+from ordcut.scalars import Scalar
 
 
 def rng_for(seed):

@@ -10,7 +10,7 @@ import json
 from fractions import Fraction
 from functools import wraps
 
-from ordcut import cli, cuts, dsl, hahnomega, lexgroups, ordsets, sampling, scalars
+from ordcut import cli, cuts, dsl, hahnomega, lexgroups, ordsets, scalars
 from ordcut.cuts import (ABOVE, BELOW, MINUS, PLUS, classify, gap_cut,
                          invariance, invariance_witness, member, principal,
                          pull, push_lower, push_upper, translate, transport)
@@ -22,6 +22,8 @@ from ordcut.ordsets import (FiniteChain, Segment, all_monotone_maps,
                             all_segments, cut_images, cut_witness,
                             lower_image, pullback, reconstruct, upper_image)
 from ordcut.scalars import KIND_Q, KIND_Z, Scalar, quad_q, quad_z
+
+import sampling
 
 ZZ = LexGroup((KIND_Z, KIND_Z))
 ZZZ = LexGroup((KIND_Z, KIND_Z, KIND_Z))

@@ -30,6 +30,26 @@ def test_classify_examples():
                "gap([1]; 2; 0+1*sqrt(2))")[1] == "type: gapped\n"
 
 
+def test_signed_periods_answer():
+    assert run("classify", "hahn_omega(Z)", "periodic([]; [-1,2])") == \
+        (0, "type: tightened\n", "")
+    assert run("invariance", "hahn_omega(Q)", "periodic([]; [0,-3/2])") == \
+        (0, "invariance: zero\nindex_cut: top\n", "")
+    assert run("member", "hahn_omega(Z)", "periodic([]; [-1,2])",
+               "{0:-1,1:3}") == (0, "side: plus\n", "")
+    assert run("translate", "hahn_omega(Q)", "periodic([1/2]; [-3/2])",
+               "{2:1}") == \
+        (0, "result_anchor: periodic([1/2,-3/2,-1/2]; [-3/2])\n", "")
+
+
+def test_domain_error_prints_dsl_text():
+    code, out, err = run("embed", "lex(Z[sqrt 2],Q)",
+                         "[1/3 + 1/3*sqrt(1009),-3/2]")
+    assert (code, out) == (2, "")
+    assert err == "domain error: coordinate 1/3 + 1/3*sqrt(1009) outside " \
+        "factor\n"
+
+
 def test_member_example():
     code, out, _ = run("member", "lex(Z,Z)", "below([1,0]; C 1)", "[1,100]")
     assert code == 0 and out == "side: minus\n"
@@ -247,7 +267,8 @@ def test_lex_only_verbs_refuse_omega_groups():
 
 
 def test_hull_of_large_radicand_is_quick():
-    # about 1e6 trial divisions up to the cube root; up to sqrt(d), 1e9
+    # trial division to 2^10, then one Miller-Rabin test of the prime
+    # cofactor; trial division to the cube root would take about 1e6 steps
     t0 = time.perf_counter()
     code, out, _ = run("hull", "lex(Z[sqrt 1000000000000000003])")
     assert code == 0

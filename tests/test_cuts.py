@@ -5,11 +5,12 @@ library convention; brute-force box enumeration backs the derived formulas.
 """
 
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import product
 
 import pytest
 
-from ordcut import cuts, sampling, scalars
+from ordcut import cuts, dsl, scalars
 from ordcut.cuts import (ABOVE, BELOW, MINUS, PLUS, AllAbove, AllBelow,
                          GapCut, Principal, classify, compare_cuts, gap_cut,
                          interval_bounds, invariance, invariance_witness,
@@ -20,6 +21,8 @@ from ordcut.errors import DomainError
 from ordcut.lexgroups import (ConvexSubgroup, FactorwiseInjection, LexGroup,
                               element, lex_compare, widening, zero)
 from ordcut.scalars import KIND_Q, KIND_Z, Scalar, quad_q, quad_z
+
+import sampling
 
 ZZ = LexGroup((KIND_Z, KIND_Z))
 ZZZ = LexGroup((KIND_Z, KIND_Z, KIND_Z))
@@ -169,6 +172,91 @@ def test_compare_cuts_agrees_with_membership():
                     separated = True
             if order == 0:
                 assert not separated
+
+
+# ---------------------------------------------------------------------------
+# the order of cuts, enumerated: every shape at every level
+
+Q_HALF = Fraction(1, 2)
+ORDER_GROUPS = [LexGroup((KIND_Z,)), LexGroup((KIND_Q,)), ZQ,
+                LexGroup((KIND_Q, quad_z(2), KIND_Z)), LexGroup(())]
+
+
+def _anchor_values(kind):
+    if kind == KIND_Q:
+        return [-1, 0, Q_HALF, 1]
+    return [-1, 0, 1]
+
+
+def _gap_delta(kind):
+    """A point outside the dense factor: sqrt 2 over Q, 1/2 over Z[sqrt 2]."""
+    return SQRT2 if kind == KIND_Q else Scalar.make(Q_HALF)
+
+
+def _probe_values(kind):
+    """Each anchor value, it plus and minus 1, midpoints between anchor
+    values, and factor elements on both sides of the gap point."""
+    if kind == KIND_Q:
+        return [Fraction(v, 4) for v in range(-8, 9)] + \
+            [Fraction(7, 5), Fraction(3, 2)]
+    vals = [Scalar.make(v) for v in range(-2, 3)]
+    if kind.d:  # t + 0.41 and t + 0.59 in Z[sqrt 2]
+        vals += [Scalar.make(t - 1, 1, 2) for t in range(-2, 2)] + \
+            [Scalar.make(t + 2, -1, 2) for t in range(-2, 2)]
+    return vals
+
+
+def _enumerated_cuts(g):
+    out = [AllBelow(g), AllAbove(g)]
+    for k in range(1, g.rank + 1):
+        pad = (0,) * (g.rank - k)
+        heads = list(product(*map(_anchor_values, g.factors[:k - 1])))
+        for head in heads:
+            for v in _anchor_values(g.factors[k - 1]):
+                for side in (BELOW, ABOVE):
+                    out.append(principal(g, side, head + (v,) + pad, k))
+            kind = g.factors[k - 1]
+            if scalars.is_dense_kind(kind):
+                out.append(gap_cut(g, head, k, _gap_delta(kind)))
+    return list(dict.fromkeys(out))  # "above" over Z may repeat a "below"
+
+
+def test_compare_cuts_order_is_total_and_matches_membership():
+    for g in ORDER_GROUPS:
+        cs = _enumerated_cuts(g)
+        probes = [element(g, xs)
+                  for xs in product(*map(_probe_values, g.factors))]
+        sides = {c: [member(c, x) == MINUS for x in probes] for c in cs}
+        for c1 in cs:
+            assert compare_cuts(c1, c1) == 0
+            for c2 in cs:
+                order = compare_cuts(c1, c2)
+                assert order == -compare_cuts(c2, c1)
+                # descriptor equality decides cut equality
+                assert (order == 0) == (c1 == c2)
+                below1 = [a and not b for a, b in zip(sides[c1], sides[c2])]
+                below2 = [b and not a for a, b in zip(sides[c1], sides[c2])]
+                # cuts are nested, and the probes separate distinct ones
+                assert not (any(below1) and any(below2)), (c1, c2)
+                expected = 1 if any(below1) else -1 if any(below2) else 0
+                assert order == expected, (dsl.print_cut(c1), dsl.print_cut(c2))
+
+
+def test_compare_cuts_order_is_transitive():
+    for g in ORDER_GROUPS:
+        ranked = sorted(_enumerated_cuts(g), key=cmp_to_key(compare_cuts))
+        # every pair in sorted order, adjacent ones included, is increasing
+        for i, c1 in enumerate(ranked):
+            for c2 in ranked[i + 1:]:
+                assert compare_cuts(c1, c2) == -1, (c1, c2)
+
+
+def test_compare_trivial_cuts_of_the_rank_zero_group():
+    # lex() is {0}: all_below holds it and all_above does not
+    g = LexGroup(())
+    assert member(AllBelow(g), zero(g)) == MINUS
+    assert member(AllAbove(g), zero(g)) == PLUS
+    assert compare_cuts(AllBelow(g), AllAbove(g)) == 1
 
 
 def test_quotient_image_examples():

@@ -4,11 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from ordcut import dsl, sampling, scalars
+from ordcut import cuts, dsl, hahnomega, lexgroups, scalars
 from ordcut.errors import DomainError, ParseError
 from ordcut.lexgroups import LexGroup, divisible_hull, widening
 from ordcut.hahnomega import OmegaGroup, omega_gap_at, omega_periodic, omega_point
 from ordcut.scalars import KIND_Q, KIND_Z, Scalar, quad_q, quad_z
+
+import sampling
 
 GROUP_TEXTS = ["lex(Z)", "lex(Z,Z)", "lex(Z,Q)", "lex(Z,Z,Q)",
                "lex(Z[sqrt 2],Q)", "lex(Q[sqrt 5])", "lex()",
@@ -28,6 +30,47 @@ def test_scalar_round_trip():
                Scalar.make(0, 1, 8)]
     for x in samples:
         assert dsl.parse_scalar(dsl.print_scalar(x)) == x
+
+
+
+def test_scalar_str_is_the_dsl_printer():
+    assert dsl.print_scalar is Scalar.__str__
+    x = Scalar.make(Fraction(1, 3), Fraction(1, 3), 1009)
+    assert str(x) == "1/3 + 1/3*sqrt(1009)"
+    assert repr(x) == "Scalar(1/3 + 1/3*sqrt(1009))"
+    assert repr(Scalar.make(Fraction(-7, 5))) == "Scalar(-7/5)"
+
+
+def test_domain_error_messages_print_dsl_text():
+    """A DomainError from lexgroups, cuts or hahnomega that names a scalar
+    names it in DSL text, and none shows a Python repr."""
+    x = Scalar.make(Fraction(1, 3), Fraction(1, 3), 1009)
+    zq = LexGroup((KIND_Z, KIND_Q))
+    q2 = LexGroup((quad_q(2),))
+    gz, gq = OmegaGroup(KIND_Z), OmegaGroup(KIND_Q)
+    sqrt2, sqrt3 = Scalar.make(0, 1, 2), Scalar.make(0, 1, 3)
+    naming = [
+        lambda: lexgroups.element(LexGroup((quad_z(2), KIND_Q)),
+                                  (x, Fraction(-3, 2))),
+        lambda: cuts.principal(zq, cuts.BELOW, (x, 0), 1),
+        lambda: cuts.gap_cut(zq, (x,), 2, sqrt2),
+        lambda: hahnomega.omega_element(gz, [(0, x)]),
+        lambda: hahnomega.omega_periodic(gz, (x,), (1,)),
+        lambda: hahnomega.omega_periodic(gz, (), (x,)),
+    ]
+    other = [
+        lambda: cuts.gap_cut(zq, (1,), 2, Fraction(1, 2)),
+        lambda: cuts.translate(cuts.gap_cut(q2, (), 1, sqrt3),
+                               lexgroups.element(q2, (sqrt2,))),
+        lambda: omega_gap_at(gq, [], 1, Fraction(1, 2)),
+        lambda: omega_periodic(gz, (), (0,)),
+    ]
+    for call in naming + other:
+        with pytest.raises(DomainError) as e:
+            call()
+        message = str(e.value)
+        assert "Fraction(" not in message and "Scalar(" not in message
+        assert ("1/3 + 1/3*sqrt(1009)" in message) == (call in naming)
 
 
 def test_element_and_cut_round_trip():

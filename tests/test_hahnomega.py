@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from ordcut import cuts, hahnomega, sampling
+from ordcut import cuts, hahnomega
 from ordcut.errors import DomainError
 from ordcut.hahnomega import (MINUS, PLUS, OmegaGroup, index_cut,
                               omega_classify, omega_compare, omega_element,
@@ -14,6 +14,8 @@ from ordcut.hahnomega import (MINUS, PLUS, OmegaGroup, index_cut,
                               omega_zero, omega_zero_subgroup)
 from ordcut.lexgroups import LexGroup, element
 from ordcut.scalars import KIND_Q, KIND_Z, Scalar, quad_z
+
+import sampling
 
 GZ = OmegaGroup(KIND_Z)
 GQ = OmegaGroup(KIND_Q)
@@ -67,8 +69,9 @@ def test_anchor_validation():
         omega_periodic(GZ, (), ())
     with pytest.raises(DomainError):
         omega_periodic(GZ, (), (0, 0))
-    with pytest.raises(DomainError):
-        omega_periodic(GZ, (), (-1, 2))
+    # a period may lead with a negative entry: only an all-zero one is refused
+    signed = omega_periodic(GZ, (), (-1, 2))
+    assert signed.period == (Scalar.make(-1), Scalar.make(2))
 
 
 def test_invariance_and_classification():
@@ -151,6 +154,81 @@ def test_translate():
             assert omega_classify(shifted) == omega_classify(anchor)
             x = sampling.sample_omega_element(anchor.group, rng, 4, 4)
             assert omega_member(shifted, x + g) == omega_member(anchor, x)
+
+
+# periods whose first nonzero entry is negative, or that change sign
+SIGNED = [omega_periodic(GZ, (), (-1, 2)),
+          omega_periodic(GQ, (Fraction(1, 2),), (Fraction(-3, 2),)),
+          omega_periodic(GZ, (3,), (0, -1)),
+          omega_periodic(GQ, (), (0, -1, Fraction(2, 3)))]
+
+
+def _truncation(anchor, n):
+    """The anchor's entries at indices below n, as a group element."""
+    return omega_element(anchor.group,
+                         [(i, anchor.coord(i)) for i in range(n)])
+
+
+def _side_by_truncation(anchor, x):
+    """Oracle: x against a truncation of the anchor long enough to hold a
+    nonzero entry past x's support, so the two differ below its length,
+    where truncation and anchor agree."""
+    n = x.max_index() + 1 + len(anchor.preperiod) + 2 * len(anchor.period)
+    s = omega_compare(x, _truncation(anchor, n))
+    assert s != 0
+    return MINUS if s < 0 else PLUS
+
+
+def _probes(anchor, rng):
+    """Random elements, and the anchor's truncations nudged at each index."""
+    xs = [sampling.sample_omega_element(anchor.group, rng, 4, 6)
+          for _ in range(40)]
+    for m in range(8):
+        t = _truncation(anchor, m)
+        xs.append(t)
+        for j in range(m + 2):
+            e = omega_element(anchor.group, [(j, 1)])
+            xs += [t + e, t - e]
+    return xs
+
+
+def test_signed_periods_member_by_truncation():
+    rng = sampling.rng_for(3)
+    for anchor in SIGNED:
+        for x in _probes(anchor, rng):
+            assert omega_member(anchor, x) == _side_by_truncation(anchor, x)
+
+
+def test_signed_periods_translate():
+    rng = sampling.rng_for(4)
+    for anchor in SIGNED:
+        for _ in range(20):
+            g = sampling.sample_omega_element(anchor.group, rng, 4, 6)
+            shifted = omega_translate(anchor, g)
+            # the translate's stream is the anchor's plus g, entry by entry
+            n = g.max_index() + 1 + len(shifted.preperiod)
+            assert omega_compare(_truncation(shifted, n),
+                                 _truncation(anchor, n) + g) == 0
+            for x in _probes(anchor, rng)[:30]:
+                side = _side_by_truncation(anchor, x)
+                assert _side_by_truncation(shifted, x + g) == side
+                assert omega_member(shifted, x + g) == side
+
+
+def test_signed_periods_classify_and_invariance():
+    rng = sampling.rng_for(5)
+    for anchor in SIGNED:
+        assert omega_classify(anchor) == hahnomega.TIGHTENED
+        assert omega_invariance(anchor) == omega_zero_subgroup(anchor.group)
+        assert str(index_cut(anchor)) == "top"
+        # invariance (0): every nonzero g moves the cut; a truncation past
+        # g's support, or it minus g, straddles it
+        for _ in range(10):
+            g = sampling.sample_omega_nonzero(anchor.group, rng, 4, 5)
+            n = g.max_index() + 1 + len(anchor.preperiod) + len(anchor.period)
+            t = _truncation(anchor, n)
+            assert any(_side_by_truncation(anchor, y) !=
+                       _side_by_truncation(anchor, y + g) for y in (t, t - g))
 
 
 def test_finite_rank_consistency():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ordcut import dsl, lexgroups, sampling, scalars
+from ordcut import dsl, lexgroups, scalars
 from ordcut.errors import DomainError
 from ordcut.lexgroups import (ConvexSubgroup, GroupElement,
                               FactorwiseInjection, LexGroup, convex_subgroups,
@@ -16,6 +16,8 @@ from ordcut.lexgroups import (ConvexSubgroup, GroupElement,
                               quotient, skeleton, slice_group, unit, widening,
                               zero)
 from ordcut.scalars import KIND_Q, KIND_Z, Scalar, quad_q, quad_z
+
+import sampling
 
 ZZ = LexGroup((KIND_Z, KIND_Z))
 ZZZ = LexGroup((KIND_Z, KIND_Z, KIND_Z))
