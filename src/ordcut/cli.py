@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 syntax error, 2 domain error.
 """
 
 import json
+import re
 import sys
 from typing import Callable, NamedTuple, Optional
 
@@ -41,11 +42,16 @@ def _parse_flags(argv):
     return args, as_json
 
 
+_INT = re.compile("-?[0-9]+")  # ASCII digits, as the grammar's INT
+
+
 def _int(text):
-    try:
-        return int(text)
-    except ValueError:
-        raise _Usage("expected a level integer, got %r" % text)
+    if _INT.fullmatch(text):
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise _Usage("expected a level integer, got %r" % text)
 
 
 class _Arg(NamedTuple):
@@ -101,7 +107,7 @@ def _omega_invariance(g, a):
     sub = hahnomega.omega_invariance(a)
     return {"invariance": "zero" if sub.index is None
             else "tail(%d)" % sub.index,
-            "index_cut": str(hahnomega.index_cut(a))}
+            "index_cut": hahnomega.index_cut(a)}
 
 
 def _bounds(g, c, x):

@@ -8,21 +8,16 @@ lives, and with it the tightened cut type that finite rank cannot produce.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DomainError
 from . import scalars
-from .scalars import Scalar, ZERO
+from .scalars import ONE, Scalar, ZERO
 from .cuts import GAPPED, MINUS, PLUS, RP_BELOW, TIGHTENED
 
 
 @dataclass(frozen=True)
 class OmegaGroup:
     factor: scalars.RankOneKind
-
-    def __post_init__(self):
-        if self.factor.d != 0:
-            raise DomainError("omega groups take factor Z or Q")
 
 
 @dataclass(frozen=True)
@@ -172,11 +167,11 @@ def omega_member(anchor, x):
     if isinstance(anchor, OmegaPoint):
         return MINUS if omega_compare(x, anchor.point) <= 0 else PLUS
     if isinstance(anchor, OmegaGapAt):
-        for i in range(anchor.index):
-            s = scalars.compare_cross(x.coord(i), anchor.prefix.coord(i))
-            if s != 0:
-                return MINUS if s < 0 else PLUS
-        s = scalars.compare_cross(x.coord(anchor.index), anchor.delta)
+        # x below the index against the prefix, over their supports only
+        head = OmegaElement(x.group, tuple(
+            (i, v) for i, v in x.support if i < anchor.index))
+        s = omega_compare(head, anchor.prefix) or \
+            scalars.compare_cross(x.coord(anchor.index), anchor.delta)
         return MINUS if s < 0 else PLUS
     horizon = max(x.max_index() + 1,
                   len(anchor.preperiod) + len(anchor.period))
@@ -211,11 +206,9 @@ def omega_zero_subgroup(group):
 
 
 def omega_invariance(anchor):
-    if isinstance(anchor, OmegaPoint):
-        return omega_zero_subgroup(anchor.group)
     if isinstance(anchor, OmegaGapAt):
         return omega_tail(anchor.group, anchor.index + 1)
-    return omega_zero_subgroup(anchor.group)
+    return omega_zero_subgroup(anchor.group)  # point and periodic anchors
 
 
 def omega_classify(anchor):
@@ -230,25 +223,13 @@ def omega_classify(anchor):
     return TIGHTENED
 
 
-@dataclass(frozen=True)
-class IndexCut:
-    """A cut of the index chain omega: the top cut or L^{>i}."""
-
-    kind: str  # "top" or "at"
-    index: int
-
-    def __str__(self):
-        if self.kind == "top":
-            return "top"
-        return "L^{>%d}" % self.index
-
-
 def index_cut(anchor):
-    """The cut of omega matching the invariance subgroup."""
+    """The cut of the index chain omega matching the invariance subgroup:
+    "top", or "L^{>i}" for Tail(i+1)."""
     inv = omega_invariance(anchor)
     if inv.index is None:
-        return IndexCut("top", -1)
-    return IndexCut("at", inv.index - 1)
+        return "top"
+    return "L^{>%d}" % (inv.index - 1)
 
 
 def omega_translate(anchor, g):
@@ -275,51 +256,49 @@ def omega_translate(anchor, g):
     return OmegaPeriodic(anchor.group, pre, anchor.period)
 
 
-def _truncations(anchor, bound):
-    """Finite-support elements tracking the anchor stream: the witness pool."""
+# ---------------------------------------------------------------------------
+# constructive invariance witnesses
+
+def _witness_positive(anchor, g):
+    """lo in the lower part of the cut, for positive g outside the
+    invariance subgroup; lo + g lies in the upper part."""
     group = anchor.group
-    out = []
+    j, head = g.support[0]
     if isinstance(anchor, OmegaPoint):
-        out.append(anchor.point)
-        return out
+        return anchor.point  # the cut is closed: the point is below it
     if isinstance(anchor, OmegaGapAt):
-        prefix = [(i, v) for i, v in anchor.prefix.support]
-        for den in range(1, bound * bound + 1):
-            num = (anchor.delta * den).floor()
-            for off in (0, 1, -1):
-                q = Scalar.make(Fraction(num + off, den))
-                out.append(omega_element(
-                    group, prefix + [(anchor.index, q)]))
-        return out
-    for m in range(bound + 2):
-        out.append(omega_element(
-            group, [(i, anchor.coord(i)) for i in range(m)]))
-    return out
+        # lower delta into the factor, by less than g moves it
+        bound = ONE if j < anchor.index else head
+        last = scalars.element_below(group.factor, anchor.delta, bound)
+        return anchor.prefix + omega_element(group, [(anchor.index, last)])
+    # the anchor's stream up to its first nonzero entry past j; a period is
+    # never all zero, so that entry comes within one period of the preperiod
+    t = j + 1
+    while anchor.coord(t).sign() == 0:
+        t += 1
+    lo = omega_element(group, [(i, anchor.coord(i)) for i in range(t)])
+    # lo agrees with the anchor below t and is zero at t: it lies above the
+    # cut when the anchor's entry there is negative, and lo - g below it
+    return lo if anchor.coord(t).sign() > 0 else lo - g
 
 
-def _within_box(x, bound):
-    return all(i <= bound and v.height() <= bound for i, v in x.support)
+def omega_invariance_witness(anchor, g):
+    """A pair (y, y+g) straddling the cut, proving g does not stabilize it.
 
-
-def omega_witness_search(anchor, g, bound):
-    """Brute-force falsifier: a pair (y, y+g) straddling the cut, with y
-    supported on indices <= bound and coefficient height <= bound; None when
-    g stabilizes the cut within the box."""
+    For negative g the mirrored pair (y in the upper part, y+g in the lower
+    part) is returned.  Raises for g inside the invariance subgroup.
+    """
+    if g.group != anchor.group:
+        raise DomainError("element belongs to a different group")
     if g.is_zero():
         raise DomainError("zero stabilizes every cut")
-    candidates = []
-    for base in _truncations(anchor, bound):
-        candidates.append(base)
-        candidates.append(base - g)
-        candidates.append(base + g)
-    for y in candidates:
-        if not _within_box(y, bound):
-            continue
-        z = y + g
-        if omega_member(anchor, y) == MINUS and \
-                omega_member(anchor, z) == PLUS:
-            return y, z
-        if omega_member(anchor, y) == PLUS and \
-                omega_member(anchor, z) == MINUS:
-            return y, z
-    return None
+    if omega_invariance(anchor).member(g):
+        raise DomainError("element lies in the invariance subgroup")
+    up = g if g.support[0][1].sign() > 0 else -g
+    lo = _witness_positive(anchor, up)
+    hi = lo + up
+    if omega_member(anchor, lo) != MINUS or omega_member(anchor, hi) != PLUS:
+        raise AssertionError("invariance witness does not straddle the cut")
+    if up is g:
+        return lo, hi
+    return hi, lo

@@ -327,3 +327,44 @@ def test_results_past_the_int_to_str_limit_print_in_full():
     # lowest terms, as print_rat prints every rational
     assert (int(Decimal(num)), int(Decimal(den))) == (total.numerator,
                                                        total.denominator)
+
+
+def test_omega_groups_over_a_quadratic_factor():
+    g = "hahn_omega(Z[sqrt 2])"
+    assert run("classify", g, "periodic([]; [1])") == \
+        (0, "type: tightened\n", "")
+    assert run("invariance", g, "gap_at({0:1+1*sqrt(2)}; 2; 1/2)") == \
+        (0, "invariance: tail(3)\nindex_cut: L^{>2}\n", "")
+    # 1 - sqrt(2) < 0 at index 0
+    assert run("member", g, "periodic([]; [1-1*sqrt(2)])", "{0:-1}") == \
+        (0, "side: minus\n", "")
+    assert run("member", g, "periodic([]; [1-1*sqrt(2)])", "{1:1}") == \
+        (0, "side: plus\n", "")
+    assert run("translate", g, "gap_at({}; 0; 1/2)", "{0:2+1*sqrt(2)}") == \
+        (0, "result_anchor: gap_at({}; 0; 5/2 + 1*sqrt(2))\n", "")
+    assert run("translate", g, "point({0:1})", "{1:0+1*sqrt(2)}") == \
+        (0, "result_anchor: point({0:1,1:0 + 1*sqrt(2)})\n", "")
+    # values outside the factor are still refused
+    assert run("member", g, "point({0:1/2})", "{}")[:2] == (2, "")
+
+
+def test_level_and_size_take_ascii_digits_only():
+    # int() accepts each of these; the grammar's INT does not
+    for text in ("١", "1_0", "+1", " 1"):
+        for argv in (("orders", text),
+                     ("project", "lex(Z,Z)", "below([1,0]; C 1)", text)):
+            code, out, err = run(*argv)
+            assert (code, out) == (1, ""), argv
+            assert err == "syntax error: expected a level integer, got " \
+                "%r\n" % text
+    # a negative value is well formed and refused as a domain error
+    assert run("orders", "-1")[0] == 2
+    assert run("project", "lex(Z,Z)", "below([1,0]; C 1)", "-1")[0] == 2
+
+
+def test_member_of_a_far_gap_is_quick():
+    t0 = time.perf_counter()
+    assert run("member", "hahn_omega(Q)",
+               "gap_at({}; 100000000000; 1+1*sqrt(2))", "{}") == \
+        (0, "side: minus\n", "")
+    assert time.perf_counter() - t0 < 1

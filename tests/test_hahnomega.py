@@ -1,5 +1,7 @@
-"""Omega-indexed lex sums: order, anchors, invariance, witness search."""
+"""Omega-indexed lex sums: order, anchors, invariance, constructive
+invariance witnesses."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,23 +10,30 @@ from ordcut import cuts, hahnomega
 from ordcut.errors import DomainError
 from ordcut.hahnomega import (MINUS, PLUS, OmegaGroup, index_cut,
                               omega_classify, omega_compare, omega_element,
-                              omega_gap_at, omega_invariance, omega_member,
+                              omega_gap_at, omega_invariance,
+                              omega_invariance_witness, omega_member,
                               omega_periodic, omega_point, omega_tail,
-                              omega_translate, omega_witness_search,
-                              omega_zero, omega_zero_subgroup)
+                              omega_translate, omega_zero,
+                              omega_zero_subgroup)
 from ordcut.lexgroups import LexGroup, element
-from ordcut.scalars import KIND_Q, KIND_Z, Scalar, quad_z
+from ordcut.scalars import KIND_Q, KIND_Z, Scalar, quad_q, quad_z
 
 import sampling
 
 GZ = OmegaGroup(KIND_Z)
 GQ = OmegaGroup(KIND_Q)
+GZ2 = OmegaGroup(quad_z(2))
+GQ3 = OmegaGroup(quad_q(3))
 SQRT2 = Scalar.make(0, 1, 2)
 
 
 def test_group_validation():
+    # every rank-one factor makes an omega group; its elements stay inside it
+    assert omega_element(GZ2, [(0, SQRT2)]).coord(0) == SQRT2
     with pytest.raises(DomainError):
-        OmegaGroup(quad_z(2))
+        omega_element(GZ2, [(0, Fraction(1, 2))])
+    with pytest.raises(DomainError):
+        omega_element(GQ3, [(0, SQRT2)])
 
 
 def test_compare_examples():
@@ -99,41 +108,120 @@ def test_tail_chain():
     assert not omega_zero_subgroup(GZ).member(omega_element(GZ, [(7, 1)]))
 
 
-def test_witness_search_examples():
+def _assert_straddles(anchor, g):
+    y, z = omega_invariance_witness(anchor, g)
+    assert z == y + g
+    # positive g moves up across the cut, negative g down
+    up = omega_compare(g, omega_zero(anchor.group)) > 0
+    assert (omega_member(anchor, y), omega_member(anchor, z)) == \
+        ((MINUS, PLUS) if up else (PLUS, MINUS))
+
+
+def test_witness_examples():
     ones = omega_periodic(GZ, (), (1,))
-    w = omega_witness_search(ones, omega_element(GZ, [(3, 1)]), 6)
-    assert w is not None
-    y, z = w
-    assert omega_member(ones, y) != omega_member(ones, z)
+    _assert_straddles(ones, omega_element(GZ, [(3, 1)]))
     gap = omega_gap_at(GQ, [], 1, SQRT2)
     inside = omega_element(GQ, [(5, 1)])  # lies in Tail(2) = invariance
-    assert omega_witness_search(gap, inside, 8) is None
-    pt = omega_point(GZ, [(0, 3)])
-    w2 = omega_witness_search(pt, omega_element(GZ, [(0, 1)]), 6)
-    assert w2 is not None
     with pytest.raises(DomainError):
-        omega_witness_search(pt, omega_zero(GZ), 6)
+        omega_invariance_witness(gap, inside)
+    pt = omega_point(GZ, [(0, 3)])
+    _assert_straddles(pt, omega_element(GZ, [(0, 1)]))
+    with pytest.raises(DomainError):
+        omega_invariance_witness(pt, omega_zero(GZ))
+    with pytest.raises(DomainError):
+        omega_invariance_witness(pt, omega_element(GQ, [(0, 1)]))
+
+
+def test_witness_a_box_search_missed():
+    # y = {0:2}, y + g = {0:2/3} straddle 3/2, 3/2, ...; no truncation of
+    # the anchor plus or minus g does
+    anchor = omega_periodic(GQ, (), (Fraction(3, 2),))
+    g = omega_element(GQ, [(0, Fraction(-4, 3))])
+    _assert_straddles(anchor, g)
+
+
+def _quadratic_anchors(group, rng):
+    """Each anchor shape over a quadratic factor, with signed periods; gap
+    anchors are rational over Z[sqrt d], over a second radical over Q[sqrt d]."""
+    k = group.factor
+    one = Scalar.make(1)
+    gen = k.generators()[1]
+    return [
+        omega_point(group, [(0, one + gen), (2, -gen)]),
+        omega_point(group, []),
+        omega_gap_at(group, [(0, gen)], 2,
+                     sampling.sample_irrational(k, rng, 4)),
+        omega_gap_at(group, [], 0, sampling.sample_irrational(k, rng, 4)),
+        omega_periodic(group, (), (one - gen,)),
+        omega_periodic(group, (gen,), (0, one - gen, 2)),
+    ]
+
+
+def test_quadratic_witnesses():
+    """Z[sqrt 2] and Q[sqrt 3]: every shape, both signs of g, and for gap
+    anchors g starting below and at the gap index."""
+    rng = sampling.rng_for(6)
+    for group in (GZ2, GQ3):
+        gen = group.factor.generators()[1]
+        for anchor in _quadratic_anchors(group, rng):
+            starts = range(4)
+            if isinstance(anchor, hahnomega.OmegaGapAt):
+                starts = range(anchor.index + 1)
+            small = gen - 1
+            for _ in range(4):
+                small = small * (gen - 1)  # (sqrt(d) - 1)^5, a small unit
+            for j in starts:
+                for head in (gen, -gen, -(gen - 1), small, -small):
+                    tail = sampling.sample_omega_element(group, rng, 3, 6)
+                    g = omega_element(group, [(j, head)] + [
+                        (i, v) for i, v in tail.support if i > j])
+                    _assert_straddles(anchor, g)
+            for _ in range(20):
+                g = sampling.sample_omega_nonzero(group, rng, 4, 5)
+                if omega_invariance(anchor).member(g):
+                    with pytest.raises(DomainError):
+                        omega_invariance_witness(anchor, g)
+                else:
+                    _assert_straddles(anchor, g)
 
 
 def test_invariance_oracle_agreement():
-    """Stabilizer samples never yield witnesses; outsiders always do."""
+    """Outsiders always yield a witness; stabilizers are refused, and no
+    sampled y is moved across the cut by them."""
     rng = sampling.rng_for(0)
     anchors = [omega_periodic(GZ, (), (1,)),
                omega_periodic(GZ, (2,), (1, 3)),
                omega_point(GZ, [(0, 2), (2, -1)]),
-               omega_gap_at(GQ, [(0, Fraction(1, 2))], 2, SQRT2)]
+               omega_gap_at(GQ, [(0, Fraction(1, 2))], 2, SQRT2),
+               omega_gap_at(GZ2, [], 1, Scalar.make(Fraction(1, 2))),
+               omega_gap_at(GQ3, [(0, 1)], 2, SQRT2)]
     for anchor in anchors:
         inv = omega_invariance(anchor)
         for _ in range(25):
             g = sampling.sample_omega_nonzero(anchor.group, rng, 4, 5)
-            found = omega_witness_search(anchor, g, 8)
-            if inv.member(g):
-                assert found is None
-            else:
-                assert found is not None
-                y, z = found
-                assert z == y + g
-                assert omega_member(anchor, y) != omega_member(anchor, z)
+            if not inv.member(g):
+                _assert_straddles(anchor, g)
+                continue
+            with pytest.raises(DomainError):
+                omega_invariance_witness(anchor, g)
+            for _ in range(20):
+                y = sampling.sample_omega_element(anchor.group, rng, 4, 5)
+                assert omega_member(anchor, y) == omega_member(anchor, y + g)
+
+
+def test_member_of_a_far_gap_is_quick():
+    # only the supports below the gap index are compared
+    far = 10 ** 11
+    gap = omega_gap_at(GQ, [(0, 1), (far - 1, -2)], far, SQRT2)
+    cases = [({}, MINUS), ({0: 2}, PLUS), ({0: 1}, PLUS),
+             ({0: 1, far - 1: -2, far: 1}, MINUS),
+             ({0: 1, far - 1: -2, far: Fraction(3, 2)}, PLUS),
+             ({0: 1, far - 1: -2, far + 1: 9}, MINUS),
+             ({0: 1, 5: -1}, MINUS), ({0: 1, far - 1: -1}, PLUS)]
+    t0 = time.perf_counter()
+    for pairs, side in cases:
+        assert omega_member(gap, omega_element(GQ, pairs.items())) == side
+    assert time.perf_counter() - t0 < 1
 
 
 def test_translate():
