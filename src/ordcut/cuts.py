@@ -71,7 +71,7 @@ def principal(group, side, coords, level):
     if not 1 <= level <= group.rank:
         raise DomainError("level %d outside 1..%d (level 0 cuts are the "
                           "trivial AllBelow/AllAbove)" % (level, group.rank))
-    coords = [c if isinstance(c, Scalar) else Scalar.make(c) for c in coords]
+    coords = [Scalar.make(c) for c in coords]
     if len(coords) != group.rank:
         raise DomainError("anchor has wrong number of coordinates")
     coords = coords[:level] + [ZERO] * (group.rank - level)
@@ -90,12 +90,10 @@ def gap_cut(group, prefix, level, delta):
     if scalars.is_discrete_kind(kind):
         raise DomainError(
             "discrete factor normalizes gap to principal; use below/above")
-    if not isinstance(delta, Scalar):
-        delta = Scalar.make(delta)
+    delta = Scalar.make(delta)
     if scalars.contains(kind, delta):
         raise DomainError("gap anchor lies inside the factor; use below/above")
-    prefix = tuple(c if isinstance(c, Scalar) else Scalar.make(c)
-                   for c in prefix)
+    prefix = tuple(map(Scalar.make, prefix))
     if len(prefix) != level - 1:
         raise DomainError("gap prefix needs exactly level-1 coordinates")
     for kindi, c in zip(group.factors, prefix):
@@ -366,21 +364,18 @@ def pull(m, c):
 
 def _witness_positive(c, g):
     """(lo, hi) with lo in the lower part, hi = lo + g in the upper part,
-    for positive g outside the invariance subgroup."""
+    for positive g outside the invariance subgroup: lo is the ref padded
+    with zeros, an open ref's last entry first lowered into its factor, by
+    less than g moves it, through `scalars.element_below`."""
     k = c.level
     j = iota(g)
     if j > k:
         raise AssertionError("witness needs g outside C_level")
     ref, closed = _ref(c)
     if not closed:
-        # lower the last ref entry into the factor, by less than g moves it
-        kind = c.group.factors[k - 1]
         bound = ONE if j < k else g.coords[k - 1]
-        if isinstance(c, GapCut):
-            last = scalars.element_below(kind, c.delta, bound)
-        else:
-            last = ref[-1] - scalars.small_positive(kind, bound)
-        ref = ref[:-1] + (last,)
+        ref = ref[:-1] + (scalars.element_below(c.group.factors[k - 1],
+                                                ref[-1], bound),)
     lo = GroupElement(c.group, ref + (ZERO,) * (c.group.rank - k))
     return lo, lo + g
 

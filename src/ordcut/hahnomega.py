@@ -49,6 +49,8 @@ class OmegaElement:
         return not self.support
 
     def __add__(self, other):
+        if self.group != other.group:
+            raise DomainError("elements of different groups")
         vals = dict(self.support)
         for i, v in other.support:
             w = vals.get(i, ZERO) + v
@@ -69,8 +71,7 @@ class OmegaElement:
 def omega_element(group, pairs):
     vals = {}
     for i, v in pairs:
-        if not isinstance(v, Scalar):
-            v = Scalar.make(v)
+        v = Scalar.make(v)
         if v.sign() != 0:
             vals[i] = v
     return OmegaElement(group, tuple(sorted(vals.items())))
@@ -83,9 +84,9 @@ def omega_zero(group):
 def omega_compare(x, y):
     if x.group != y.group:
         raise DomainError("elements of different groups")
-    idxs = sorted({i for i, _ in x.support} | {i for i, _ in y.support})
-    for i in idxs:
-        s = scalars.compare_cross(x.coord(i), y.coord(i))
+    xs, ys = dict(x.support), dict(y.support)
+    for i in sorted(xs.keys() | ys.keys()):
+        s = scalars.compare_cross(xs.get(i, ZERO), ys.get(i, ZERO))
         if s != 0:
             return s
     return 0
@@ -144,17 +145,13 @@ def omega_point(group, pairs):
 
 
 def omega_gap_at(group, prefix_pairs, index, delta):
-    if not isinstance(delta, Scalar):
-        delta = Scalar.make(delta)
-    return OmegaGapAt(group, omega_element(group, prefix_pairs), index, delta)
+    return OmegaGapAt(group, omega_element(group, prefix_pairs), index,
+                      Scalar.make(delta))
 
 
 def omega_periodic(group, preperiod, period):
-    pre = tuple(v if isinstance(v, Scalar) else Scalar.make(v)
-                for v in preperiod)
-    per = tuple(v if isinstance(v, Scalar) else Scalar.make(v)
-                for v in period)
-    return OmegaPeriodic(group, pre, per)
+    return OmegaPeriodic(group, tuple(map(Scalar.make, preperiod)),
+                         tuple(map(Scalar.make, period)))
 
 
 def omega_member(anchor, x):
@@ -175,8 +172,9 @@ def omega_member(anchor, x):
         return MINUS if s < 0 else PLUS
     horizon = max(x.max_index() + 1,
                   len(anchor.preperiod) + len(anchor.period))
+    xs = dict(x.support)
     for i in range(horizon + len(anchor.period)):
-        s = scalars.compare_cross(x.coord(i), anchor.coord(i))
+        s = scalars.compare_cross(xs.get(i, ZERO), anchor.coord(i))
         if s != 0:
             return MINUS if s < 0 else PLUS
     # the anchor has infinite support, a finitely supported x cannot agree
@@ -252,7 +250,8 @@ def omega_translate(anchor, g):
     if need > pre_len:
         # keep the period phase aligned
         need = pre_len + ((need - pre_len + p - 1) // p) * p
-    pre = tuple(anchor.coord(i) + g.coord(i) for i in range(need))
+    gs = dict(g.support)
+    pre = tuple(anchor.coord(i) + gs.get(i, ZERO) for i in range(need))
     return OmegaPeriodic(anchor.group, pre, anchor.period)
 
 

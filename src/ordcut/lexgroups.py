@@ -75,8 +75,7 @@ class ConvexSubgroup:
 
 
 def element(group, coords):
-    return GroupElement(group, tuple(
-        c if isinstance(c, Scalar) else Scalar.make(c) for c in coords))
+    return GroupElement(group, tuple(map(Scalar.make, coords)))
 
 
 def zero(group):

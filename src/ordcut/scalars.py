@@ -3,11 +3,13 @@
 Scalars are the coordinate domain for every rank-one factor and for gap
 anchors.  A scalar is four Python ints (p, q, n, d) standing for
 (p + q*sqrt(d))/n, canonical: n > 0, gcd(p, q, n) = 1, d square-free, and
-d = 0 exactly when q = 0.  Arithmetic, signs and floors work on those ints
-alone.  All order decisions are exact: signs are resolved by case analysis
-and squaring, never by floating point.  A radicand is factored once, when it
-enters through `Scalar.make` or `RankOneKind`; arithmetic on canonical
-scalars keeps their square-free radicand, and signs never factor.
+d = 0 exactly when q = 0.  Arithmetic, signs, floors and the witness
+builders `small_positive` and `element_below` work on those ints alone;
+`Fraction` only converts input (`Scalar.make`) and output (`.a`, `.b`).
+All order decisions are exact: signs are resolved by case analysis and
+squaring on integers, never by floating point.  A radicand is factored
+once, when it enters through `Scalar.make` or `RankOneKind`; arithmetic on
+canonical scalars keeps their square-free radicand, and signs never factor.
 """
 
 from dataclasses import dataclass
@@ -122,36 +124,34 @@ def _square_free(d):
     return k, d0 * r
 
 
-def _sgn(q):
-    n = q.numerator  # a Fraction compared with 0 makes an ABC isinstance check
-    return (n > 0) - (n < 0)
+def _sgn(x):
+    return (x > 0) - (x < 0)
 
 
 def _quad_sign(a, b, d):
-    """Exact sign of a + b*sqrt(d) for rational a, b and any integer d >= 0.
+    """Exact sign of a + b*sqrt(d) for integers (or Fractions) a, b and any
+    integer d >= 0.
 
-    When a and b differ in sign, squaring gives sgn(a) * sgn(a^2 - b^2*d),
-    decided on integers; d need not be square-free.
+    When a and b differ in sign, squaring gives sgn(a) * sgn(a^2 - b^2*d);
+    d need not be square-free.
     """
-    na, nb = a.numerator, b.numerator
-    if nb == 0 or d == 0:
+    if not b or not d:
         return _sgn(a)
-    if na == 0 or (na > 0) == (nb > 0):
+    if not a or (a > 0) == (b > 0):
         return _sgn(b)
-    t, u = na * b.denominator, nb * a.denominator
-    return _sgn(a) * _sgn(t * t - u * u * d)
+    return _sgn(a) * _sgn(a * a - b * b * d)
 
 
 def _sign3(u, v, d, w, e):
-    """Exact sign of u + v*sqrt(d) + w*sqrt(e) for any integers d, e >= 0."""
-    if w.numerator == 0 or e == 0:
+    """Exact sign of u + v*sqrt(d) + w*sqrt(e), as for `_quad_sign`."""
+    if not w or not e:
         return _quad_sign(u, v, d)
-    if v.numerator == 0 or d == 0:
+    if not v or not d:
         return _quad_sign(u, w, e)
     if d == e:
         return _quad_sign(u, v + w, d)
     s_l = _sgn(v)  # sign of v*sqrt(d) + w*sqrt(e)
-    if s_l != _sgn(w):
+    if (v > 0) != (w > 0):
         s_l *= _sgn(v * v * d - w * w * e)
     s_u = _sgn(u)
     if s_l * s_u >= 0:
@@ -199,7 +199,10 @@ class Scalar(_Ints):
 
     @staticmethod
     def make(a, b=0, d=0):
-        """The canonical form of a + b*sqrt(d); factors d unless d == 0."""
+        """The canonical form of a + b*sqrt(d), a itself when it is a scalar
+        and b = d = 0; factors d unless d == 0."""
+        if a.__class__ is Scalar and b == 0 and d == 0:
+            return a
         an, ad = _ratio(a)
         bn, bd = _ratio(b)  # b is converted, or refused, whatever d is
         if d == 0:
@@ -275,8 +278,6 @@ class Scalar(_Ints):
         return _raw(-self.p, -self.q, self.n, self.d)
 
     def __sub__(self, other):
-        if not isinstance(other, Scalar):
-            other = Scalar.make(other)
         return self + (-other)
 
     def __mul__(self, other):
@@ -436,16 +437,16 @@ def is_dense_kind(kind):
 
 
 def small_positive(kind, bound):
-    """Some element of the kind strictly between 0 and bound (bound > 0)."""
+    """Some element of the kind strictly between 0 and bound (bound > 0);
+    over a Q kind, 1/2^t for the least t >= 1 with 1/2^t < bound."""
+    if bound.sign() <= 0:
+        raise DomainError("no element in (0, bound) for bound <= 0")
     if is_discrete_kind(kind):
         if compare_cross(ONE, bound) < 0:
             return ONE
         raise DomainError("no integer in (0, bound)")
     if kind.tag == "Q":
-        h = Fraction(1, 2)
-        while compare_cross(Scalar.make(h), bound) >= 0:
-            h /= 2
-        return Scalar.make(h)
+        return _raw(1, 0, 1 << max(1, (ONE / bound).floor().bit_length()), 0)
     # Z + Z*sqrt(d): the convergents p/q of sqrt(d) bring |q*sqrt(d) - p|
     # below any bound, the first of them being sqrt(d) - floor(sqrt(d));
     # q stays below 1/bound and the steps O(log(1/bound))
@@ -465,37 +466,22 @@ def small_positive(kind, bound):
         p0, p, q0, q = p, a * p + p0, q, a * q + q0
 
 
-def _rationalize_below(delta, gap):
-    """A rational r with delta - gap/2 < r < delta, for irrational delta."""
-    half = gap / 2
-    t = 1
-    while compare_cross(Scalar.make(Fraction(1, 2 ** t)), half) >= 0:
-        t += 1
-    n = (delta * (2 ** t)).floor()
-    r = Scalar.make(Fraction(n, 2 ** t))
-    if compare_cross(r, delta) == 0:
-        r = Scalar.make(Fraction(n, 2 ** t) - Fraction(1, 2 ** (t + 1)))
-    return r
-
-
-def element_below(kind, delta, gap):
-    """An element of the kind inside (delta - gap, delta).
-
-    Requires delta outside the (dense) kind and gap > 0.  Used to build
-    invariance witnesses next to gap anchors.
-    """
+def element_below(kind, t, gap):
+    """An element of the dense kind inside (t - gap, t), for any t and
+    gap > 0: u*floor(t/u), less u when that is t, for u = small_positive(kind,
+    gap).  A t over another radical is first lowered to such a dyadic within
+    gap/2 (never t itself: t is irrational), and gap halved."""
     if is_discrete_kind(kind):
         raise DomainError("element_below needs a dense kind")
-    target = delta
-    step = gap
-    if target.d not in (0, kind.d):
-        target = _rationalize_below(delta, gap)
+    r, step = t, gap
+    if t.d not in (0, kind.d):
         step = gap / 2
+        u = small_positive(KIND_Q, step)
+        r = u * (t / u).floor()
     u = small_positive(kind, step)
-    m = (target / u).floor()
-    q = u * m
-    if compare_cross(q, target) == 0:
+    q = u * (r / u).floor()
+    if q == r:
         q = q - u
-    if compare_cross(q, delta) >= 0 or compare_cross(q + gap, delta) <= 0:
-        raise AssertionError("element_below left (delta - gap, delta)")
+    if compare_cross(q, t) >= 0 or compare_cross(q + gap, t) <= 0:
+        raise AssertionError("element_below left (t - gap, t)")
     return q

@@ -368,3 +368,21 @@ def test_member_of_a_far_gap_is_quick():
                "gap_at({}; 100000000000; 1+1*sqrt(2))", "{}") == \
         (0, "side: minus\n", "")
     assert time.perf_counter() - t0 < 1
+
+
+def test_long_supports_take_linear_time():
+    # a scan of the support per index would make each of these quadratic
+    n = 20000
+    x = "{%s}" % ",".join("%d:%d" % (i, i % 7 + 1) for i in range(n))
+    y = x[:-1] + ",%d:1}" % n
+    assert run("compare", "hahn_omega(Z)", x, x) == (0, "order: equal\n", "")
+    t0 = time.perf_counter()
+    assert run("compare", "hahn_omega(Z)", x, y) == (0, "order: less\n", "")
+    assert time.perf_counter() - t0 < 2
+    t0 = time.perf_counter()
+    # x follows this anchor up to its last entry
+    assert run("member", "hahn_omega(Z)", "periodic([]; [1,2,3,4,5,6,7])",
+               x) == (0, "side: minus\n", "")
+    code, out, _ = run("translate", "hahn_omega(Z)", "periodic([]; [1])", x)
+    assert code == 0 and out.count(",") == n - 1
+    assert time.perf_counter() - t0 < 2

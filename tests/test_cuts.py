@@ -114,6 +114,33 @@ def test_invariance_witness_rejections():
         invariance_witness(AllBelow(ZZ), element(ZZ, (1, 0)))
 
 
+def test_open_cut_witnesses_over_dense_factors():
+    # an open cut's level entry is lowered into its factor by less than g
+    # moves it: g departs from zero at the level by a tiny or a large step,
+    # or above the level, at heights up to 10^30
+    for kind, far in ((KIND_Q, SQRT2), (quad_q(3), SQRT2),
+                      (quad_z(2), Scalar.make(0, 1, 3))):
+        low, top = LexGroup((KIND_Z, kind)), LexGroup((kind, KIND_Z))
+        for h in (1, 10 ** 6, 10 ** 30):
+            r = Scalar.make(h, h - 1, kind.d) if kind.d else \
+                Scalar.make(Fraction(h, 7))
+            steps = (scalars.small_positive(kind, Scalar.make(Fraction(1, h))),
+                     r + 1)
+            at_low = [element(low, (0, m)) for m in steps] + \
+                [element(low, (1, -h))]
+            cases = [(principal(low, ABOVE, (h, r), 2), at_low),
+                     (gap_cut(low, (-h,), 2, far * h), at_low),
+                     (principal(top, ABOVE, (r, h), 1),
+                      [element(top, (m, 0)) for m in steps])]
+            for c, gs in cases:
+                for g in gs + [-g for g in gs]:
+                    y, z = invariance_witness(c, g)
+                    assert z == y + g
+                    up = lex_compare(g, zero(c.group)) > 0
+                    assert (member(c, y), member(c, z)) == \
+                        ((MINUS, PLUS) if up else (PLUS, MINUS))
+
+
 def test_classify_examples():
     z1 = LexGroup((KIND_Z,))
     q1 = LexGroup((KIND_Q,))

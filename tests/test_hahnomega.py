@@ -46,6 +46,16 @@ def test_compare_examples():
     assert omega_compare(x, y) == -1
 
 
+def test_sum_of_elements_of_different_groups_is_refused():
+    x = omega_element(GZ, [(0, 1)])
+    for y in (omega_element(GQ, [(1, 2)]), omega_element(GQ, [(0, 1)])):
+        with pytest.raises(DomainError):
+            x + y
+        with pytest.raises(DomainError):
+            y - x
+    assert x + x == omega_element(GZ, [(0, 2)])
+
+
 def test_compare_compatible_with_addition():
     rng = sampling.rng_for(0)
     for _ in range(300):

@@ -176,6 +176,12 @@ def test_small_positive_and_element_below():
     assert contains(quad_q(2), q3)
 
 
+def test_make_returns_a_scalar_as_it_is():
+    for x in (Scalar.make(3), Scalar.make(Fraction(1, 3), 2, 5)):
+        assert Scalar.make(x) is x
+        assert Scalar.make(x, 0, 0) is x
+
+
 def test_canonical_form():
     assert Scalar.make(1, 1, 8) == Scalar.make(1, 2, 2)
     assert Scalar.make(1, 2, 1) == Scalar.make(3)
@@ -546,6 +552,89 @@ def test_small_positive_over_z_sqrt_d_matches_sympy(d, k):
     assert contains(quad_z(d), w)
     assert 0 < value(w) < sympy.Rational(1, 10 ** k)
     assert w.height() <= (isqrt(d) + 1) * 10 ** k
+
+
+def positive(x):
+    return x if x.sign() > 0 else -x
+
+
+# positive bounds of height up to 10^30, rational or over a radical
+positive_bounds = st.builds(
+    lambda a, m, b, d: positive(Scalar.make(Fraction(a, m), b, d)),
+    st.integers(1, 10 ** 30), st.integers(1, 10 ** 30), st.integers(-3, 3),
+    st.sampled_from([0, 0, 2, 3, 7]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(positive_bounds)
+def test_small_positive_over_q_is_the_largest_dyadic_below(bound):
+    if bound.d == 0:
+        h = Fraction(1, 2)  # halve until below the bound, as a loop would
+        while h >= bound.a:
+            h /= 2
+        expected = Scalar.make(h)
+    else:  # the largest 1/2^t below bound, t >= 1, by sympy
+        t = 1
+        while sympy.Rational(1, 2 ** t) >= value(bound):
+            t += 1
+        expected = Scalar.make(Fraction(1, 2 ** t))
+    for kind in (KIND_Q, quad_q(3)):
+        assert scalars.small_positive(kind, bound) == expected
+
+
+@st.composite
+def below_cases(draw):
+    """(kind, t, gap) over Q, Q[sqrt 3] and Z[sqrt 2] at heights up to
+    10^30: t inside or outside the kind, gap a positive element of it, often
+    a tiny one."""
+    kind = draw(st.sampled_from([KIND_Q, quad_q(3), quad_z(2)]))
+    h = 10 ** draw(st.integers(0, 30))
+    num, den = st.integers(-h, h), st.integers(1, h)
+    if draw(st.booleans()):  # inside the kind
+        if kind.tag == "Z":
+            t = Scalar.make(draw(num), draw(num), 2)
+        else:
+            t = Scalar.make(Fraction(draw(num), draw(den)),
+                            Fraction(draw(num), draw(den)), kind.d)
+    else:  # over another radical, or a half-integer outside Z[sqrt 2]
+        d = draw(st.sampled_from([0, 3, 5] if kind.tag == "Z" else
+                                 [2, 5, 7]))
+        b = Fraction(draw(st.integers(1, h)), draw(den))
+        t = Scalar.make(Fraction(draw(num), draw(den)), b, d) if d else \
+            Scalar.make(Fraction(2 * draw(num) + 1, 2))
+    b = draw(st.integers(1, h))
+    if kind.d and (kind.tag == "Z" or draw(st.booleans())):
+        # |near(b, d) + off - b*sqrt(d)| is irrational, below 3 and near 1/b
+        gap = Scalar.make(near(b, kind.d) + draw(st.integers(-2, 2)), -b,
+                          kind.d)
+    else:
+        gap = Scalar.make(Fraction(draw(st.integers(1, 3) |
+                                        st.integers(1, h)), b))
+    return kind, t, positive(gap)
+
+
+@settings(max_examples=300, deadline=None)
+@given(below_cases())
+def test_element_below_lies_inside_the_gap(case):
+    kind, t, gap = case
+    q = scalars.element_below(kind, t, gap)
+    assert contains(kind, q)
+    assert_canonical(q)
+    assert sympy_sign(value(t) - value(q)) == 1
+    assert sympy_sign(value(q) + value(gap) - value(t)) == 1
+
+
+def test_witness_builders_refuse_what_has_no_answer():
+    with pytest.raises(DomainError):
+        scalars.element_below(KIND_Z, Scalar.make(0, 1, 2), Scalar.make(1))
+    # no element lies in (0, bound) or (t - gap, t) for bound, gap <= 0
+    for kind in (KIND_Z, KIND_Q, quad_q(3), quad_z(2)):
+        for bound in (Scalar.make(0), Scalar.make(1, -1, 2)):
+            with pytest.raises(DomainError):
+                scalars.small_positive(kind, bound)
+            if kind != KIND_Z:
+                with pytest.raises(DomainError):
+                    scalars.element_below(kind, Scalar.make(1, 1, 5), bound)
 
 
 # ---------------------------------------------------------------------------

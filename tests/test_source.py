@@ -87,10 +87,12 @@ def test_library_has_no_unused_imports():
     assert found == []
 
 
-# The integer scalar core: these bodies work on the ints (p, q, n, d) alone.
+# The integer scalar core: these bodies work on the ints (p, q, n, d) alone,
+# and so does the sign kernel under them and the witness builders over them.
 FRACTION_FREE = {"Scalar.__add__", "Scalar.__neg__", "Scalar.__sub__",
                  "Scalar.__mul__", "Scalar.sign", "Scalar.floor",
-                 "compare_cross", "contains"}
+                 "compare_cross", "contains", "_sgn", "_quad_sign", "_sign3",
+                 "small_positive", "element_below"}
 
 
 def test_scalar_arithmetic_and_signs_name_no_fraction():
