@@ -16,11 +16,15 @@ its prefix followed by delta, and a gap is never closed.  Membership,
 comparison, translation, quotient images, traces, pushes and pulls all work
 on that boundary.
 
-Canonical forms: principal anchors zero every coordinate beyond the level;
-"above" over a discrete factor k rewrites to "below" at the predecessor
-coset (the relative-jump identification); gaps over discrete factors and
-level-0 descriptors are rejected.  Descriptor equality then decides cut
-equality.
+Canonical forms: `_cut(group, ref, closed)` turns every boundary into its
+descriptor, and every operation that builds a cut goes through it.  k = 0
+gives AllBelow or AllAbove.  Over a dense factor k a last entry outside the
+factor is a gap, else a principal cut "below" (closed) or "above" (open).
+Over a discrete factor every boundary closes at an integer: {z < r} is
+{z <= r - 1} (the relative-jump identification) and a t outside the factor
+gives {z <= floor(t)}.  Principal anchors zero every coordinate beyond the
+level; the public constructors refuse gaps over discrete factors and
+level-0 descriptors.  Descriptor equality then decides cut equality.
 """
 
 from dataclasses import dataclass
@@ -74,13 +78,10 @@ def principal(group, side, coords, level):
     coords = [Scalar.make(c) for c in coords]
     if len(coords) != group.rank:
         raise DomainError("anchor has wrong number of coordinates")
-    coords = coords[:level] + [ZERO] * (group.rank - level)
-    if side == ABOVE and scalars.is_discrete_kind(group.factors[level - 1]):
-        # relative-jump identification: {prefix < z} = {prefix <= z - e_k}
-        coords[level - 1] = coords[level - 1] - ONE
-        side = BELOW
-    anchor = GroupElement(group, tuple(coords))
-    return Principal(group, side, anchor, level)
+    for kind, c in zip(group.factors, coords[:level]):
+        if not scalars.contains(kind, c):
+            raise DomainError("coordinate %s outside factor" % (c,))
+    return _cut(group, tuple(coords[:level]), side == BELOW)
 
 
 def gap_cut(group, prefix, level, delta):
@@ -123,13 +124,22 @@ def _ref(c):
     return (), isinstance(c, AllBelow)
 
 
-def _rebuild(c, group, ref):
-    """The descriptor of c's shape over group at a new ref (level len(ref))."""
+def _cut(group, ref, closed):
+    """The canonical descriptor of the boundary (ref, closed) over group, for
+    a ref tuple whose entries lie in their factors, but perhaps the last."""
     k = len(ref)
-    if isinstance(c, Principal):
-        return principal(group, c.side,
-                         tuple(ref) + (ZERO,) * (group.rank - k), k)
-    return gap_cut(group, ref[:-1], k, ref[-1])
+    if not k:
+        return AllBelow(group) if closed else AllAbove(group)
+    kind, t = group.factors[k - 1], ref[-1]
+    if scalars.is_discrete_kind(kind):
+        if not scalars.contains(kind, t):
+            t, closed = Scalar.make(t.floor()), True
+        elif not closed:
+            t, closed = t - ONE, True
+    elif not scalars.contains(kind, t):
+        return GapCut(group, ref[:-1], k, t)
+    anchor = GroupElement(group, ref[:-1] + (t,) + (ZERO,) * (group.rank - k))
+    return Principal(group, BELOW if closed else ABOVE, anchor, k)
 
 
 def member(c, x):
@@ -137,10 +147,9 @@ def member(c, x):
     if x.group != c.group:
         raise DomainError("element belongs to a different group")
     ref, closed = _ref(c)
-    for a, b in zip(x.coords, ref):
-        s = scalars.compare_cross(a, b)
-        if s:
-            return MINUS if s < 0 else PLUS
+    s = scalars.first_difference(zip(x.coords, ref))[1]
+    if s:
+        return MINUS if s < 0 else PLUS
     return MINUS if closed else PLUS
 
 
@@ -171,12 +180,10 @@ def classify(c):
 
 def translate(c, g):
     """The descriptor of the translated cut (lower part shifted by g)."""
-    if is_trivial(c):
-        return c
     if g.group != c.group:
         raise DomainError("element belongs to a different group")
-    return _rebuild(c, c.group,
-                    tuple(a + b for a, b in zip(_ref(c)[0], g.coords)))
+    ref, closed = _ref(c)
+    return _cut(c.group, tuple(a + b for a, b in zip(ref, g.coords)), closed)
 
 
 def compare_cuts(c1, c2):
@@ -185,10 +192,9 @@ def compare_cuts(c1, c2):
         raise DomainError("cuts over different groups")
     r1, closed1 = _ref(c1)
     r2, closed2 = _ref(c2)
-    for a, b in zip(r1, r2):
-        s = scalars.compare_cross(a, b)
-        if s:
-            return s
+    s = scalars.first_difference(zip(r1, r2))[1]
+    if s:
+        return s
     # one ref extends the other: past the shorter ref, that cut's lower part
     # holds everything when it is closed and nothing when it is open
     if len(r1) < len(r2):
@@ -204,14 +210,12 @@ def quotient_image(c, theta):
         raise DomainError("subgroup belongs to a different group")
     m = theta.level
     qg = LexGroup(c.group.factors[:m])
-    if is_trivial(c):
-        return type(c)(qg)
-    ref = _ref(c)[0]
+    ref, closed = _ref(c)
     if m < len(ref):
         raise DomainError("quotient image is not a cut: the coset of the "
                           "anchor lies in both image sides",
                           payload=GroupElement(qg, ref[:m]))
-    return _rebuild(c, qg, ref)
+    return _cut(qg, ref, closed)
 
 
 def trace(c, theta):
@@ -224,7 +228,8 @@ def trace(c, theta):
     if m >= c.level:
         raise DomainError("trace is trivial: the window lies inside the "
                           "invariance subgroup")
-    return _rebuild(c, slice_group(c.group, m, c.group.rank), _ref(c)[0][m:])
+    ref, closed = _ref(c)
+    return _cut(slice_group(c.group, m, c.group.rank), ref[m:], closed)
 
 
 def transport(c, theta1, theta2):
@@ -237,15 +242,6 @@ def transport(c, theta1, theta2):
                           "level (need m2 < %d <= m1)" % k)
     t = trace(c, theta2)
     return quotient_image(t, ConvexSubgroup(t.group, m1 - m2))
-
-
-def _first_diff(ref, x):
-    """First position (1-based) where x departs from the ref, else None; a
-    gap's delta always differs, so a gap's ref never runs out."""
-    for i, (a, b) in enumerate(zip(x.coords, ref)):
-        if scalars.compare_cross(a, b) != 0:
-            return i + 1
-    return None
 
 
 def interval_bounds(c, sigma):
@@ -268,7 +264,8 @@ def interval_bounds(c, sigma):
         return levels(min(1, n), 0, 0, 0)
     ref = _ref(c)[0]
     k = len(ref)
-    i0 = _first_diff(ref, sigma)
+    # a gap's delta always differs, so a gap's ref never runs out
+    i0 = scalars.first_difference(zip(sigma.coords, ref))[0]
     if i0 == k and scalars.is_discrete_kind(g.factors[k - 1]) and \
             (sigma.coords[k - 1] - ref[k - 1]) == ONE:
         # a cut at a discrete factor is a relative jump (a canonical "below")
@@ -294,69 +291,46 @@ def symmetric_interval_member(c, sigma, xi):
 # ---------------------------------------------------------------------------
 # images along injective factorwise morphisms
 
-def _push(m, c, gap_side):
-    """The image of a nontrivial cut: its ref scaled, with a gap collapsed
-    to gap_side of its scaled delta when that lies in the codomain factor."""
-    ref = tuple(x * s for x, s in zip(_ref(c)[0], m.scales))
-    k = len(ref)
-    if isinstance(c, GapCut) and \
-            scalars.contains(m.cod.factors[k - 1], ref[-1]):
-        return principal(m.cod, gap_side,
-                         ref + (ZERO,) * (m.cod.rank - k), k)
-    return _rebuild(c, m.cod, ref)
-
-
 def push_lower(m, c):
     """The smallest initial segment of the codomain containing the image."""
     if c.group != m.dom:
         raise DomainError("cut is not over the morphism domain")
-    if is_trivial(c):
-        return type(c)(m.cod)
-    return _push(m, c, ABOVE)
+    ref, closed = _ref(c)
+    return _cut(m.cod, tuple(x * s for x, s in zip(ref, m.scales)), closed)
 
 
 def push_upper(m, c):
     """The largest initial segment of the codomain pulling back into c."""
     if c.group != m.dom:
         raise DomainError("cut is not over the morphism domain")
-    if is_trivial(c):
-        return type(c)(m.cod)
-    k = c.level
-    if scalars.is_discrete_kind(m.dom.factors[k - 1]):
-        # a cut at a discrete factor is a canonical "below"; adjoint computed
-        # exactly: everything below the image of the successor coset
-        img = list(m.apply(c.anchor).coords)
-        img[k - 1] = img[k - 1] + Scalar.make(m.scales[k - 1])
-        return principal(m.cod, ABOVE, img, k)
-    return _push(m, c, BELOW)
+    ref, closed = _ref(c)
+    if isinstance(c, GapCut):
+        # the image of delta has no preimage: the segment closes at it
+        closed = True
+    elif ref and scalars.is_discrete_kind(m.dom.factors[len(ref) - 1]):
+        # {z <= r} is {z < r + 1}: the segment stops below the image of the
+        # successor coset
+        ref, closed = ref[:-1] + (ref[-1] + ONE,), False
+    return _cut(m.cod, tuple(x * s for x, s in zip(ref, m.scales)), closed)
 
 
 def pull(m, c):
     """The preimage cut on the morphism domain."""
     if c.group != m.cod:
         raise DomainError("cut is not over the morphism codomain")
-    dom = m.dom
-    if is_trivial(c):
-        return type(c)(dom)
-    pulled = []
-    for target, s, kind in zip(_ref(c)[0], m.scales, dom.factors):
-        beta = target / s
-        if scalars.contains(kind, beta):
-            pulled.append(beta)
-            continue
-        # the ref coordinate falls outside this factor: the preimage cut is
-        # decided at this position
-        i = len(pulled) + 1
-        if scalars.is_discrete_kind(kind):
-            coords = pulled + [Scalar.make(beta.floor())] + \
-                [ZERO] * (dom.rank - i)
-            return principal(dom, BELOW, coords, i)
-        return gap_cut(dom, tuple(pulled), i, beta)
-    if isinstance(c, GapCut):
-        # delta mapped back into the factor would contradict delta being
-        # outside the codomain factor
-        raise AssertionError("unreachable: gap anchor pulled into the factor")
-    return _rebuild(c, dom, pulled)
+    ref, closed = _ref(c)
+    pulled = ()
+    for target, s, kind in zip(ref, m.scales, m.dom.factors):
+        pulled += (target / s,)
+        if not scalars.contains(kind, pulled[-1]):
+            break  # outside this factor: the preimage cut is decided here
+    else:
+        if isinstance(c, GapCut):
+            # delta mapped back into the factor would contradict delta being
+            # outside the codomain factor
+            raise AssertionError("unreachable: gap anchor pulled into the "
+                                 "factor")
+    return _cut(m.dom, pulled, closed)
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +360,8 @@ def invariance_witness(c, g):
     For negative g the mirrored pair (y in the upper part, y+g in the lower
     part) is returned.  Raises for g inside the invariance subgroup.
     """
+    if g.group != c.group:
+        raise DomainError("element belongs to a different group")
     if is_trivial(c):
         raise DomainError("trivial cuts are stabilized by every element")
     if g.is_zero():

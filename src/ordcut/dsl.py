@@ -30,34 +30,39 @@ class _Parser:
     def error(self, message):
         raise ParseError(message, self.pos)
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self, lit):
-        self.skip_ws()
-        return self.text.startswith(lit, self.pos)
-
     def eat(self, lit):
-        if not self.peek(lit):
-            return False
-        self.pos += len(lit)
-        return True
+        """Skip whitespace, then consume lit if it comes next."""
+        text, pos = self.text, self.pos
+        while pos < len(text) and text[pos].isspace():
+            pos += 1
+        if text.startswith(lit, pos):
+            self.pos = pos + len(lit)
+            return True
+        self.pos = pos
+        return False
 
     def expect(self, lit):
         if not self.eat(lit):
             self.error("expected %r" % lit)
 
-    def at_end(self):
-        self.skip_ws()
-        return self.pos == len(self.text)
-
     def expect_end(self):
-        if not self.at_end():
+        self.eat("")
+        if self.pos != len(self.text):
             self.error("unexpected trailing input")
 
+    def parse_list(self, item, close, empty=True):
+        """Comma-separated item() results, then close; an empty list when
+        empty allows it and close comes first."""
+        out = []
+        if not (empty and self.eat(close)):
+            out.append(item())
+            while self.eat(","):
+                out.append(item())
+            self.expect(close)
+        return out
+
     def parse_uint(self):
-        self.skip_ws()
+        self.eat("")
         m = _UINT.match(self.text, self.pos)
         if m is None:
             self.error("expected an integer")
@@ -104,13 +109,7 @@ class _Parser:
 
     def parse_group(self):
         if self.eat("lex("):
-            factors = []
-            if not self.eat(")"):
-                factors.append(self.parse_factor())
-                while self.eat(","):
-                    factors.append(self.parse_factor())
-                self.expect(")")
-            return LexGroup(tuple(factors))
+            return LexGroup(tuple(self.parse_list(self.parse_factor, ")")))
         if self.eat("hahn_omega("):
             factor = self.parse_factor()
             self.expect(")")
@@ -119,13 +118,7 @@ class _Parser:
 
     def parse_scalar_list(self, open_tok, close_tok):
         self.expect(open_tok)
-        out = []
-        if not self.eat(close_tok):
-            out.append(self.parse_scalar())
-            while self.eat(","):
-                out.append(self.parse_scalar())
-            self.expect(close_tok)
-        return out
+        return self.parse_list(self.parse_scalar, close_tok)
 
     def parse_element(self, group):
         coords = self.parse_scalar_list("[", "]")
@@ -133,18 +126,15 @@ class _Parser:
             self.error("element needs %d coordinates" % group.rank)
         return lexgroups.element(group, coords)
 
+    def parse_pair(self):
+        i = self.parse_uint()
+        self.expect(":")
+        return i, self.parse_scalar()
+
     def parse_oelement(self, group):
         self.expect("{")
-        pairs = []
-        if not self.eat("}"):
-            while True:
-                i = self.parse_uint()
-                self.expect(":")
-                pairs.append((i, self.parse_scalar()))
-                if not self.eat(","):
-                    break
-            self.expect("}")
-        return hahnomega.omega_element(group, pairs)
+        return hahnomega.omega_element(group,
+                                       self.parse_list(self.parse_pair, "}"))
 
     def parse_cut(self, group):
         if self.eat("all_below"):
@@ -196,10 +186,7 @@ class _Parser:
         if self.eat("widen"):
             return lexgroups.widening(group)
         if self.eat("scale("):
-            rats = [self.parse_rat()]
-            while self.eat(","):
-                rats.append(self.parse_rat())
-            self.expect(")")
+            rats = self.parse_list(self.parse_rat, ")", empty=False)
             if len(rats) != group.rank:
                 self.error("scale needs %d entries" % group.rank)
             cod = []

@@ -81,15 +81,17 @@ def omega_zero(group):
     return OmegaElement(group, ())
 
 
+def _pairs(x, y):
+    """(x_i, y_i) over the union of two sparse supports, in index order."""
+    xs, ys = dict(x), dict(y)
+    return ((xs.get(i, ZERO), ys.get(i, ZERO))
+            for i in sorted(xs.keys() | ys.keys()))
+
+
 def omega_compare(x, y):
     if x.group != y.group:
         raise DomainError("elements of different groups")
-    xs, ys = dict(x.support), dict(y.support)
-    for i in sorted(xs.keys() | ys.keys()):
-        s = scalars.compare_cross(xs.get(i, ZERO), ys.get(i, ZERO))
-        if s != 0:
-            return s
-    return 0
+    return scalars.first_difference(_pairs(x.support, y.support))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -155,31 +157,30 @@ def omega_periodic(group, preperiod, period):
 
 
 def omega_member(anchor, x):
-    """Side of x relative to the full-product anchor point.
-
-    Point anchors carry the closed cut (equality lands on the minus side).
-    """
+    """Side of x relative to the full-product anchor point, read as a sparse
+    ref with a closed flag: a point is closed (equality lands on the minus
+    side), a gap is its prefix then delta at its index, open; a periodic
+    anchor runs to a horizon past x's support and one period."""
     if x.group != anchor.group:
         raise DomainError("element belongs to a different group")
     if isinstance(anchor, OmegaPoint):
-        return MINUS if omega_compare(x, anchor.point) <= 0 else PLUS
-    if isinstance(anchor, OmegaGapAt):
-        # x below the index against the prefix, over their supports only
-        head = OmegaElement(x.group, tuple(
-            (i, v) for i, v in x.support if i < anchor.index))
-        s = omega_compare(head, anchor.prefix) or \
-            scalars.compare_cross(x.coord(anchor.index), anchor.delta)
+        pairs, closed = _pairs(x.support, anchor.point.support), True
+    elif isinstance(anchor, OmegaGapAt):
+        pairs, closed = _pairs(x.support, anchor.prefix.support + (
+            (anchor.index, anchor.delta),)), False
+    else:
+        xs, p = dict(x.support), len(anchor.period)
+        horizon = max(x.max_index() + 1, len(anchor.preperiod) + p) + p
+        pairs = ((xs.get(i, ZERO), anchor.coord(i)) for i in range(horizon))
+        closed = None
+    s = scalars.first_difference(pairs)[1]
+    if s:
         return MINUS if s < 0 else PLUS
-    horizon = max(x.max_index() + 1,
-                  len(anchor.preperiod) + len(anchor.period))
-    xs = dict(x.support)
-    for i in range(horizon + len(anchor.period)):
-        s = scalars.compare_cross(xs.get(i, ZERO), anchor.coord(i))
-        if s != 0:
-            return MINUS if s < 0 else PLUS
-    # the anchor has infinite support, a finitely supported x cannot agree
-    # beyond the horizon
-    raise AssertionError("unreachable: no difference found")
+    if closed is None:
+        # the anchor has infinite support, a finitely supported x cannot
+        # agree beyond the horizon
+        raise AssertionError("unreachable: no difference found")
+    return MINUS if closed else PLUS
 
 
 @dataclass(frozen=True)

@@ -92,11 +92,7 @@ def unit(group, i):
 def lex_compare(x, y):
     if x.group != y.group:
         raise DomainError("elements of different groups")
-    for a, b in zip(x.coords, y.coords):
-        c = scalars.compare_cross(a, b)
-        if c != 0:
-            return c
-    return 0
+    return scalars.first_difference(zip(x.coords, y.coords))[1]
 
 
 def iota(x):

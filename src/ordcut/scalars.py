@@ -374,6 +374,17 @@ def compare_cross(x, y):
     return (s > t) - (s < t)
 
 
+def first_difference(pairs):
+    """(i, s) for the first pair (a, b) with a != b: its 1-based position i
+    and the sign s of a - b; (None, 0) when every pair ties.  Every
+    lexicographic decision walks its coordinates through here."""
+    for i, (a, b) in enumerate(pairs, 1):
+        s = compare_cross(a, b)
+        if s:
+            return i, s
+    return None, 0
+
+
 @dataclass(frozen=True)
 class RankOneKind:
     """A concrete rank-one subgroup of the reals.
@@ -468,9 +479,10 @@ def small_positive(kind, bound):
 
 def element_below(kind, t, gap):
     """An element of the dense kind inside (t - gap, t), for any t and
-    gap > 0: u*floor(t/u), less u when that is t, for u = small_positive(kind,
-    gap).  A t over another radical is first lowered to such a dyadic within
-    gap/2 (never t itself: t is irrational), and gap halved."""
+    gap > 0, with u = small_positive(kind, gap): t - u when t lies in the
+    kind, else u*floor(t/u), which is not t.  A t over another radical is
+    first lowered the same way to a dyadic within gap/2 (never t itself: t
+    is irrational), and gap halved."""
     if is_discrete_kind(kind):
         raise DomainError("element_below needs a dense kind")
     r, step = t, gap
@@ -479,9 +491,7 @@ def element_below(kind, t, gap):
         u = small_positive(KIND_Q, step)
         r = u * (t / u).floor()
     u = small_positive(kind, step)
-    q = u * (r / u).floor()
-    if q == r:
-        q = q - u
+    q = r - u if contains(kind, r) else u * (r / u).floor()
     if compare_cross(q, t) >= 0 or compare_cross(q + gap, t) <= 0:
         raise AssertionError("element_below left (t - gap, t)")
     return q

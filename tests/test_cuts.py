@@ -9,6 +9,7 @@ from functools import cmp_to_key
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ordcut import cuts, dsl, scalars
 from ordcut.cuts import (ABOVE, BELOW, MINUS, PLUS, AllAbove, AllBelow,
@@ -139,6 +140,28 @@ def test_open_cut_witnesses_over_dense_factors():
                     up = lex_compare(g, zero(c.group)) > 0
                     assert (member(c, y), member(c, z)) == \
                         ((MINUS, PLUS) if up else (PLUS, MINUS))
+
+
+def test_open_principal_witness_keeps_the_anchor_height():
+    # the lowered entry is r - u: 31 digits for a 31-digit r, however small
+    # g is (u*floor(r/u) had 44 here)
+    g1 = LexGroup((quad_z(2),))
+    h = 10 ** 30
+    c = principal(g1, ABOVE, (Scalar.make(h, h - 1, 2),), 1)
+    step = scalars.small_positive(quad_z(2), Scalar.make(Fraction(1, 10 ** 6)))
+    y, z = invariance_witness(c, element(g1, (step,)))
+    assert len(str(y.coords[0].height())) <= 31
+    assert (member(c, y), member(c, z)) == (MINUS, PLUS)
+
+
+def test_group_checks_of_witness_and_translate():
+    # g from a rank-3 group lies in C_1's shape but not in the cut's group
+    g3 = element(ZZZ, (0, 0, 1))
+    for c in (principal(ZZ, BELOW, (1, 0), 1), AllBelow(ZZ), AllAbove(ZZ)):
+        with pytest.raises(DomainError, match="different group"):
+            invariance_witness(c, g3)
+        with pytest.raises(DomainError, match="different group"):
+            translate(c, g3)
 
 
 def test_classify_examples():
@@ -575,3 +598,111 @@ def test_pull_strict_inclusion_counterexample():
     back = pull(m, sigma)
     assert back == principal(ZQ, BELOW, (0, 0), 1)
     assert invariance(back).level == 1  # C_1 strictly above epsilon image
+
+
+# ---------------------------------------------------------------------------
+# the canonicalizer: every boundary (ref, closed) to its descriptor
+
+CANON_KINDS = (KIND_Z, KIND_Q, quad_z(2), quad_q(3))
+
+
+def _inside(kind):
+    """Anchor values of the factor, with a radical part over a quadratic
+    one."""
+    vals = [Scalar.make(v) for v in (-1, 0, 2)]
+    if kind.tag == "Q":
+        vals.append(Scalar.make(Fraction(-3, 2)))
+    if kind.d:
+        vals.append(Scalar.make(Fraction(1, 2) if kind.tag == "Q" else 1,
+                                -1, kind.d))
+    return vals
+
+
+def _outside(kind):
+    """Gap anchors: sqrt 5 and 1/3 + sqrt 5, and 1/2 outside Z[sqrt 2]."""
+    vals = [Scalar.make(0, 1, 5), Scalar.make(Fraction(1, 3), 1, 5)]
+    if kind.tag == "Z":
+        vals.append(Scalar.make(Fraction(1, 2)))
+    return vals
+
+
+def test_cut_rebuilds_every_public_descriptor():
+    for rank in (0, 1, 2):
+        for kinds in product(CANON_KINDS, repeat=rank):
+            g = LexGroup(kinds)
+            cs = [AllBelow(g), AllAbove(g)]
+            for k, kind in enumerate(kinds, 1):
+                pad = (0,) * (rank - k)
+                for head in product(*map(_inside, kinds[:k - 1])):
+                    cs += [principal(g, side, head + (v,) + pad, k)
+                           for v in _inside(kind) for side in (BELOW, ABOVE)]
+                    if scalars.is_dense_kind(kind):
+                        cs += [gap_cut(g, head, k, t) for t in _outside(kind)]
+            for c in cs:
+                assert cuts._cut(c.group, *cuts._ref(c)) == c, c
+
+
+def _in_factor(draw, kind):
+    a = draw(st.integers(-5, 5))
+    b = draw(st.integers(-3, 3)) if kind.d else 0
+    if kind.tag == "Q":
+        a = Fraction(a, draw(st.integers(1, 4)))
+        b = Fraction(b, draw(st.integers(1, 4)))
+    return Scalar.make(a, b, kind.d)
+
+
+@st.composite
+def raw_boundaries(draw):
+    """(group, ref, closed): ref entries in their factors but the last,
+    which may lie over any of the radicals 2, 3, 5 or be any rational."""
+    kinds = tuple(draw(st.lists(st.sampled_from(CANON_KINDS), min_size=1,
+                                max_size=3)))
+    k = draw(st.integers(1, len(kinds)))
+    head = tuple(_in_factor(draw, kind) for kind in kinds[:k - 1])
+    last = Scalar.make(Fraction(draw(st.integers(-9, 9)),
+                                draw(st.integers(1, 4))),
+                       Fraction(draw(st.integers(-3, 3)),
+                                draw(st.integers(1, 3))),
+                       draw(st.sampled_from((2, 3, 5))))
+    return LexGroup(kinds), head + (last,), draw(st.booleans())
+
+
+def _near(kind, t):
+    """Elements of the factor on t and next to it, on both sides."""
+    if scalars.is_discrete_kind(kind):
+        f = t.floor()
+        return [Scalar.make(v) for v in (f - 1, f, f + 1)]
+    gap = Scalar.make(Fraction(1, 100))
+    vals = [scalars.element_below(kind, t, gap),
+            -scalars.element_below(kind, -t, gap)]
+    return vals + [t] if scalars.contains(kind, t) else vals
+
+
+def _raw_lower(ref, closed, x):
+    """The boundary rule itself: x[:k] < ref, or x[:k] = ref when closed."""
+    for a, b in zip(x.coords, ref):
+        s = scalars.compare_cross(a, b)
+        if s:
+            return s < 0
+    return closed
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_boundaries())
+def test_cut_keeps_the_lower_part_of_a_raw_boundary(boundary):
+    g, ref, closed = boundary
+    c = cuts._cut(g, ref, closed)
+    k = len(ref)
+    # the result is one the public constructors build, at the same level
+    assert cuts.level_of(c) == k
+    if isinstance(c, GapCut):
+        assert c == gap_cut(g, c.prefix, k, c.delta)
+    else:
+        assert c == principal(g, c.side, c.anchor.coords, k)
+    one = Scalar.make(1)
+    heads = product(*[(a - one, a, a + one) for a in ref[:-1]])
+    for head, v in product(heads, _near(g.factors[k - 1], ref[-1])):
+        for tail in (0, 1, -1):
+            x = element(g, head + (v,) + (tail,) * (g.rank - k))
+            assert (member(c, x) == MINUS) == _raw_lower(ref, closed, x), \
+                (dsl.print_cut(c), dsl.print_element(x))

@@ -147,6 +147,33 @@ def test_parse_errors_carry_positions():
         dsl.parse_scalar("1/0")
 
 
+def test_list_errors_keep_their_messages_and_positions():
+    zq = dsl.parse_group("lex(Z,Q)")
+    oq = dsl.parse_group("hahn_omega(Q)")
+    factor = "expected a factor Z, Q, Z[sqrt D], or Q[sqrt D]"
+    cases = [(dsl.parse_group, ("lex(Z,)",), factor, 6),
+             (dsl.parse_group, ("lex( ",), factor, 5),
+             (dsl.parse_morphism, ("scale()", zq), "expected an integer", 6),
+             (dsl.parse_morphism, ("scale(1,)", zq), "expected an integer", 8),
+             (dsl.parse_morphism, ("scale( 1 , 2 ", zq), "expected ')'", 13),
+             (dsl.parse_element, ("[1,]", zq), "expected an integer", 3),
+             (dsl.parse_element, ("[ ]", zq), "element needs 2 coordinates",
+              3),
+             (dsl.parse_oelement, ("{1:2,}", oq), "expected an integer", 5),
+             (dsl.parse_oelement, ("{1 2}", oq), "expected ':'", 3),
+             (dsl.parse_oelement, ("{1:2", oq), "expected '}'", 4),
+             (dsl.parse_scalar, ("1 + 2*sqrt(3)  y",),
+              "unexpected trailing input", 15)]
+    for parse, args, message, pos in cases:
+        with pytest.raises(ParseError) as e:
+            parse(*args)
+        assert (str(e.value), e.value.pos) == \
+            ("%s (at position %d)" % (message, pos), pos), args
+    assert dsl.parse_oelement("{ 1 : 2 , 3: -1/2 } ", oq) == \
+        hahnomega.omega_element(oq, [(1, 2), (3, Fraction(-1, 2))])
+    assert dsl.parse_oelement("{}", oq) == hahnomega.omega_zero(oq)
+
+
 def test_domain_errors_from_parsed_cuts():
     g = dsl.parse_group("lex(Z)")
     with pytest.raises(DomainError):

@@ -234,6 +234,28 @@ def test_member_of_a_far_gap_is_quick():
     assert time.perf_counter() - t0 < 1
 
 
+def test_member_of_a_periodic_anchor_stops_at_the_first_difference(
+        monkeypatch):
+    # the anchor is written out lazily, so an index of 10^11 in x costs
+    # nothing: the walk reads the anchor only up to the first difference
+    coord = hahnomega.OmegaPeriodic.coord
+    reads = []
+
+    def counted(anchor, i):
+        reads.append(i)
+        if len(reads) > 100:
+            raise AssertionError("the walk ran past the first difference")
+        return coord(anchor, i)
+
+    monkeypatch.setattr(hahnomega.OmegaPeriodic, "coord", counted)
+    far = 10 ** 11
+    anchor = omega_periodic(GZ, [], [1])
+    cases = [({far: 1}, MINUS), ({0: 1, far: 1}, MINUS),
+             ({0: 1, 1: 2, far: -1}, PLUS)]
+    for pairs, side in cases:
+        assert omega_member(anchor, omega_element(GZ, pairs.items())) == side
+
+
 def test_translate():
     ones = omega_periodic(GZ, (), (1,))
     g = omega_element(GZ, [(0, 2)])

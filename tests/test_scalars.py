@@ -157,6 +157,24 @@ def test_is_discrete_kind():
     assert compare_cross(small, Scalar.make(Fraction(1, 100))) < 0
 
 
+def test_first_difference_positions_and_signs():
+    first = scalars.first_difference
+    one, two = Scalar.make(1), Scalar.make(2)
+    # positions count from 1
+    assert first([(one, two)]) == (1, -1)
+    assert first([(one, one), (two, one)]) == (2, 1)
+    # a tie, and no pairs at all
+    assert first([(one, one), (two, two)]) == (None, 0)
+    assert first([]) == (None, 0)
+    # pairs over two radicals: sqrt 2 < sqrt 3, 1 + sqrt 3 > 1 + sqrt 2,
+    # and 1 + sqrt 2 < 5/2
+    r2, r3 = Scalar.make(0, 1, 2), Scalar.make(0, 1, 3)
+    assert first([(r2, r2), (r2, r3)]) == (2, -1)
+    assert first(iter([(one + r3, one + r2), (r2, r3)])) == (1, 1)
+    assert first([(r3, r3), (one + r2, Scalar.make(Fraction(5, 2)))]) == \
+        (2, -1)
+
+
 def test_small_positive_and_element_below():
     for kind in (KIND_Q, quad_q(2), quad_z(2)):
         bound = Scalar.make(Fraction(1, 7))
@@ -622,6 +640,17 @@ def test_element_below_lies_inside_the_gap(case):
     assert_canonical(q)
     assert sympy_sign(value(t) - value(q)) == 1
     assert sympy_sign(value(q) + value(gap) - value(t)) == 1
+
+
+def test_element_below_steps_down_from_a_point_of_the_kind():
+    # t in the kind: t - u keeps t's height, whatever the gap
+    h = 10 ** 30
+    for kind, t in ((KIND_Q, Scalar.make(Fraction(h, 7))),
+                    (quad_q(3), Scalar.make(h, h - 1, 3)),
+                    (quad_z(2), Scalar.make(h, h - 1, 2))):
+        for gap in (Scalar.make(Fraction(1, 10 ** 6)), Scalar.make(5)):
+            assert scalars.element_below(kind, t, gap) == \
+                t - scalars.small_positive(kind, gap)
 
 
 def test_witness_builders_refuse_what_has_no_answer():

@@ -46,15 +46,34 @@ def _uses(tree, name):
     return found
 
 
-def test_unchecked_element_has_only_allowed_callers():
-    name = "_unchecked_element"
+def _library_uses(name):
+    """{enclosing function: ["file:line", ...]} for each reference to `name`
+    in the library."""
     uses = {}
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         for scope, line in _uses(tree, name):
             uses.setdefault(scope, []).append("%s:%d" % (path.name, line))
+    return uses
+
+
+def test_unchecked_element_has_only_allowed_callers():
+    uses = _library_uses("_unchecked_element")
     assert set(uses) == UNCHECKED_ELEMENT_CALLERS, uses
     assert all(p.startswith("lexgroups.py:")
+               for places in uses.values() for p in places), uses
+
+
+# Every lexicographic decision walks its coordinates through
+# first_difference; the witness builders compare against their bounds.
+COMPARE_CROSS_CALLERS = {"first_difference", "small_positive",
+                         "element_below"}
+
+
+def test_compare_cross_has_only_allowed_callers():
+    uses = _library_uses("compare_cross")
+    assert set(uses) == COMPARE_CROSS_CALLERS, uses
+    assert all(p.startswith("scalars.py:")
                for places in uses.values() for p in places), uses
 
 
@@ -91,8 +110,8 @@ def test_library_has_no_unused_imports():
 # and so does the sign kernel under them and the witness builders over them.
 FRACTION_FREE = {"Scalar.__add__", "Scalar.__neg__", "Scalar.__sub__",
                  "Scalar.__mul__", "Scalar.sign", "Scalar.floor",
-                 "compare_cross", "contains", "_sgn", "_quad_sign", "_sign3",
-                 "small_positive", "element_below"}
+                 "compare_cross", "first_difference", "contains", "_sgn",
+                 "_quad_sign", "_sign3", "small_positive", "element_below"}
 
 
 def test_scalar_arithmetic_and_signs_name_no_fraction():
