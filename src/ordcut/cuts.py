@@ -78,7 +78,7 @@ def principal(group, side, coords, level):
     coords = [Scalar.make(c) for c in coords]
     if len(coords) != group.rank:
         raise DomainError("anchor has wrong number of coordinates")
-    for kind, c in zip(group.factors, coords[:level]):
+    for kind, c in zip(group.factors, coords):
         if not scalars.contains(kind, c):
             raise DomainError("coordinate %s outside factor" % (c,))
     return _cut(group, tuple(coords[:level]), side == BELOW)

@@ -7,14 +7,17 @@ d = 0 exactly when q = 0.  Arithmetic, signs, floors and the witness
 builders `small_positive` and `element_below` work on those ints alone;
 `Fraction` only converts input (`Scalar.make`) and output (`.a`, `.b`).
 All order decisions are exact: signs are resolved by case analysis and
-squaring on integers, never by floating point.  A radicand is factored
-once, when it enters through `Scalar.make` or `RankOneKind`; arithmetic on
-canonical scalars keeps their square-free radicand, and signs never factor.
+squaring on integers, never by floating point.  A radicand is split into
+k^2 * d0 when it enters through `Scalar.make` or `RankOneKind`, and the
+splits of the last 256 distinct radicands are reused, so the inputs of one
+query over Z[sqrt(d)] factor d once; arithmetic on canonical scalars keeps
+their square-free radicand, and signs never factor.
 """
 
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt
 
 from .errors import DomainError
@@ -88,7 +91,22 @@ def _prime_factors(n, out):
 
 
 def _square_free(d):
-    """Split d >= 0 as k^2 * d0 with d0 square-free; returns (k, d0).
+    """Split the int d >= 0 as k^2 * d0 with d0 square-free; returns (k, d0).
+
+    The type is checked before the memo sees d: 2.0 and True hash and
+    compare equal to the ints 2 and 1, and must not read their splits.
+    """
+    if d.__class__ is not int:
+        raise DomainError("radicand must be an integer, not %s"
+                          % d.__class__.__name__)
+    if d < 0:
+        raise DomainError("negative radicand %d" % d)
+    return _split(d)
+
+
+@lru_cache(maxsize=256)  # the radicands of a query, and of a few groups
+def _split(d):
+    """`_square_free` of an int d >= 0, unchecked and memoized.
 
     Trial division runs while f^3 <= the cofactor r.  Past f = _TRIAL a
     cofactor below _MR_BOUND is split into primes by Miller-Rabin and
@@ -96,8 +114,6 @@ def _square_free(d):
     f, hence at most two prime factors, so it is 1, p, pq or p^2 and one
     isqrt tells them apart: O(d^(1/3)) steps for d >= _MR_BOUND.
     """
-    if d < 0:
-        raise DomainError("negative radicand %d" % d)
     if d == 0:
         return 1, 0
     k, d0, r, f = 1, 1, d, 2

@@ -6,7 +6,7 @@ import time
 from decimal import Decimal
 from fractions import Fraction
 
-from ordcut import cli
+from ordcut import cli, scalars
 
 
 def run(*argv):
@@ -288,6 +288,26 @@ def test_radicands_past_trial_division_are_decided_quickly():
     assert code == 2
     assert "not square-free" in err
     assert time.perf_counter() - t0 < 5
+
+
+def test_one_query_splits_its_radicand_once():
+    # the group, the anchor and the element all carry sqrt(100000007)
+    misses = scalars._split.cache_info().misses
+    assert run("member", "lex(Z[sqrt 100000007])",
+               "below([1+2*sqrt(100000007)]; C 1)",
+               "[3+1*sqrt(100000007)]") == (0, "side: minus\n", "")
+    assert scalars._split.cache_info().misses == misses + 1
+
+
+def test_anchor_coordinates_past_the_level_lie_in_their_factors():
+    for argv in [("member", "lex(Z,Z)", "below([1,1/2]; C 1)", "[0,0]"),
+                 ("translate", "lex(Z,Z)", "below([1,0]; C 1)", "[0,1/2]"),
+                 ("classify", "lex(Z,Z[sqrt 2])",
+                  "above([1,1+1*sqrt(3)]; C 1)")]:
+        code, out, err = run(*argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("domain error: coordinate ") and \
+            err.endswith(" outside factor\n"), argv
 
 
 def test_bad_integer_literals_are_syntax_errors():

@@ -59,6 +59,12 @@ def test_canonical_forms():
     # level 0 is rejected (trivial cuts are AllBelow/AllAbove)
     with pytest.raises(DomainError):
         principal(ZZ, BELOW, (0, 0), 0)
+    # every anchor coordinate lies in its factor, zeroed or not
+    for group, coords in [(ZZ, (1, Fraction(1, 2))), (ZQ, (1, SQRT2)),
+                          (ZZQ, (Fraction(1, 3), 0, 0))]:
+        with pytest.raises(DomainError, match="^coordinate .* outside "
+                           "factor$"):
+            principal(group, BELOW, coords, 1)
 
 
 def test_partition_and_monotonicity():

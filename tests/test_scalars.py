@@ -248,6 +248,36 @@ def test_square_free_cube_root_boundary():
         scalars._square_free(-3)
 
 
+def test_radicands_must_be_ints_even_when_their_value_is_cached():
+    # 2.0 == 2 and True == 1 with equal hashes: the memo must not answer them
+    for d in (2, 1, 12):
+        scalars._square_free(d)
+    for d in (2.0, 2.5, True, "2", Fraction(12), [2]):
+        for make in (scalars._square_free, lambda d: Scalar.make(1, 1, d),
+                     quad_z, quad_q):
+            with pytest.raises(DomainError,
+                               match="^radicand must be an integer"):
+                make(d)
+
+
+def test_radicand_memo_is_bounded():
+    memo = scalars._split
+    for d in range(2, 302):
+        assert scalars._square_free(d) == memo.__wrapped__(d)
+    info = memo.cache_info()
+    assert info.maxsize == 256 and info.currsize <= 256
+    assert info.misses == 300
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 10 ** 9) | st.sampled_from([2, 8, 4 * 999983]),
+                min_size=1, max_size=8))
+def test_memoized_split_matches_the_body(ds):
+    # repeated and fresh radicands alike
+    for d in ds + ds[::-1]:
+        assert scalars._square_free(d) == scalars._split.__wrapped__(d)
+
+
 TALL_RADS = [2, 3, 7, 8, 12, 18, 99991, 10 ** 8 + 7, 4 * 999983]
 heights = st.sampled_from([10 ** 30, 10 ** 60])
 

@@ -128,3 +128,34 @@ def test_scalar_arithmetic_and_signs_name_no_fraction():
     found = ["%s:%d" % (name, line) for name in sorted(FRACTION_FREE)
              for _, line in _uses(bodies[name], "Fraction")]
     assert found == []
+
+
+def _bounded_lru_cache(call):
+    """Whether the call is lru_cache(maxsize=<int literal>)."""
+    size = call.args[:1] + [k.value for k in call.keywords
+                            if k.arg == "maxsize"]
+    return len(size) == 1 and isinstance(size[0], ast.Constant) and \
+        type(size[0].value) is int
+
+
+def test_memos_are_bounded():
+    # memory stays bounded by the size of the input: every lru_cache is
+    # called with an integer maxsize, and functools.cache is not used
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        nodes = list(ast.walk(tree))
+        bounded = {id(node.func) for node in nodes
+                   if isinstance(node, ast.Call) and _bounded_lru_cache(node)}
+        for node in nodes:
+            name = getattr(node, "id", getattr(node, "attr", None))
+            unbounded = name == "lru_cache" and id(node) not in bounded
+            owner = getattr(getattr(node, "value", None), "id", None)
+            cache = isinstance(node, ast.ImportFrom) and \
+                node.module == "functools" and \
+                "cache" in [a.name for a in node.names] or \
+                name == "cache" and owner == "functools"
+            if unbounded or cache:
+                found.append("%s:%d" % (path.name, node.lineno))
+    assert found == []
+    assert _library_uses("lru_cache"), "the radicand memo is gone"
