@@ -234,6 +234,8 @@ def trace(c, theta):
 
 def transport(c, theta1, theta2):
     """Trace on Theta2 then quotient by Theta1: the sub-quotient cut."""
+    if theta1.group != c.group:
+        raise DomainError("subgroup belongs to a different group")
     m1 = theta1.level
     m2 = theta2.level
     k = level_of(c)

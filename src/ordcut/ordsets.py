@@ -115,6 +115,7 @@ def cut_images(u, s):
 
 def cut_witness(u, s):
     """The element of u(lower part) intersect u(upper part), if any."""
+    _check_chain(u.dom, s)
     lower = {u.images[j] for j in range(s.cutoff)}
     upper = {u.images[j] for j in range(s.cutoff, u.dom.size)}
     both = lower & upper

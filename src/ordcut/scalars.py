@@ -2,16 +2,15 @@
 
 Scalars are the coordinate domain for every rank-one factor and for gap
 anchors.  A scalar is four Python ints (p, q, n, d) standing for
-(p + q*sqrt(d))/n, canonical: n > 0, gcd(p, q, n) = 1, d square-free, and
-d = 0 exactly when q = 0.  Arithmetic, signs, floors and the witness
+(p + q*sqrt(d))/n, canonical: n > 0, gcd(p, q, n) = 1, and d = 0 exactly
+when q = 0, else a non-square.  Arithmetic, signs, floors and the witness
 builders `small_positive` and `element_below` work on those ints alone;
 `Fraction` only converts input (`Scalar.make`) and output (`.a`, `.b`).
 All order decisions are exact: signs are resolved by case analysis and
-squaring on integers, never by floating point.  A radicand is split into
-k^2 * d0 when it enters through `Scalar.make` or `RankOneKind`, and the
-splits of the last 256 distinct radicands are reused, so the inputs of one
-query over Z[sqrt(d)] factor d once; arithmetic on canonical scalars keeps
-their square-free radicand, and signs never factor.
+squaring on integers, never by floating point, for any radicand.  Radicands
+enter through `Scalar.make` and `RankOneKind`, split by `_square_free`
+without factoring, so they may keep the square of a prime past 2^10; two
+radicands d and e of one square class meet through isqrt(d*e) (`_over`).
 """
 
 from dataclasses import dataclass
@@ -22,76 +21,12 @@ from math import gcd, isqrt
 
 from .errors import DomainError
 
-_TRIAL = 1 << 10  # trial division bound before Miller-Rabin and rho
-# Miller-Rabin with the first 13 primes as bases decides primality of every
-# n below this bound (Sorenson and Webster, 2015)
-_MR_BOUND = 3317044064679887385961981
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-
-
-def _is_prime(n):
-    """Deterministic Miller-Rabin for odd n with 41 < n < _MR_BOUND."""
-    s, t = 0, n - 1
-    while not t & 1:
-        s, t = s + 1, t >> 1
-    for a in _MR_BASES:
-        x = pow(a, t, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _rho(n):
-    """A proper factor of the odd composite n, by Pollard-Brent rho."""
-    c = 0
-    while True:
-        c += 1
-        y, r, q, g = 2, 1, 1, 1
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(128, r - k)):
-                    y = (y * y + c) % n
-                    q = q * (x - y) % n
-                g = gcd(q, n)
-                k += 128
-            r *= 2
-        if g == n:  # the batch overshot: redo its steps one gcd at a time
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = gcd(x - ys, n)
-        if g != n:
-            return g
-
-
-def _prime_factors(n, out):
-    """Append the primes of n to out, with multiplicity, for n < _MR_BOUND
-    with no prime factor below _TRIAL; each split is an exact division."""
-    if n == 1:
-        return
-    if _is_prime(n):
-        out.append(n)
-        return
-    f = isqrt(n)
-    if f * f != n:
-        f = _rho(n)
-    _prime_factors(f, out)
-    _prime_factors(n // f, out)
+_TRIAL = 1 << 10  # trial division bound
 
 
 def _square_free(d):
-    """Split the int d >= 0 as k^2 * d0 with d0 square-free; returns (k, d0).
+    """Split the int d >= 0 as k^2 * d0; returns (k, d0), d0 = 1 exactly
+    when d is a nonzero square.
 
     The type is checked before the memo sees d: 2.0 and True hash and
     compare equal to the ints 2 and 1, and must not read their splits.
@@ -108,24 +43,16 @@ def _square_free(d):
 def _split(d):
     """`_square_free` of an int d >= 0, unchecked and memoized.
 
-    Trial division runs while f^3 <= the cofactor r.  Past f = _TRIAL a
-    cofactor below _MR_BOUND is split into primes by Miller-Rabin and
-    Pollard-Brent rho.  Otherwise, once f^3 exceeds r, r has no prime below
-    f, hence at most two prime factors, so it is 1, p, pq or p^2 and one
-    isqrt tells them apart: O(d^(1/3)) steps for d >= _MR_BOUND.
+    Trial division by f < _TRIAL while f^3 <= the cofactor r, then one
+    isqrt pulls out a square r whole.  Once f^3 > r, r has no prime below f,
+    so it is 1, p, pq or p^2 and d0 is square-free; that always happens
+    for d < 2^30.  Above, d0 is a non-square that may keep the square of a
+    prime past _TRIAL: at most _TRIAL/2 divisions, whatever d.
     """
     if d == 0:
         return 1, 0
     k, d0, r, f = 1, 1, d, 2
-    while f * f * f <= r:
-        if f > _TRIAL and r < _MR_BOUND:
-            primes = []
-            _prime_factors(r, primes)
-            for p in set(primes):
-                e = primes.count(p)
-                k *= p ** (e >> 1)
-                d0 *= p ** (e & 1)
-            return k, d0
+    while f < _TRIAL and f * f * f <= r:
         if r % f == 0:
             while r % (f * f) == 0:
                 r //= f * f
@@ -209,7 +136,8 @@ class _Draft(_Ints):
 
 class Scalar(_Ints):
     """The exact real (p + q*sqrt(d))/n, canonical: n > 0, gcd(p, q, n) = 1,
-    d square-free, d = 0 exactly when q = 0.  Immutable."""
+    d a non-square or 0, d = 0 exactly when q = 0.  Immutable.  A value has
+    one form per radicand of its square class; `==` and `hash` go by value."""
 
     __slots__ = ()
 
@@ -248,11 +176,22 @@ class Scalar(_Ints):
     def __eq__(self, other):
         if other.__class__ is not Scalar:
             return NotImplemented
-        return self.p == other.p and self.q == other.q and \
-            self.n == other.n and self.d == other.d
+        if self.d != other.d:
+            merged = self._merged(other)
+            if merged is None:
+                return False
+            self, other, _ = merged
+        return self.p == other.p and self.q == other.q and self.n == other.n
 
     def __hash__(self):
-        return hash((self.p, self.q, self.n, self.d))
+        # the rational part, and the sign and square of the irrational part:
+        # the same over every radicand of the class
+        p, q, n = self.p, self.q, self.n
+        if not q:
+            return hash((p, n))
+        g, t, u = gcd(p, n), q * q * self.d, n * n
+        h = gcd(t, u)
+        return hash((p // g, n // g, q > 0, t // h, u // h))
 
     def __str__(self):
         """DSL text: a, then + b*sqrt(d) when b != 0, each in lowest terms
@@ -269,21 +208,26 @@ class Scalar(_Ints):
         return "Scalar(%s)" % self
 
     def _merged(self, other):
-        # radical of the sum/difference; None when incompatible
-        if not self.d:
-            return other.d
-        if not other.d or self.d == other.d:
-            return self.d
-        return None
+        """(x, y, d): self and other over one radical d, the smaller of two
+        radicands of one class; None for distinct radicals."""
+        d, e = self.d, other.d
+        if not d or not e:
+            return self, other, d or e
+        if d < e:
+            y = _over(d, other)
+            return None if y is None else (self, y, d)
+        x = _over(e, self)
+        return None if x is None else (x, other, e)
 
     def __add__(self, other):
         if not isinstance(other, Scalar):
             other = Scalar.make(other)
         d = self.d
         if d != other.d:
-            d = self._merged(other)
-            if d is None:
+            merged = self._merged(other)
+            if merged is None:
                 raise DomainError("cannot add scalars over distinct radicals")
+            self, other, d = merged
         n, m = self.n, other.n
         if n == m:
             return _scalar(self.p + other.p, self.q + other.q, n, d)
@@ -303,10 +247,11 @@ class Scalar(_Ints):
                            self.d)
         d = self.d
         if d != other.d:
-            d = self._merged(other)
-            if d is None:
+            merged = self._merged(other)
+            if merged is None:
                 raise DomainError(
                     "cannot multiply scalars over distinct radicals")
+            self, other, d = merged
         p, q, r, s = self.p, self.q, other.p, other.q
         return _scalar(p * r + q * s * d, p * s + q * r, self.n * other.n, d)
 
@@ -365,7 +310,7 @@ def _raw(p, q, n, d):
 
 
 def _scalar(p, q, n, d):
-    """The scalar (p + q*sqrt(d))/n from ints with n > 0 and d square-free.
+    """The scalar (p + q*sqrt(d))/n from ints with n > 0, d a non-square or 0.
 
     The path of arithmetic on canonical scalars: one gcd (none when n = 1),
     d zeroed when q = 0, and never a factoring.
@@ -375,6 +320,16 @@ def _scalar(p, q, n, d):
         if g != 1:
             p, q, n = p // g, q // g, n // g
     return _raw(p, q, n, d if q else 0)
+
+
+def _over(d, x):
+    """x rewritten over sqrt(d), for x over sqrt(e) with d, e non-squares:
+    sqrt(e) = (s/d)*sqrt(d) when s = isqrt(d*e) has s^2 = d*e; None when
+    d*e is not a square, so that sqrt(e)/sqrt(d) is irrational."""
+    s = isqrt(d * x.d)
+    if s * s != d * x.d:
+        return None
+    return _scalar(x.p * d, x.q * s, x.n * d, d)
 
 
 ZERO = Scalar.make(0)
@@ -444,11 +399,14 @@ def contains(kind, x):
     """Membership of the scalar x in the rank-one group."""
     # canonical x: q == 0 exactly when d == 0, and a, b are integers
     # exactly when n == 1
-    return x.d in (0, kind.d) and (kind.tag == "Q" or x.n == 1)
+    if x.d in (0, kind.d):
+        return kind.tag == "Q" or x.n == 1
+    x = _over(kind.d, x) if kind.d else None
+    return x is not None and (kind.tag == "Q" or x.n == 1)
 
 
 def divisible_hull_kind(kind):
-    # kind.d is square-free already: skip the factoring in __post_init__
+    # kind.d is a radicand already: skip the split in __post_init__
     hull = object.__new__(RankOneKind)
     object.__setattr__(hull, "tag", "Q")
     object.__setattr__(hull, "d", kind.d)

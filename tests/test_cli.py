@@ -267,8 +267,8 @@ def test_lex_only_verbs_refuse_omega_groups():
 
 
 def test_hull_of_large_radicand_is_quick():
-    # trial division to 2^10, then one Miller-Rabin test of the prime
-    # cofactor; trial division to the cube root would take about 1e6 steps
+    # trial division to 2^10, then one isqrt of the cofactor, which is no
+    # square; trial division to the cube root would take about 1e6 steps
     t0 = time.perf_counter()
     code, out, _ = run("hull", "lex(Z[sqrt 1000000000000000003])")
     assert code == 0
@@ -277,9 +277,9 @@ def test_hull_of_large_radicand_is_quick():
 
 
 def test_radicands_past_trial_division_are_decided_quickly():
-    # 10^24 + 7 is prime: about 5e7 trial divisions up to its cube root,
-    # one Miller-Rabin test past the trial bound; 3 * 100000000003^2 is
-    # split by rho
+    # 10^24 + 7 is prime: trial division stops at 2^10, not at its cube
+    # root (about 5e7 steps); in 3 * 100000000003^2 one isqrt finds the
+    # square cofactor left after the 3
     t0 = time.perf_counter()
     code, out, _ = run("hull", "lex(Z[sqrt 1000000000000000000000007])")
     assert code == 0
@@ -288,6 +288,45 @@ def test_radicands_past_trial_division_are_decided_quickly():
     assert code == 2
     assert "not square-free" in err
     assert time.perf_counter() - t0 < 5
+
+
+def test_hull_of_any_radicand_answers_within_a_second():
+    # a prime near 10^30, semiprimes of 40 and 100 digits, and p^2 * q with
+    # p and q primes near 10^20: none is factored
+    p, q = 10 ** 20 + 39, 10 ** 20 + 129
+    for d in (10 ** 30 + 57, (10 ** 19 + 51) * p,
+              (10 ** 49 + 9) * (10 ** 50 + 151), p * p * q):
+        t0 = time.perf_counter()
+        assert run("hull", "lex(Z[sqrt %d])" % d) == \
+            (0, "result_group: lex(Q[sqrt %d])\n" % d, "")
+        assert time.perf_counter() - t0 < 1, d
+
+
+def test_one_square_class_mixes_its_radicands():
+    # P^2 * c with P and c primes past 2^10: sqrt(P^2*c) and P*sqrt(c) are
+    # one value, whichever the group's radicand is
+    P, c = 1031, 1033
+    wide, narrow = "1*sqrt(%d)" % (P * P * c), "%d*sqrt(%d)" % (P, c)
+    for group in ("lex(Q[sqrt %d])" % c, "lex(Z[sqrt %d])" % (P * P * c)):
+        for x, y, order in (("0+", "0+", "equal"), ("0+", "1+", "less")):
+            assert run("compare", group, "[%s%s]" % (x, wide),
+                       "[%s%s]" % (y, narrow)) == (0, "order: %s\n" % order,
+                                                   "")
+        assert run("compare", group, "below([0+%s]; C 1)" % wide,
+                   "below([0+%s]; C 1)" % narrow) == (0, "order: equal\n", "")
+        for x, side in (("0+", "minus"), ("1+", "plus")):
+            assert run("member", group, "below([0+%s]; C 1)" % narrow,
+                       "[%s%s]" % (x, wide)) == (0, "side: %s\n" % side, "")
+        assert run("translate", group, "above([0+%s]; C 1)" % wide,
+                   "[0-%s]" % narrow) == \
+            (0, "result_cut: above([0]; C 1)\n", "")
+    assert run("translate", "lex(Q[sqrt %d])" % c, "below([0+%s]; C 1)" % wide,
+               "[0+%s]" % narrow) == \
+        (0, "result_cut: below([0 + %d*sqrt(%d)]; C 1)\n" % (2 * P, c), "")
+    # 1*sqrt(c) is not in Z + Z*sqrt(P^2*c)
+    code, _, err = run("member", "lex(Z[sqrt %d])" % (P * P * c),
+                       "below([0+1*sqrt(%d)]; C 1)" % c, "[1]")
+    assert code == 2 and "outside factor" in err
 
 
 def test_one_query_splits_its_radicand_once():

@@ -396,6 +396,17 @@ def test_transport_example_and_type_preservation():
         done += 1
 
 
+
+def test_transport_refuses_subgroups_of_another_group():
+    c = principal(ZZ, BELOW, (1, 0), 1)
+    qqq = LexGroup((KIND_Q,) * 3)
+    for theta1, theta2 in ((ConvexSubgroup(qqq, 2), ConvexSubgroup(ZZ, 0)),
+                           (ConvexSubgroup(ZZ, 2), ConvexSubgroup(qqq, 0))):
+        with pytest.raises(DomainError,
+                           match="^subgroup belongs to a different group$"):
+            transport(c, theta1, theta2)
+    assert transport(c, ConvexSubgroup(ZZ, 2), ConvexSubgroup(ZZ, 0)) == c
+
 # ---------------------------------------------------------------------------
 # symmetric intervals
 

@@ -113,7 +113,7 @@ def test_morphism_round_trip():
 
 
 def test_hull_widen_and_print_never_factor_again(monkeypatch):
-    # a parsed kind's radicand is square-free: building its hull, the widen
+    # a parsed kind's radicand is split already: building its hull, the widen
     # morphism, or printing a morphism must not factor it a second time
     g = dsl.parse_group("lex(Z[sqrt 100000007],Q[sqrt 3],Z)")
     expected = LexGroup((quad_q(100000007), quad_q(3), KIND_Q))

@@ -68,6 +68,14 @@ def test_cut_images_surjective_witness():
     assert cut_witness(u, s) == 0
 
 
+
+def test_segments_of_another_chain_are_refused():
+    u = MonotoneMap(FiniteChain(3), FiniteChain(2), (0, 1, 1))
+    for s in (Segment(FiniteChain(5), 4), Segment(FiniteChain(2), 1)):
+        for f in (cut_witness, cut_images, lower_image, upper_image):
+            with pytest.raises(DomainError, match="different chain"):
+                f(u, s)
+
 def test_cut_bounds_examples():
     c4 = FiniteChain(4)
     assert cut_bounds(Segment(c4, 2)) == (1, 2)

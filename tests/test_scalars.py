@@ -207,7 +207,8 @@ def test_canonical_form():
 
 
 # ---------------------------------------------------------------------------
-# sympy as an independent oracle: factoring, signs and floors at large heights
+# sympy as an independent oracle: radicand splits, signs and floors at large
+# heights
 
 def sympy_square_free(d):
     k = d0 = 1
@@ -233,16 +234,43 @@ def near(p, d):
     return t if p > 0 else -t
 
 
+SMALL_PRIMES = list(sympy.primerange(2, scalars._TRIAL))
+
+
+def assert_split_contract(d):
+    """k^2 * d0 = d; d0 = 1 exactly when d is a square, else a non-square
+    with no p^2 for p < 2^10 dividing it; and sympy's split below 2^30."""
+    k, d0 = scalars._square_free(d)
+    assert k * k * d0 == d
+    assert (isqrt(d0) ** 2 == d0) == (d0 == 1)
+    assert all(d0 % (p * p) for p in SMALL_PRIMES)
+    if d < 1 << 30:
+        assert (k, d0) == sympy_square_free(d)
+
+
+@st.composite
+def square_class_radicands(draw):
+    """k^2 * P^2 * c with P, c primes past the trial bound."""
+    P, c = (sympy.nextprime(draw(st.integers(scalars._TRIAL, 10 ** 6)))
+            for _ in range(2))
+    return draw(st.integers(1, 100)) ** 2 * P * P * c
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.integers(min_value=1, max_value=10 ** 12))
-def test_square_free_matches_sympy(d):
-    assert scalars._square_free(d) == sympy_square_free(d)
+@given(st.integers(1, 10 ** 12) | st.integers(1, 1 << 30) |
+       square_class_radicands())
+def test_square_free_keeps_its_contract(d):
+    assert_split_contract(d)
 
 
 def test_square_free_cube_root_boundary():
     p, q = 999983, 1000003
-    for d in (p * p, p ** 3, 2 * p * p, p * q, 4 * p * q, p ** 4 * 3):
+    for d in (p * p, 2 * p * p, p * q, 4 * p * q, p ** 4 * 3):
         assert scalars._square_free(d) == sympy_square_free(d), d
+    # trial division stops below p, and p^3 is no square: d0 keeps p^2
+    assert scalars._square_free(p ** 3) == (1, p ** 3)
+    assert scalars._square_free(1031 ** 2 * 1033) == (1, 1031 ** 2 * 1033)
+    assert scalars._square_free(1021 ** 2 * 1033) == (1021, 1033)
     assert scalars._square_free(0) == (1, 0)
     with pytest.raises(DomainError):
         scalars._square_free(-3)
@@ -472,22 +500,24 @@ def value(x):
 def assert_canonical(x):
     assert x.n > 0 and gcd(x.p, x.q, x.n) == 1
     assert (x.d == 0) == (x.q == 0)
-    assert x.d == 0 or sympy_square_free(x.d) == (1, x.d) and x.d >= 2
+    assert x.d == 0 or x.d >= 2 and scalars._square_free(x.d) == (1, x.d)
+    assert x.d >= 1 << 30 or sympy_square_free(x.d) == (1, x.d)
     assert all(type(v) is int for v in (x.p, x.q, x.n, x.d))
 
 
 @st.composite
-def big_scalars(draw, d=None):
-    """A scalar of height up to 10^40; half the draws lie within 1/q of an
-    integer combination, where signs and floors are delicate."""
+def big_scalars(draw, d=None, rats=huge_rats):
+    """A scalar of height up to 10^40 (or that of rats); half the draws lie
+    within 1/q of an integer combination, where signs and floors are
+    delicate."""
     d = draw(radicands) if d is None else d
-    b = draw(huge_rats)
+    b = draw(rats)
     if d and draw(st.booleans()):
         q = draw(st.integers(1, 10 ** 6))
         a = Fraction(-near(b.numerator * q, d) // b.denominator
                      + draw(st.integers(-2, 2)), q)
     else:
-        a = draw(huge_rats)
+        a = draw(rats)
     return Scalar.make(a, b, d)
 
 
@@ -580,6 +610,84 @@ def test_make_checks_b_whatever_d():
             Scalar.make(1, "abc", d)
     assert Scalar.make(1, "1/2", 0) == Scalar.make(1)
     assert Scalar.make(1, "1/2", 2) == Scalar.make(1, Fraction(1, 2), 2)
+
+
+# ---------------------------------------------------------------------------
+# one square class, two radicands: P^2*c and c with P and c primes past the
+# trial bound, which the split leaves apart; sympy reads both over sqrt(c)
+
+big_primes = st.integers(scalars._TRIAL, 10 ** 6).map(sympy.nextprime)
+tall_rats = st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30),
+                      st.integers(1, 10 ** 30))
+
+
+def class_value(x, P, c):
+    """x in sympy as a + b*sqrt(c), for x over sqrt(P^2*c), sqrt(c) or 0."""
+    return sympy_value(x.a, x.b * P if x.d == P * P * c else x.b, c)
+
+
+@st.composite
+def class_pairs(draw):
+    """(P, c, x, y): x over sqrt(P^2*c) at heights up to 10^30; y is x's
+    value over sqrt(c), a rational away from it, or any scalar over sqrt(c)
+    or rational."""
+    P, c = draw(big_primes), draw(big_primes)
+    x = draw(big_scalars(d=P * P * c, rats=tall_rats.filter(bool)))
+    how = draw(st.sampled_from(["same", "near", "any"]))
+    if how == "any":
+        return P, c, x, draw(big_scalars(d=draw(st.sampled_from([0, c])),
+                                         rats=tall_rats))
+    off = Fraction(draw(st.integers(-2, 2)), 10 ** 6) if how == "near" else 0
+    return P, c, x, Scalar.make(x.a + off, x.b * P, c)
+
+
+@settings(max_examples=150, deadline=None)
+@given(class_pairs())
+def test_one_square_class_matches_sympy(case):
+    P, c, x, y = case
+    assert x.d == P * P * c and y.d in (0, c)
+    vx, vy = class_value(x, P, c), class_value(y, P, c)
+    assert (x == y) == (y == x) == (sympy.expand(vx - vy) == 0)
+    if x == y:
+        assert hash(x) == hash(y)
+    results = [(x + y, vx + vy), (y + x, vx + vy), (x - y, vx - vy),
+               (x * y, vx * vy), (y * x, vx * vy)]
+    for z, expected in results:
+        assert_canonical(z)
+        assert z.d in (0, y.d or x.d)  # over the smaller radicand
+        assert sympy.expand(class_value(z, P, c) - expected) == 0
+    if y.sign():
+        z = x / y
+        assert_canonical(z)
+        assert sympy.expand(class_value(z, P, c) * vy - vx) == 0
+    for z, v in ((x, vx), (y, vy)):
+        assert z.sign() == sympy_sign(v)
+        assert z.floor() == int(sympy.floor(v))
+        a, b = z.a, z.b * P if z.d == P * P * c else z.b
+        assert contains(quad_q(c), z) and contains(quad_q(P * P * c), z)
+        assert contains(quad_z(c), z) == (a.denominator == b.denominator == 1)
+        assert contains(quad_z(P * P * c), z) == \
+            (a.denominator == (b / P).denominator == 1)
+    assert compare_cross(x, y) == sympy_sign(vx - vy)
+    assert compare_cross(y, x) == sympy_sign(vy - vx)
+
+
+def test_contains_across_a_square_class():
+    P, c = 1031, 1033
+    assert scalars._square_free(P * P * c) == (1, P * P * c)
+    wide = Scalar.make(0, 1, P * P * c)
+    assert contains(quad_z(P * P * c), Scalar.make(0, P, c))
+    assert not contains(quad_z(P * P * c), Scalar.make(0, 1, c))
+    assert contains(quad_q(c), wide)
+    assert wide == Scalar.make(0, P, c) and wide != Scalar.make(0, 1, c)
+    assert hash(wide) == hash(Scalar.make(0, P, c))
+    # another square class stays a distinct radical
+    other = Scalar.make(0, 1, 1039)
+    assert wide != other and not contains(quad_q(1039), wide)
+    with pytest.raises(DomainError, match="cannot add"):
+        wide + other
+    with pytest.raises(DomainError, match="cannot multiply"):
+        wide * other
 
 
 def test_small_positive_over_z_sqrt_d_has_small_height():
@@ -697,44 +805,20 @@ def test_witness_builders_refuse_what_has_no_answer():
 
 
 # ---------------------------------------------------------------------------
-# factoring past trial division: Miller-Rabin and Pollard-Brent rho
+# radicands past trial division: one isqrt, never a factoring
 
 def test_square_free_of_large_radicands_is_quick():
     p12, q12 = 999999999989, 1000000000039
     p11 = 100000000003
     p16 = 32749  # p16^2 lies just below the trial bound cubed
-    cases = [10 ** 24 + 7, p12 * q12, 3 * p11 ** 2, 331 * p11 ** 2,
-             p16 ** 2, 399165290221 * 798330580441, 99999989 ** 3]
+    cases = {d: sympy_square_free(d) for d in (
+        10 ** 24 + 7, p12 * q12, 3 * p11 ** 2, 331 * p11 ** 2, p16 ** 2,
+        399165290221 * 798330580441)}
+    # the cube of a prime past the trial bound keeps its square in d0
+    cases[99999989 ** 3] = (1, 99999989 ** 3)
     assert p16 ** 2 < scalars._TRIAL ** 3 < 32771 ** 2
-    for d in cases:
+    for d, expected in cases.items():
         t0 = time.process_time()
         got = scalars._square_free(d)
         assert time.process_time() - t0 < 1, d
-        assert got == sympy_square_free(d), d
-
-
-def test_miller_rabin_is_deterministic_below_its_bound():
-    # strong pseudoprimes to the first 9 and the first 12 prime bases
-    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
-        assert not scalars._is_prime(n)
-    for n in (1031, 10 ** 24 + 7, 999999999989, scalars._MR_BOUND - 2):
-        assert scalars._is_prime(n) == sympy.isprime(n)
-
-
-@st.composite
-def rough_products(draw):
-    """k^2 * m * (primes above the trial bound, with exponents), below the
-    Miller-Rabin bound."""
-    d = draw(st.integers(1, 50))
-    for _ in range(draw(st.integers(1, 4))):
-        p = sympy.nextprime(draw(st.integers(scalars._TRIAL, 10 ** 8)))
-        e = draw(st.integers(1, 3))
-        if d * p ** e < scalars._MR_BOUND:
-            d *= p ** e
-    return d
-
-
-@settings(max_examples=100, deadline=None)
-@given(rough_products() | st.integers(10 ** 9, scalars._MR_BOUND - 1))
-def test_square_free_past_trial_division_matches_sympy(d):
-    assert scalars._square_free(d) == sympy_square_free(d)
+        assert got == expected, d

@@ -110,8 +110,10 @@ def test_library_has_no_unused_imports():
 # and so does the sign kernel under them and the witness builders over them.
 FRACTION_FREE = {"Scalar.__add__", "Scalar.__neg__", "Scalar.__sub__",
                  "Scalar.__mul__", "Scalar.sign", "Scalar.floor",
-                 "compare_cross", "first_difference", "contains", "_sgn",
-                 "_quad_sign", "_sign3", "small_positive", "element_below"}
+                 "Scalar._merged", "Scalar.__eq__", "Scalar.__hash__",
+                 "_over", "compare_cross", "first_difference", "contains",
+                 "_sgn", "_quad_sign", "_sign3", "small_positive",
+                 "element_below"}
 
 
 def test_scalar_arithmetic_and_signs_name_no_fraction():
