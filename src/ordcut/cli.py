@@ -90,12 +90,11 @@ def _order(sign):
 
 
 def _compare(g, a, b):
-    try:
-        c1, c2 = dsl.parse_cut(a, g), dsl.parse_cut(b, g)
-    except ParseError:
+    """Two elements when A's first token is '[', else two cuts."""
+    if a.lstrip().startswith("["):  # lstrip drops str.isspace, as dsl does
         x, y = dsl.parse_element(a, g), dsl.parse_element(b, g)
         return _order(lexgroups.lex_compare(x, y))
-    return _order(cuts.compare_cuts(c1, c2))
+    return _order(cuts.compare_cuts(dsl.parse_cut(a, g), dsl.parse_cut(b, g)))
 
 
 def _cut_in(c):

@@ -69,12 +69,15 @@ class OmegaElement:
 
 
 def omega_element(group, pairs):
+    """The element with value v at index i for each (i, v) in pairs; an
+    index may not repeat, and zero values are dropped."""
     vals = {}
     for i, v in pairs:
-        v = Scalar.make(v)
-        if v.sign() != 0:
-            vals[i] = v
-    return OmegaElement(group, tuple(sorted(vals.items())))
+        if i in vals:
+            raise DomainError("index %s repeats" % (i,))
+        vals[i] = Scalar.make(v)
+    return OmegaElement(group, tuple(sorted(
+        (i, v) for i, v in vals.items() if v.sign() != 0)))
 
 
 def omega_zero(group):

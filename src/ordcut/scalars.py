@@ -5,12 +5,13 @@ anchors.  A scalar is four Python ints (p, q, n, d) standing for
 (p + q*sqrt(d))/n, canonical: n > 0, gcd(p, q, n) = 1, and d = 0 exactly
 when q = 0, else a non-square.  Arithmetic, signs, floors and the witness
 builders `small_positive` and `element_below` work on those ints alone;
-`Fraction` only converts input (`Scalar.make`) and output (`.a`, `.b`).
-All order decisions are exact: signs are resolved by case analysis and
-squaring on integers, never by floating point, for any radicand.  Radicands
-enter through `Scalar.make` and `RankOneKind`, split by `_square_free`
-without factoring, so they may keep the square of a prime past 2^10; two
-radicands d and e of one square class meet through isqrt(d*e) (`_over`).
+`Fraction` only converts input (`Scalar.make`, which hands ints to
+`from_ratios`) and output (`.a`, `.b`).  All order decisions are exact:
+signs are resolved by case analysis and squaring on integers, never by
+floating point, for any radicand.  Radicands enter through `from_ratios`
+and `RankOneKind`, split by `_square_free` without factoring, so they may
+keep the square of a prime past 2^10; two radicands d and e of one square
+class meet through isqrt(d*e) (`_over`).
 """
 
 from dataclasses import dataclass
@@ -144,17 +145,14 @@ class Scalar(_Ints):
     @staticmethod
     def make(a, b=0, d=0):
         """The canonical form of a + b*sqrt(d), a itself when it is a scalar
-        and b = d = 0; factors d unless d == 0."""
+        and b = d = 0; splits d unless d == 0."""
         if a.__class__ is Scalar and b == 0 and d == 0:
             return a
         an, ad = _ratio(a)
         bn, bd = _ratio(b)  # b is converted, or refused, whatever d is
         if d == 0:
-            return _raw(an, 0, ad, 0)
-        k, d0 = _square_free(d)
-        if d0 == 1:
-            return _scalar(an * bd + bn * k * ad, 0, ad * bd, 0)
-        return _scalar(an * bd, bn * k * ad, ad * bd, d0)
+            return _raw(an, 0, ad, 0)  # an/ad is in lowest terms
+        return from_ratios(an, ad, bn, bd, d)
 
     @property
     def a(self):
@@ -320,6 +318,17 @@ def _scalar(p, q, n, d):
         if g != 1:
             p, q, n = p // g, q // g, n // g
     return _raw(p, q, n, d if q else 0)
+
+
+def from_ratios(an, ad, bn, bd, d):
+    """The scalar an/ad + (bn/bd)*sqrt(d) from ints, ad, bd > 0, in any
+    terms; splits d unless d == 0."""
+    if d == 0:
+        return _scalar(an, 0, ad, 0)
+    k, d0 = _square_free(d)
+    if d0 == 1:
+        return _scalar(an * bd + bn * k * ad, 0, ad * bd, 0)
+    return _scalar(an * bd, bn * k * ad, ad * bd, d0)
 
 
 def _over(d, x):

@@ -55,6 +55,26 @@ def test_member_example():
     assert code == 0 and out == "side: minus\n"
 
 
+def test_compare_reports_the_malformed_argument():
+    # A's first token picks two cuts or two elements; each is parsed once
+    assert run("compare", "lex(Z)", "below([1]; C 1)", "above([x]; C 1)") \
+        == (1, "", "syntax error: expected an integer (at position 7)\n")
+    assert run("compare", "lex(Z)", "[1]", "[x]") == \
+        (1, "", "syntax error: expected an integer (at position 1)\n")
+    assert run("compare", "lex(Z)", "all_below", "[1]") == \
+        (1, "", "syntax error: expected a cut expression (at position 0)\n")
+    assert run("compare", "lex(Z)", " \u3000[1]", "below([1]; C 1)") == \
+        (1, "", "syntax error: expected '[' (at position 0)\n")
+    assert run("compare", "lex(Z)", "\t[2]", "[1]") == \
+        (0, "order: greater\n", "")
+
+
+def test_repeated_omega_index_is_a_domain_error():
+    for x in ("{1:2,1:3}", "{1:2,1:0}"):
+        assert run("member", "hahn_omega(Z)", "point({0:1})", x) == \
+            (2, "", "domain error: index 1 repeats\n")
+
+
 def test_exit_code_table():
     cases_syntax = [
         (),  # no verb

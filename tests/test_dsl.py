@@ -1,8 +1,12 @@
 """Grammar round-trips and parse errors for the textual mini-language."""
 
+import sys
+import time
 from fractions import Fraction
+from itertools import filterfalse
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ordcut import cuts, dsl, hahnomega, lexgroups, scalars
 from ordcut.errors import DomainError, ParseError
@@ -11,6 +15,7 @@ from ordcut.hahnomega import OmegaGroup, omega_gap_at, omega_periodic, omega_poi
 from ordcut.scalars import KIND_Q, KIND_Z, Scalar, quad_q, quad_z
 
 import sampling
+import step_parser
 
 GROUP_TEXTS = ["lex(Z)", "lex(Z,Z)", "lex(Z,Q)", "lex(Z,Z,Q)",
                "lex(Z[sqrt 2],Q)", "lex(Q[sqrt 5])", "lex()",
@@ -181,3 +186,122 @@ def test_domain_errors_from_parsed_cuts():
     gq = dsl.parse_group("lex(Q)")
     with pytest.raises(DomainError):
         dsl.parse_cut("gap([]; 1; 1/2)", gq)
+
+
+# ---------------------------------------------------------------------------
+# the token scanner against the step parser it replaced (tests/step_parser.py)
+
+CODE_POINTS = "".join(map(chr, range(sys.maxunicode + 1)))
+WHITESPACE = "".join(filter(str.isspace, CODE_POINTS))
+
+
+def test_token_whitespace_is_isspace():
+    # each code point once: the scanner drops exactly the str.isspace ones
+    kept = "".join(filterfalse(str.isspace, CODE_POINTS))
+    assert "".join(dsl._TOKEN.findall(CODE_POINTS)) == kept
+    assert len(WHITESPACE) > 6
+
+
+LEX = [dsl.parse_group(t) for t in ("lex(Z)", "lex(Z,Q)", "lex(Z[sqrt 2],Q)",
+                                    "lex(Q[sqrt 3],Z)")]
+OMEGA = [OmegaGroup(KIND_Z), OmegaGroup(KIND_Q), OmegaGroup(quad_q(2))]
+
+
+def _omega_text(g, rng):
+    return dsl.print_oelement(sampling.sample_omega_element(g, rng, 6))
+
+
+def _oanchor_text(g, rng):
+    x = _omega_text(g, rng)
+    delta = dsl.print_scalar(sampling.sample_irrational(g.factor, rng, 6))
+    coords = ",".join(dsl.print_scalar(sampling.sample_scalar(g.factor,
+                                                              rng, 6))
+                      for _ in range(rng.randint(0, 3)))
+    return rng.choice(["point(%s)" % x,
+                       "gap_at(%s; %d; %s)" % (x, rng.randint(0, 8), delta),
+                       "periodic([%s]; [%s])" % (coords, coords or "1")])
+
+
+def _morphism_text(g, rng):
+    if rng.random() < 0.3:
+        return "widen"
+    return "scale(%s)" % ",".join(
+        dsl.print_rat(sampling.sample_fraction(rng, 6) or Fraction(1))
+        for _ in g.factors)
+
+
+# entry point: (groups it reads over, or None, text sampler, printer)
+ENTRIES = {
+    "parse_group": (None, lambda g, rng: dsl.print_group(
+        rng.choice(LEX + OMEGA + [LexGroup(())])), dsl.print_group),
+    "parse_scalar": (None, lambda g, rng: dsl.print_scalar(
+        sampling.sample_scalar(quad_q(rng.choice((2, 5))), rng, 6)),
+        dsl.print_scalar),
+    "parse_element": (LEX, lambda g, rng: dsl.print_element(
+        sampling.sample_element(g, rng, 6)), dsl.print_element),
+    "parse_oelement": (OMEGA, _omega_text, dsl.print_oelement),
+    "parse_cut": (LEX, lambda g, rng: dsl.print_cut(
+        sampling.sample_descriptor(g, rng, 6)), dsl.print_cut),
+    "parse_oanchor": (OMEGA, _oanchor_text, dsl.print_oanchor),
+    "parse_morphism": (LEX, _morphism_text, dsl.print_morphism),
+}
+
+PIECES = list(WHITESPACE) + [
+    "*sqrt(", "Z[sqrt", "Q[sqrt", "gap(", "below (", "below(", "gap_at(",
+    "lex(", "hahn_omega(", "all_below", "widen", "scale(", "²", "1/0",
+    "9" * 5000, "-", "+", "/", ",", ";", ":", "[", "]", "{", "}", "(", ")",
+    "C", "Z", "Q", "0", "x"]
+
+
+def _outcome(parser, name, text, args, printer):
+    try:
+        value = getattr(parser, name)(text, *args)
+        return value, printer(value)
+    except ParseError as e:
+        return ParseError, str(e), e.pos
+    except DomainError as e:
+        return DomainError, str(e)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(ENTRIES)), st.integers(0, 2 ** 32),
+       st.lists(st.tuples(st.sampled_from(("insert", "delete", "replace")),
+                          st.floats(0, 1), st.sampled_from(PIECES)),
+                max_size=3))
+def test_scanner_agrees_with_the_step_parser(name, seed, edits):
+    groups, sample, printer = ENTRIES[name]
+    rng = sampling.rng_for(seed)
+    g = rng.choice(groups) if groups else None
+    text = sample(g, rng)
+    for op, at, piece in edits:
+        i = int(at * len(text))
+        j = i + (op != "insert")
+        text = text[:i] + ("" if op == "delete" else piece) + text[j:]
+    args = () if g is None else (g,)
+    assert _outcome(dsl, name, text, args, printer) == \
+        _outcome(step_parser, name, text, args, printer), text
+
+
+def test_parsed_scalars_are_canonical():
+    # the parser hands unreduced ints to scalars.from_ratios
+    for text in ("2/4", "-6/4 + 3/6*sqrt(8)", "4/2 + 2/4*sqrt(4)", "0/5",
+                 "3/3 + 0/7*sqrt(2)", "6/9 + -12/18*sqrt(0)",
+                 "-0 + 5/10*sqrt(2)"):
+        x, y = dsl.parse_scalar(text), step_parser.parse_scalar(text)
+        assert (x.p, x.q, x.n, x.d) == (y.p, y.q, y.n, y.d), text
+
+
+def test_parse_time_is_linear():
+    # the error position is found by a second scan, once: not per token
+    n = 50000
+    g = LexGroup((KIND_Z,) * n)
+    text = "[%s]" % ",".join(str(i % 7 - 3) for i in range(n))
+    t0 = time.perf_counter()
+    assert len(dsl.parse_element(text, g).coords) == n
+    assert time.perf_counter() - t0 < 1
+    t0 = time.perf_counter()
+    with pytest.raises(ParseError) as e:
+        dsl.parse_element(text[:-1] + ";", g)
+    assert time.perf_counter() - t0 < 1
+    assert (e.value.pos, str(e.value)) == \
+        (len(text) - 1, "expected ']' (at position %d)" % (len(text) - 1))

@@ -36,6 +36,16 @@ def test_group_validation():
         omega_element(GQ3, [(0, SQRT2)])
 
 
+def test_repeated_index_is_refused():
+    # a zero value must not hide the repeat, and neither may the order
+    for pairs in ([(1, 2), (1, 3)], [(1, 2), (1, 0)], [(1, 0), (1, 2)],
+                  [(0, 1), (2, 0), (2, 0)]):
+        with pytest.raises(DomainError, match="index . repeats"):
+            omega_element(GZ, pairs)
+    assert omega_element(GZ, [(3, 0), (1, 2)]).support == \
+        ((1, Scalar.make(2)),)
+
+
 def test_compare_examples():
     e0 = omega_element(GZ, [(0, 1)])
     e1 = omega_element(GZ, [(1, 1)])

@@ -111,8 +111,8 @@ def test_library_has_no_unused_imports():
 FRACTION_FREE = {"Scalar.__add__", "Scalar.__neg__", "Scalar.__sub__",
                  "Scalar.__mul__", "Scalar.sign", "Scalar.floor",
                  "Scalar._merged", "Scalar.__eq__", "Scalar.__hash__",
-                 "_over", "compare_cross", "first_difference", "contains",
-                 "_sgn", "_quad_sign", "_sign3", "small_positive",
+                 "_over", "from_ratios", "compare_cross", "first_difference",
+                 "contains", "_sgn", "_quad_sign", "_sign3", "small_positive",
                  "element_below"}
 
 
