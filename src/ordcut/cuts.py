@@ -27,10 +27,9 @@ level; the public constructors refuse gaps over discrete factors and
 level-0 descriptors.  Descriptor equality then decides cut equality.
 """
 
-from dataclasses import dataclass
-
 from .errors import DomainError
 from . import scalars
+from .record import Record
 from .scalars import Scalar, ZERO, ONE
 from .lexgroups import (ConvexSubgroup, GroupElement, LexGroup, iota,
                         lex_compare, slice_group, zero)
@@ -42,30 +41,38 @@ BELOW = "below"
 ABOVE = "above"
 
 
-@dataclass(frozen=True)
-class AllBelow:
-    group: LexGroup
+class AllBelow(Record):
+    __slots__ = ("group",)
+
+    def __init__(self, group):
+        object.__setattr__(self, "group", group)
 
 
-@dataclass(frozen=True)
-class AllAbove:
-    group: LexGroup
+class AllAbove(Record):
+    __slots__ = ("group",)
+
+    def __init__(self, group):
+        object.__setattr__(self, "group", group)
 
 
-@dataclass(frozen=True)
-class Principal:
-    group: LexGroup
-    side: str
-    anchor: GroupElement
-    level: int
+class Principal(Record):
+    __slots__ = ("group", "side", "anchor", "level")
+
+    def __init__(self, group, side, anchor, level):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "side", side)
+        object.__setattr__(self, "anchor", anchor)
+        object.__setattr__(self, "level", level)
 
 
-@dataclass(frozen=True)
-class GapCut:
-    group: LexGroup
-    prefix: tuple
-    level: int
-    delta: Scalar
+class GapCut(Record):
+    __slots__ = ("group", "prefix", "level", "delta")
+
+    def __init__(self, group, prefix, level, delta):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "prefix", prefix)
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "delta", delta)
 
 
 def principal(group, side, coords, level):

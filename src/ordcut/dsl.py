@@ -12,7 +12,6 @@ default).
 """
 
 import re
-from fractions import Fraction
 from itertools import islice
 
 from .errors import ParseError
@@ -106,7 +105,8 @@ class _Parser:
         return num, 1
 
     def parse_rat(self):
-        return Fraction(*self.parse_ratio())
+        import fractions
+        return fractions.Fraction(*self.parse_ratio())
 
     def parse_scalar(self):
         an, ad = self.parse_ratio()

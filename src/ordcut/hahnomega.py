@@ -7,23 +7,28 @@ infinite descending chain Tail(0) > Tail(1) > ... with trivial intersection
 lives, and with it the tightened cut type that finite rank cannot produce.
 """
 
-from dataclasses import dataclass
-
 from .errors import DomainError
 from . import scalars
+from .record import Record
 from .scalars import ONE, Scalar, ZERO
 from .cuts import GAPPED, MINUS, PLUS, RP_BELOW, TIGHTENED
 
 
-@dataclass(frozen=True)
-class OmegaGroup:
-    factor: scalars.RankOneKind
+class OmegaGroup(Record):
+    __slots__ = ("factor",)
+
+    def __init__(self, factor):
+        object.__setattr__(self, "factor", factor)
 
 
-@dataclass(frozen=True)
-class OmegaElement:
-    group: OmegaGroup
-    support: tuple  # sorted ((index, value), ...), values nonzero
+class OmegaElement(Record):
+    __slots__ = ("group", "support")
+
+    def __init__(self, group, support):
+        # support: sorted ((index, value), ...), values nonzero
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "support", support)
+        self.__post_init__()
 
     def __post_init__(self):
         prev = -1
@@ -100,18 +105,23 @@ def omega_compare(x, y):
 # ---------------------------------------------------------------------------
 # anchors
 
-@dataclass(frozen=True)
-class OmegaPoint:
-    group: OmegaGroup
-    point: OmegaElement
+class OmegaPoint(Record):
+    __slots__ = ("group", "point")
+
+    def __init__(self, group, point):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "point", point)
 
 
-@dataclass(frozen=True)
-class OmegaGapAt:
-    group: OmegaGroup
-    prefix: OmegaElement
-    index: int
-    delta: Scalar
+class OmegaGapAt(Record):
+    __slots__ = ("group", "prefix", "index", "delta")
+
+    def __init__(self, group, prefix, index, delta):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "prefix", prefix)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "delta", delta)
+        self.__post_init__()
 
     def __post_init__(self):
         if scalars.is_discrete_kind(self.group.factor):
@@ -123,11 +133,14 @@ class OmegaGapAt:
             raise DomainError("gap prefix support must stay below the index")
 
 
-@dataclass(frozen=True)
-class OmegaPeriodic:
-    group: OmegaGroup
-    preperiod: tuple
-    period: tuple
+class OmegaPeriodic(Record):
+    __slots__ = ("group", "preperiod", "period")
+
+    def __init__(self, group, preperiod, period):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "preperiod", preperiod)
+        object.__setattr__(self, "period", period)
+        self.__post_init__()
 
     def __post_init__(self):
         if not self.period:
@@ -186,12 +199,14 @@ def omega_member(anchor, x):
     return MINUS if closed else PLUS
 
 
-@dataclass(frozen=True)
-class OmegaConvexSubgroup:
+class OmegaConvexSubgroup(Record):
     """Tail(i) = elements supported on [i, oo); index None denotes (0)."""
 
-    group: OmegaGroup
-    index: object  # int or None
+    __slots__ = ("group", "index")
+
+    def __init__(self, group, index):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "index", index)  # int or None
 
     def member(self, x):
         if self.index is None:

@@ -5,28 +5,31 @@ zeroing the first k coordinates; C_0 = the whole group, C_n = (0), and these
 n+1 subgroups are all convex subgroups of the product.
 """
 
-from dataclasses import dataclass
-from fractions import Fraction
-
 from .errors import DomainError
 from . import scalars
 from .ordsets import FiniteChain
+from .record import Record
 from .scalars import Scalar, ZERO, ONE
 
 
-@dataclass(frozen=True)
-class LexGroup:
-    factors: tuple
+class LexGroup(Record):
+    __slots__ = ("factors",)
+
+    def __init__(self, factors):
+        object.__setattr__(self, "factors", factors)
 
     @property
     def rank(self):
         return len(self.factors)
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    group: LexGroup
-    coords: tuple
+class GroupElement(Record):
+    __slots__ = ("group", "coords")
+
+    def __init__(self, group, coords):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "coords", coords)
+        self.__post_init__()
 
     def __post_init__(self):
         if len(self.coords) != self.group.rank:
@@ -60,10 +63,13 @@ def _unchecked_element(group, coords):
     return x
 
 
-@dataclass(frozen=True)
-class ConvexSubgroup:
-    group: LexGroup
-    level: int
+class ConvexSubgroup(Record):
+    __slots__ = ("group", "level")
+
+    def __init__(self, group, level):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "level", level)
+        self.__post_init__()
 
     def __post_init__(self):
         if not 0 <= self.level <= self.group.rank:
@@ -124,10 +130,12 @@ def is_principal(c):
 # ---------------------------------------------------------------------------
 # morphisms
 
-@dataclass(frozen=True)
-class QuotientProjection:
-    group: LexGroup
-    level: int
+class QuotientProjection(Record):
+    __slots__ = ("group", "level")
+
+    def __init__(self, group, level):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "level", level)
 
     @property
     def cod(self):
@@ -137,11 +145,14 @@ class QuotientProjection:
         return GroupElement(self.cod, x.coords[:self.level])
 
 
-@dataclass(frozen=True)
-class FactorwiseInjection:
-    dom: LexGroup
-    cod: LexGroup
-    scales: tuple
+class FactorwiseInjection(Record):
+    __slots__ = ("dom", "cod", "scales")
+
+    def __init__(self, dom, cod, scales):
+        object.__setattr__(self, "dom", dom)
+        object.__setattr__(self, "cod", cod)
+        object.__setattr__(self, "scales", scales)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.dom.rank != self.cod.rank:
@@ -167,7 +178,8 @@ class FactorwiseInjection:
 def widening(g):
     """The canonical injection of g into its factorwise divisible hull."""
     hull = LexGroup(tuple(scalars.divisible_hull_kind(k) for k in g.factors))
-    return FactorwiseInjection(g, hull, (Fraction(1),) * g.rank)
+    import fractions
+    return FactorwiseInjection(g, hull, (fractions.Fraction(1),) * g.rank)
 
 
 def quotient(g, c):
@@ -193,7 +205,8 @@ def hahn_embed(x):
 
     For lex products the canonical decomposition is coordinatewise, so the
     image is the coordinate sequence itself (order, iota, and initial parts
-    are preserved on the nose).
+    are preserved on the nose): the map is the identity for every group
+    ordcut builds, whose factors are already subgroups of the reals.
     """
     return tuple(x.coords)
 

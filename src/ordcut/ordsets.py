@@ -6,25 +6,31 @@ cut (initial part, complementary final part).  Monotone maps carry the
 adjoint triple lower_image -| pullback -| upper_image.
 """
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 from .errors import DomainError
+from .record import Record
 
 
-@dataclass(frozen=True)
-class FiniteChain:
-    size: int
+class FiniteChain(Record):
+    __slots__ = ("size",)
+
+    def __init__(self, size):
+        object.__setattr__(self, "size", size)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.size < 0:
             raise DomainError("chain size must be nonnegative")
 
 
-@dataclass(frozen=True)
-class Segment:
-    chain: FiniteChain
-    cutoff: int
+class Segment(Record):
+    __slots__ = ("chain", "cutoff")
+
+    def __init__(self, chain, cutoff):
+        object.__setattr__(self, "chain", chain)
+        object.__setattr__(self, "cutoff", cutoff)
+        self.__post_init__()
 
     def __post_init__(self):
         if not 0 <= self.cutoff <= self.chain.size:
@@ -38,11 +44,14 @@ class Segment:
         return frozenset(range(self.cutoff, self.chain.size))
 
 
-@dataclass(frozen=True)
-class MonotoneMap:
-    dom: FiniteChain
-    cod: FiniteChain
-    images: tuple
+class MonotoneMap(Record):
+    __slots__ = ("dom", "cod", "images")
+
+    def __init__(self, dom, cod, images):
+        object.__setattr__(self, "dom", dom)
+        object.__setattr__(self, "cod", cod)
+        object.__setattr__(self, "images", images)
+        self.__post_init__()
 
     def __post_init__(self):
         prev = 0

@@ -6,7 +6,9 @@ anchors.  A scalar is four Python ints (p, q, n, d) standing for
 when q = 0, else a non-square.  Arithmetic, signs, floors and the witness
 builders `small_positive` and `element_below` work on those ints alone;
 `Fraction` only converts input (`Scalar.make`, which hands ints to
-`from_ratios`) and output (`.a`, `.b`).  All order decisions are exact:
+`from_ratios`) and output (`.a`, `.b`), and `fractions` is imported there,
+on first use, which keeps it and the `decimal` it imports out of a cold
+start.  All order decisions are exact:
 signs are resolved by case analysis and squaring on integers, never by
 floating point, for any radicand.  Radicands enter through `from_ratios`
 and `RankOneKind`, split by `_square_free` without factoring, so they may
@@ -14,13 +16,11 @@ keep the square of a prime past 2^10; two radicands d and e of one square
 class meet through isqrt(d*e) (`_over`).
 """
 
-from dataclasses import dataclass
-from decimal import Decimal
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
 from .errors import DomainError
+from .record import Record
 
 _TRIAL = 1 << 10  # trial division bound
 
@@ -36,7 +36,7 @@ def _square_free(d):
         raise DomainError("radicand must be an integer, not %s"
                           % d.__class__.__name__)
     if d < 0:
-        raise DomainError("negative radicand %d" % d)
+        raise DomainError("negative radicand %s" % _print_ratio(d, 1))
     return _split(d)
 
 
@@ -105,10 +105,14 @@ def _sign3(u, v, d, w, e):
 
 
 def _ratio(x):
-    """Numerator and denominator of an int or a Fraction (else Fraction(x))."""
-    if type(x) is not int and type(x) is not Fraction:
-        x = Fraction(x)
-    return x.numerator, x.denominator
+    """Numerator and denominator of an int or a Fraction, or of any other
+    Rational, as Fraction(x) would copy them; else of Fraction(x)."""
+    try:
+        return x.numerator, x.denominator
+    except AttributeError:
+        import fractions
+        x = fractions.Fraction(x)
+        return x.numerator, x.denominator
 
 
 def _print_ratio(num, den):
@@ -118,6 +122,7 @@ def _print_ratio(num, den):
             return str(num)
         return "%d/%d" % (num, den)
     except ValueError:  # past the int-to-str limit, which Decimal does not have
+        from decimal import Decimal
         text = str(Decimal(num))
         if den != 1:
             text += "/%s" % Decimal(den)
@@ -156,11 +161,13 @@ class Scalar(_Ints):
 
     @property
     def a(self):
-        return Fraction(self.p, self.n)
+        import fractions
+        return fractions.Fraction(self.p, self.n)
 
     @property
     def b(self):
-        return Fraction(self.q, self.n)
+        import fractions
+        return fractions.Fraction(self.q, self.n)
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
@@ -365,8 +372,7 @@ def first_difference(pairs):
     return None, 0
 
 
-@dataclass(frozen=True)
-class RankOneKind:
+class RankOneKind(Record):
     """A concrete rank-one subgroup of the reals.
 
     tag "Z" with d=0 is the integers; tag "Q" with d=0 the rationals;
@@ -374,16 +380,22 @@ class RankOneKind:
     field Q + Q*sqrt(d).
     """
 
-    tag: str
-    d: int
+    __slots__ = ("tag", "d")
+
+    def __init__(self, tag, d):
+        object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "d", d)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.tag not in ("Z", "Q"):
             raise DomainError("unknown rank-one kind %r" % (self.tag,))
-        if self.d:
-            k, d0 = _square_free(self.d)
+        d = self.d
+        if d or d.__class__ is not int:  # 0.0, False and None are refused
+            k, d0 = _square_free(d)
             if k != 1 or d0 < 2:
-                raise DomainError("radicand %d is not square-free >= 2" % self.d)
+                raise DomainError("radicand %s is not square-free >= 2"
+                                  % _print_ratio(d, 1))
 
     def generators(self):
         """1, and sqrt(d) for a quadratic kind: they span the group."""

@@ -288,6 +288,24 @@ def test_radicands_must_be_ints_even_when_their_value_is_cached():
                 make(d)
 
 
+def test_zero_radicands_must_be_ints_too():
+    # None, 0.0 and False are falsy like 0, and used to pass as a kind's d
+    for d in (None, 0.0, -0.0, False, Fraction(0)):
+        for make in (quad_z, quad_q):
+            with pytest.raises(DomainError,
+                               match="^radicand must be an integer"):
+                make(d)
+    assert quad_z(0) == KIND_Z and quad_q(0) == KIND_Q
+
+
+def test_radicands_past_the_int_to_str_limit_are_domain_errors():
+    # the message prints d in full, where "%d" raised a plain ValueError
+    for d, text in ((4 * 10 ** 5000, "radicand 4000"),
+                    (-3 * 10 ** 5000, "negative radicand -3000")):
+        with pytest.raises(DomainError, match="^" + text):
+            quad_z(d)
+
+
 def test_radicand_memo_is_bounded():
     memo = scalars._split
     for d in range(2, 302):

@@ -1,6 +1,9 @@
 """Checks on the library source itself."""
 
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "ordcut"
@@ -161,3 +164,23 @@ def test_memos_are_bounded():
                 found.append("%s:%d" % (path.name, node.lineno))
     assert found == []
     assert _library_uses("lru_cache"), "the radicand memo is gone"
+
+
+# Modules a cold `ordcut` command should not pay for: the records need no
+# dataclasses (nor the inspect it imports), and fractions, with the decimal
+# it imports, loads only when a Fraction is read or made.
+COLD_IMPORT_FREE = ("dataclasses", "inspect", "decimal", "fractions")
+
+
+def test_cli_import_leaves_heavy_modules_out():
+    # -I -S: no environment variables and no site hooks, whose .pth files
+    # may import modules of their own; -B: no bytecode left in src/
+    code = ("import sys; sys.path.insert(0, %r); import ordcut.cli; "
+            "import json; print(json.dumps(sorted(sys.modules)))"
+            % str(SRC.parent))
+    done = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    loaded = set(json.loads(done.stdout))
+    assert "ordcut.cli" in loaded
+    assert [m for m in COLD_IMPORT_FREE if m in loaded] == []
