@@ -12,7 +12,7 @@ Exit codes: 0 success, 1 syntax error, 2 domain error.
 import json
 import re
 import sys
-from typing import Callable, NamedTuple, Optional
+from collections import namedtuple
 
 from .errors import DomainError, ParseError
 from . import cuts
@@ -54,21 +54,16 @@ def _int(text):
     raise _Usage("expected a level integer, got %r" % text)
 
 
-class _Arg(NamedTuple):
-    """An argument after GROUP: its word in the usage line and its parsers,
-    each (text, group) -> value, over a lex and a hahn_omega group.  With
-    `over_cod` it is read over the codomain of the morphism before it."""
-    word: str
-    lex: Callable
-    omega: Optional[Callable] = None
-    over_cod: bool = False
+# An argument after GROUP: its word in the usage line and its parsers, each
+# (text, group) -> value, over a lex and (if it has one) a hahn_omega group.
+_Arg = namedtuple("_Arg", "word lex omega", defaults=(None,))
 
 
 def _level(text, g):
     return ConvexSubgroup(g, _int(text))
 
 
-def _keep(text, g):  # a cut or an element; `_compare` decides
+def _keep(text, g):  # read by the verb: `_compare`, pull's cut
     return text
 
 
@@ -76,13 +71,11 @@ CUT = _Arg("CUT", dsl.parse_cut, dsl.parse_oanchor)
 ELEMENT = _Arg("ELEMENT", dsl.parse_element, dsl.parse_oelement)
 LEVEL = _Arg("LEVEL", _level)
 MORPHISM = _Arg("MORPHISM", dsl.parse_morphism)
-COD_CUT = _Arg("CUT", dsl.parse_cut, over_cod=True)
 
-
-class _Verb(NamedTuple):
-    args: tuple
-    lex: Callable  # (group, *argument values) -> result dict
-    omega: Optional[Callable] = None
+# A verb: its arguments after GROUP and its results, each
+# (group, *argument values) -> result dict, over a lex and (if it has one)
+# a hahn_omega group.
+_Verb = namedtuple("_Verb", "args lex omega", defaults=(None,))
 
 
 def _order(sign):
@@ -175,8 +168,9 @@ _VERBS = {
         lambda g, m, c: {"result_group": dsl.print_group(m.cod),
                          "lower": dsl.print_cut(cuts.push_lower(m, c)),
                          "upper": dsl.print_cut(cuts.push_upper(m, c))}),
-    "pull": _Verb((MORPHISM, COD_CUT),
-                  lambda g, m, c: _with_invariance(cuts.pull(m, c))),
+    "pull": _Verb(  # the cut is read over the codomain of the morphism
+        (MORPHISM, _Arg("CUT", _keep)), lambda g, m, c: _with_invariance(
+            cuts.pull(m, dsl.parse_cut(c, m.cod)))),
     "skeleton": _Verb(
         (), _skeleton,
         lambda g: {"size": "omega", "factors": dsl.print_factor(g.factor)}),
@@ -200,11 +194,8 @@ def _run(verb, args):
     result = getattr(row, side)
     if result is None:
         raise DomainError("%s takes a lex group" % verb)
-    values = []
-    for arg, text in zip(row.args, args[1:]):
-        over = values[-1].cod if arg.over_cod else g
-        values.append(getattr(arg, side)(text, over))
-    return result(g, *values)
+    return result(g, *[getattr(arg, side)(text, g)
+                       for arg, text in zip(row.args, args[1:])])
 
 
 def _orders(args):

@@ -44,35 +44,17 @@ ABOVE = "above"
 class AllBelow(Record):
     __slots__ = ("group",)
 
-    def __init__(self, group):
-        object.__setattr__(self, "group", group)
-
 
 class AllAbove(Record):
     __slots__ = ("group",)
-
-    def __init__(self, group):
-        object.__setattr__(self, "group", group)
 
 
 class Principal(Record):
     __slots__ = ("group", "side", "anchor", "level")
 
-    def __init__(self, group, side, anchor, level):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "side", side)
-        object.__setattr__(self, "anchor", anchor)
-        object.__setattr__(self, "level", level)
-
 
 class GapCut(Record):
     __slots__ = ("group", "prefix", "level", "delta")
-
-    def __init__(self, group, prefix, level, delta):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "prefix", prefix)
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "delta", delta)
 
 
 def principal(group, side, coords, level):

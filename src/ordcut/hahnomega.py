@@ -17,18 +17,10 @@ from .cuts import GAPPED, MINUS, PLUS, RP_BELOW, TIGHTENED
 class OmegaGroup(Record):
     __slots__ = ("factor",)
 
-    def __init__(self, factor):
-        object.__setattr__(self, "factor", factor)
-
 
 class OmegaElement(Record):
+    # support: sorted ((index, value), ...), values nonzero
     __slots__ = ("group", "support")
-
-    def __init__(self, group, support):
-        # support: sorted ((index, value), ...), values nonzero
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "support", support)
-        self.__post_init__()
 
     def __post_init__(self):
         prev = -1
@@ -108,20 +100,9 @@ def omega_compare(x, y):
 class OmegaPoint(Record):
     __slots__ = ("group", "point")
 
-    def __init__(self, group, point):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "point", point)
-
 
 class OmegaGapAt(Record):
     __slots__ = ("group", "prefix", "index", "delta")
-
-    def __init__(self, group, prefix, index, delta):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "prefix", prefix)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "delta", delta)
-        self.__post_init__()
 
     def __post_init__(self):
         if scalars.is_discrete_kind(self.group.factor):
@@ -135,12 +116,6 @@ class OmegaGapAt(Record):
 
 class OmegaPeriodic(Record):
     __slots__ = ("group", "preperiod", "period")
-
-    def __init__(self, group, preperiod, period):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "preperiod", preperiod)
-        object.__setattr__(self, "period", period)
-        self.__post_init__()
 
     def __post_init__(self):
         if not self.period:
@@ -203,10 +178,6 @@ class OmegaConvexSubgroup(Record):
     """Tail(i) = elements supported on [i, oo); index None denotes (0)."""
 
     __slots__ = ("group", "index")
-
-    def __init__(self, group, index):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "index", index)  # int or None
 
     def member(self, x):
         if self.index is None:

@@ -15,9 +15,6 @@ from .scalars import Scalar, ZERO, ONE
 class LexGroup(Record):
     __slots__ = ("factors",)
 
-    def __init__(self, factors):
-        object.__setattr__(self, "factors", factors)
-
     @property
     def rank(self):
         return len(self.factors)
@@ -25,11 +22,6 @@ class LexGroup(Record):
 
 class GroupElement(Record):
     __slots__ = ("group", "coords")
-
-    def __init__(self, group, coords):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "coords", coords)
-        self.__post_init__()
 
     def __post_init__(self):
         if len(self.coords) != self.group.rank:
@@ -65,11 +57,6 @@ def _unchecked_element(group, coords):
 
 class ConvexSubgroup(Record):
     __slots__ = ("group", "level")
-
-    def __init__(self, group, level):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "level", level)
-        self.__post_init__()
 
     def __post_init__(self):
         if not 0 <= self.level <= self.group.rank:
@@ -133,10 +120,6 @@ def is_principal(c):
 class QuotientProjection(Record):
     __slots__ = ("group", "level")
 
-    def __init__(self, group, level):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "level", level)
-
     @property
     def cod(self):
         return LexGroup(self.group.factors[:self.level])
@@ -147,12 +130,6 @@ class QuotientProjection(Record):
 
 class FactorwiseInjection(Record):
     __slots__ = ("dom", "cod", "scales")
-
-    def __init__(self, dom, cod, scales):
-        object.__setattr__(self, "dom", dom)
-        object.__setattr__(self, "cod", cod)
-        object.__setattr__(self, "scales", scales)
-        self.__post_init__()
 
     def __post_init__(self):
         if self.dom.rank != self.cod.rank:

@@ -15,10 +15,6 @@ from .record import Record
 class FiniteChain(Record):
     __slots__ = ("size",)
 
-    def __init__(self, size):
-        object.__setattr__(self, "size", size)
-        self.__post_init__()
-
     def __post_init__(self):
         if self.size < 0:
             raise DomainError("chain size must be nonnegative")
@@ -26,11 +22,6 @@ class FiniteChain(Record):
 
 class Segment(Record):
     __slots__ = ("chain", "cutoff")
-
-    def __init__(self, chain, cutoff):
-        object.__setattr__(self, "chain", chain)
-        object.__setattr__(self, "cutoff", cutoff)
-        self.__post_init__()
 
     def __post_init__(self):
         if not 0 <= self.cutoff <= self.chain.size:
@@ -46,12 +37,6 @@ class Segment(Record):
 
 class MonotoneMap(Record):
     __slots__ = ("dom", "cod", "images")
-
-    def __init__(self, dom, cod, images):
-        object.__setattr__(self, "dom", dom)
-        object.__setattr__(self, "cod", cod)
-        object.__setattr__(self, "images", images)
-        self.__post_init__()
 
     def __post_init__(self):
         prev = 0

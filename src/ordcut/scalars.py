@@ -382,11 +382,6 @@ class RankOneKind(Record):
 
     __slots__ = ("tag", "d")
 
-    def __init__(self, tag, d):
-        object.__setattr__(self, "tag", tag)
-        object.__setattr__(self, "d", d)
-        self.__post_init__()
-
     def __post_init__(self):
         if self.tag not in ("Z", "Q"):
             raise DomainError("unknown rank-one kind %r" % (self.tag,))
@@ -427,11 +422,7 @@ def contains(kind, x):
 
 
 def divisible_hull_kind(kind):
-    # kind.d is a radicand already: skip the split in __post_init__
-    hull = object.__new__(RankOneKind)
-    object.__setattr__(hull, "tag", "Q")
-    object.__setattr__(hull, "d", kind.d)
-    return hull
+    return RankOneKind("Q", kind.d)
 
 
 def is_discrete_kind(kind):

@@ -117,16 +117,13 @@ def test_morphism_round_trip():
     assert m3.cod == LexGroup((KIND_Q, KIND_Q))
 
 
-def test_hull_widen_and_print_never_factor_again(monkeypatch):
+def test_hull_widen_and_print_never_factor_again():
     # a parsed kind's radicand is split already: building its hull, the widen
-    # morphism, or printing a morphism must not factor it a second time
+    # morphism, or printing a morphism reads that split from the memo and
+    # must not factor it a second time
     g = dsl.parse_group("lex(Z[sqrt 100000007],Q[sqrt 3],Z)")
     expected = LexGroup((quad_q(100000007), quad_q(3), KIND_Q))
-
-    def refuse(d):
-        raise AssertionError("factored %d after parsing" % d)
-
-    monkeypatch.setattr(scalars, "_square_free", refuse)
+    splits = scalars._split.cache_info().misses
     hull, m = divisible_hull(g)
     assert hull == expected
     assert widening(g) == m and m.cod == hull
@@ -135,6 +132,7 @@ def test_hull_widen_and_print_never_factor_again(monkeypatch):
     assert dsl.print_morphism(m2) == "scale(1/2,1,1)"
     assert dsl.print_group(hull) == \
         "lex(Q[sqrt 100000007],Q[sqrt 3],Q)"
+    assert scalars._split.cache_info().misses == splits
 
 
 def test_parse_errors_carry_positions():
@@ -186,6 +184,40 @@ def test_domain_errors_from_parsed_cuts():
     gq = dsl.parse_group("lex(Q)")
     with pytest.raises(DomainError):
         dsl.parse_cut("gap([]; 1; 1/2)", gq)
+
+
+# Each entry point that reads over a group takes one family of groups and
+# refuses the other before it reads the text, even text that would parse.
+LEX, OMEGA = dsl.parse_group("lex(Z,Q)"), dsl.parse_group("hahn_omega(Q)")
+
+
+def _refuses(parse, family, texts, group):
+    for text in texts:
+        with pytest.raises(DomainError, match="^%s takes a %s group$"
+                           % (parse.__name__, family)):
+            parse(text, group)
+
+
+def test_parse_cut_takes_a_lex_group():
+    _refuses(dsl.parse_cut, "lex",
+             ["all_below", "below([1,0]; C 1)", "gap([]; 1; 1)", "?"], OMEGA)
+
+
+def test_parse_element_takes_a_lex_group():
+    _refuses(dsl.parse_element, "lex", ["[1,2]", "[]", "?"], OMEGA)
+
+
+def test_parse_morphism_takes_a_lex_group():
+    _refuses(dsl.parse_morphism, "lex", ["widen", "scale(1,2)", "?"], OMEGA)
+
+
+def test_parse_oelement_takes_a_hahn_omega_group():
+    _refuses(dsl.parse_oelement, "hahn_omega", ["{0:1}", "{}", "?"], LEX)
+
+
+def test_parse_oanchor_takes_a_hahn_omega_group():
+    _refuses(dsl.parse_oanchor, "hahn_omega",
+             ["point({0:1})", "periodic([]; [1])", "?"], LEX)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 pickled and copied by class and fields."""
 
 import copy
+import inspect
 import pickle
 from fractions import Fraction
 
@@ -121,11 +122,36 @@ def test_unpickling_runs_the_checks_again():
         pickle.loads(data)
     with pytest.raises(DomainError):
         copy.copy(bad)
-    # the unchecked builders make records that pass the checks
+    # records from the unchecked element builders and the hull pass the
+    # checks when they are rebuilt
     g = lexgroups.LexGroup((KIND_Z, quad_q(2)))
     x = lexgroups.element(g, (1, 2))
     for y in (x + x, -x, scalars.divisible_hull_kind(scalars.quad_z(7))):
         assert pickle.loads(pickle.dumps(y)) == y
+
+
+
+def test_constructors_take_the_fields_positionally():
+    # one argument per field, in __slots__ order; a wrong count or a keyword
+    # is a TypeError that names the class
+    for x in _samples():
+        cls, fields = type(x), _fields(x)
+        assert cls(*fields) == x
+        params = list(inspect.signature(cls).parameters.values())
+        assert [p.kind for p in params] == \
+            [inspect.Parameter.POSITIONAL_ONLY] * len(fields)
+        named = "^%s.__init__\\(\\) " % cls.__qualname__
+        for args in ((), fields[:-1], fields + (None,)):
+            with pytest.raises(TypeError, match=named):
+                cls(*args)
+        with pytest.raises(TypeError, match=named):
+            cls(**dict(zip(cls.__slots__, fields)))
+
+
+def test_records_have_one_to_four_fields():
+    for slots in ((), ("a", "b", "c", "d", "e")):
+        with pytest.raises(TypeError, match="^a record has 1 to 4 fields"):
+            type("Odd", (Record,), {"__slots__": slots})
 
 
 def test_init_runs_post_init_once(monkeypatch):

@@ -21,6 +21,21 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def test_records_take_their_constructor_from_record():
+    # Record builds each record class's __init__, so that no class can store
+    # its fields and forget to call __post_init__
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef) and "Record" in [
+                    getattr(b, "id", None) for b in node.bases]:
+                found += ["%s:%d %s" % (path.name, item.lineno, node.name)
+                          for item in node.body
+                          if isinstance(item, ast.FunctionDef)
+                          and item.name == "__init__"]
+    assert found == []
+
+
 # Functions that may build a GroupElement without its membership check.
 # Each one checks its input first: operands from one group (__add__, and
 # __sub__ through it), an operand already in the group (__neg__), or an
@@ -167,9 +182,11 @@ def test_memos_are_bounded():
 
 
 # Modules a cold `ordcut` command should not pay for: the records need no
-# dataclasses (nor the inspect it imports), and fractions, with the decimal
-# it imports, loads only when a Fraction is read or made.
-COLD_IMPORT_FREE = ("dataclasses", "inspect", "decimal", "fractions")
+# dataclasses (nor the inspect it imports), fractions, with the decimal it
+# imports, loads only when a Fraction is read or made, and the CLI's tables
+# are namedtuples from collections, which re loads anyway, not typing's.
+COLD_IMPORT_FREE = ("dataclasses", "inspect", "decimal", "fractions",
+                    "typing")
 
 
 def test_cli_import_leaves_heavy_modules_out():
