@@ -9,9 +9,15 @@ second pass.  The printers print any value in full; printing a value and
 reparsing it yields an equal value when every integer in it is below the
 parser's literal limit (the interpreter's int-to-str limit, 4300 digits by
 default).
+
+`parse_group` keeps a memo keyed by the group text, bounded at 256 entries:
+one text parses and checks once, and every later call returns the same
+immutable group record, which callers share.  A text that is refused is not
+stored, so it raises its error again on every call.
 """
 
 import re
+from functools import lru_cache
 from itertools import islice
 
 from .errors import DomainError, ParseError
@@ -232,6 +238,7 @@ def _parse_with(fn_name, text, *args):
     return value
 
 
+@lru_cache(maxsize=256)  # the group texts of a session
 def parse_group(text):
     return _parse_with("parse_group", text)
 
@@ -323,7 +330,6 @@ def print_oanchor(a):
 
 
 def print_morphism(m):
-    if all(s == 1 for s in m.scales) and m.cod.factors == tuple(
-            scalars.divisible_hull_kind(k) for k in m.dom.factors):
+    if m == lexgroups.widening(m.dom):
         return "widen"
     return "scale(%s)" % ",".join(print_rat(s) for s in m.scales)

@@ -3,7 +3,15 @@
 Factors are indexed 1..n from most significant.  C_k is the convex subgroup
 zeroing the first k coordinates; C_0 = the whole group, C_n = (0), and these
 n+1 subgroups are all convex subgroups of the product.
+
+`widening` keeps a memo keyed by the group (by its factors, so two equal
+groups share an entry), bounded at 256 entries: the injection into the
+divisible hull is built and checked once per group, and every later call
+returns the same immutable record, which callers share.  A group that is
+refused is not stored, so it raises its error again on every call.
 """
+
+from functools import lru_cache
 
 from .errors import DomainError
 from . import scalars
@@ -14,6 +22,12 @@ from .scalars import Scalar, ZERO, ONE
 
 class LexGroup(Record):
     __slots__ = ("factors",)
+
+    def __post_init__(self):
+        # a tuple, so that a group hashes and can key the widening memo
+        if not isinstance(self.factors, tuple):
+            raise DomainError("group factors must be a tuple, not %s"
+                              % type(self.factors).__name__)
 
     @property
     def rank(self):
@@ -152,6 +166,7 @@ class FactorwiseInjection(Record):
             c * s for c, s in zip(x.coords, self.scales)))
 
 
+@lru_cache(maxsize=256)  # the groups of a session
 def widening(g):
     """The canonical injection of g into its factorwise divisible hull."""
     hull = LexGroup(tuple(scalars.divisible_hull_kind(k) for k in g.factors))

@@ -2,12 +2,14 @@
 
 import pytest
 
-from ordcut import scalars
+from ordcut import dsl, lexgroups, scalars
 
 
 @pytest.fixture(autouse=True)
-def cold_radicand_memo():
-    """Each test splits its radicands cold: a split cached by an earlier
-    test would hide the factoring cost that the timing tests bound and the
-    sympy oracles check."""
+def cold_memos():
+    """Each test splits its radicands, parses its groups and builds their
+    widenings cold: a result cached by an earlier test would hide the cost
+    that the timing tests bound and the work that the sympy oracles check."""
     scalars._split.cache_clear()
+    dsl.parse_group.cache_clear()
+    lexgroups.widening.cache_clear()

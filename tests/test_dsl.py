@@ -135,6 +135,43 @@ def test_hull_widen_and_print_never_factor_again():
     assert scalars._split.cache_info().misses == splits
 
 
+def test_one_group_text_parses_to_one_record():
+    text = "lex(Z,Q[sqrt 2])"
+    g = dsl.parse_group(text)
+    assert dsl.parse_group(text) is g
+    assert dsl.parse_group("hahn_omega(Q)") is dsl.parse_group("hahn_omega(Q)")
+    # an equal group from another text is another record
+    other = dsl.parse_group("lex( Z, Q[sqrt 2] )")
+    assert other == g and other is not g
+
+
+def _error(text):
+    try:
+        dsl.parse_group(text)
+    except (ParseError, DomainError) as e:
+        return type(e), str(e), getattr(e, "pos", None)
+    raise AssertionError("%r parsed" % text)
+
+
+def test_refused_group_texts_raise_on_every_call():
+    # errors are never stored: each call raises the same error again
+    for text, kind, message in [
+            ("lex(Z", ParseError, "expected ')' (at position 5)"),
+            ("lex(Z[sqrt 8])", DomainError, "not square-free")]:
+        first = _error(text)
+        assert first[0] is kind and message in first[1]
+        assert _error(text) == _error(text) == first
+
+
+def test_print_morphism_prints_widen_for_the_widening_only():
+    qq = dsl.parse_group("lex(Q,Q[sqrt 2])")
+    m = dsl.parse_morphism("scale(1,1)", qq)
+    assert m == widening(qq) and dsl.print_morphism(m) == "widen"
+    z = dsl.parse_group("lex(Z)")
+    m = dsl.parse_morphism("scale(1)", z)
+    assert m.cod == z and dsl.print_morphism(m) == "scale(1)"
+
+
 def test_parse_errors_carry_positions():
     with pytest.raises(ParseError) as e:
         dsl.parse_group("lex(Z,X)")

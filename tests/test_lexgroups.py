@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ordcut import dsl, lexgroups, scalars
+from ordcut import cuts, dsl, lexgroups, scalars
 from ordcut.errors import DomainError
 from ordcut.lexgroups import (ConvexSubgroup, GroupElement,
                               FactorwiseInjection, LexGroup, convex_subgroups,
@@ -243,3 +243,53 @@ def test_factorwise_injection_keeps_divisible_factors_divisible():
                             (Fraction(2),))
     m = FactorwiseInjection(q, LexGroup((quad_q(2),)), (Fraction(2),))
     assert m.apply(element(q, (Fraction(1, 2),))).coords == (Scalar.make(1),)
+
+
+# ---------------------------------------------------------------------------
+# a group's tuple of factors keys the widening memo
+
+def test_group_factors_must_be_a_tuple():
+    # a list would make the group unhashable: refused as a domain error,
+    # not left to end in a TypeError from hash() or the widening memo
+    with pytest.raises(DomainError, match="^group factors must be a tuple"):
+        LexGroup([KIND_Z, quad_z(2)])
+    assert LexGroup((KIND_Z, quad_z(2))).factors == (KIND_Z, quad_z(2))
+
+
+def test_equal_groups_share_one_widening():
+    # two builds of one group are equal records but not one object
+    g1, g2 = LexGroup((KIND_Z, quad_z(2))), LexGroup((KIND_Z, quad_z(2)))
+    assert g1 is not g2
+    m = widening(g1)
+    assert widening(g2) is m
+    assert m == FactorwiseInjection(g2, LexGroup((KIND_Q, quad_q(2))),
+                                    (Fraction(1), Fraction(1)))
+
+
+def test_a_shared_widening_answers_over_an_equal_group():
+    # the memo's injection has the first build as its domain; cuts and
+    # elements over a second build go through it unchanged
+    g1, g2 = LexGroup((KIND_Z, quad_z(2))), LexGroup((KIND_Z, quad_z(2)))
+    m = widening(g1)
+    root2, root3 = Scalar.make(0, 1, 2), Scalar.make(0, 1, 3)
+    y = m.apply(element(g2, (3, Scalar.make(1, 1, 2))))
+    assert y.group == m.cod and dsl.print_element(y) == "[3,1 + 1*sqrt(2)]"
+    pushed = [
+        (cuts.principal(g2, cuts.BELOW, (1, root2), 2),
+         "below([1,0 + 1*sqrt(2)]; C 2)", "below([1,0 + 1*sqrt(2)]; C 2)"),
+        (cuts.principal(g2, cuts.ABOVE, (-2, 0), 1),
+         "below([-3,0]; C 1)", "above([-2,0]; C 1)"),
+        (cuts.gap_cut(g2, (1,), 2, root3),
+         "gap([1]; 2; 0 + 1*sqrt(3))", "gap([1]; 2; 0 + 1*sqrt(3))"),
+        (cuts.AllAbove(g2), "all_above", "all_above")]
+    for c, lower, upper in pushed:
+        assert dsl.print_cut(cuts.push_lower(m, c)) == lower
+        assert dsl.print_cut(cuts.push_upper(m, c)) == upper
+    pulled = [("below([1/2,0]; C 1)", "below([0,0]; C 1)"),
+              ("above([2,0+1/3*sqrt(2)]; C 2)", "gap([2]; 2; 0 + 1/3*sqrt(2))"),
+              ("below([1,1/2+1*sqrt(2)]; C 2)", "gap([1]; 2; 1/2 + 1*sqrt(2))"),
+              ("gap([]; 1; 0+1*sqrt(2))", "below([1,0]; C 1)"),
+              ("gap([1]; 2; 0+1*sqrt(3))", "gap([1]; 2; 0 + 1*sqrt(3))")]
+    for text, expected in pulled:
+        c = cuts.pull(m, dsl.parse_cut(text, m.cod))
+        assert c.group == g2 and dsl.print_cut(c) == expected

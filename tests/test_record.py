@@ -29,7 +29,10 @@ def _samples():
         x,
         lexgroups.ConvexSubgroup(g, 1),
         lexgroups.QuotientProjection(g, 1),
-        lexgroups.widening(g),
+        # built directly: widening(g) returns one shared record per group
+        lexgroups.FactorwiseInjection(
+            g, lexgroups.LexGroup((scalars.KIND_Q, quad_q(2))),
+            (Fraction(1), Fraction(1))),
         cuts.AllBelow(g),
         cuts.AllAbove(g),
         cuts.principal(g, cuts.BELOW, (1, root2), 2),

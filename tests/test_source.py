@@ -158,6 +158,12 @@ def _bounded_lru_cache(call):
         type(size[0].value) is int
 
 
+# The library's memos: the radicand splits, the parsed group texts and the
+# injections into the divisible hull, as (module file, function).
+MEMOS = {("scalars.py", "_split"), ("dsl.py", "parse_group"),
+         ("lexgroups.py", "widening")}
+
+
 def test_memos_are_bounded():
     # memory stays bounded by the size of the input: every lru_cache is
     # called with an integer maxsize, and functools.cache is not used
@@ -178,7 +184,14 @@ def test_memos_are_bounded():
             if unbounded or cache:
                 found.append("%s:%d" % (path.name, node.lineno))
     assert found == []
-    assert _library_uses("lru_cache"), "the radicand memo is gone"
+    # and each memo is there, by name, under a bounded lru_cache
+    memos = {(path.name, node.name) for path in sorted(SRC.glob("*.py"))
+             for node in ast.parse(path.read_text(), str(path)).body
+             if isinstance(node, ast.FunctionDef) and any(
+                 isinstance(d, ast.Call) and _bounded_lru_cache(d) and
+                 getattr(d.func, "id", None) == "lru_cache"
+                 for d in node.decorator_list)}
+    assert memos == MEMOS
 
 
 # Modules a cold `ordcut` command should not pay for: the records need no
