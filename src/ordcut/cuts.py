@@ -17,10 +17,11 @@ comparison, translation, quotient images, traces, pushes and pulls all work
 on that boundary.
 
 Canonical forms: `_cut(group, ref, closed)` turns every boundary into its
-descriptor, and every operation that builds a cut goes through it.  k = 0
-gives AllBelow or AllAbove.  Over a dense factor k a last entry outside the
-factor is a gap, else a principal cut "below" (closed) or "above" (open).
-Over a discrete factor every boundary closes at an integer: {z < r} is
+descriptor and is the one builder of Principal and GapCut: `principal`,
+`gap_cut` and every operation that builds a cut end in it.  k = 0 gives
+AllBelow or AllAbove.  Over a dense factor k a last entry outside the factor
+is a gap, else a principal cut "below" (closed) or "above" (open).  Over a
+discrete factor every boundary closes at an integer: {z < r} is
 {z <= r - 1} (the relative-jump identification) and a t outside the factor
 gives {z <= floor(t)}.  Principal anchors zero every coordinate beyond the
 level; the public constructors refuse gaps over discrete factors and
@@ -57,39 +58,39 @@ class GapCut(Record):
     __slots__ = ("group", "prefix", "level", "delta")
 
 
+def _checked(group, level, coords):
+    """The coordinates as Scalars, each checked against its factor."""
+    if not 1 <= level <= group.rank:
+        raise DomainError("level %d outside 1..%d (level 0 cuts are the "
+                          "trivial AllBelow/AllAbove)" % (level, group.rank))
+    coords = tuple(map(Scalar.make, coords))
+    for kind, c in zip(group.factors, coords):
+        if not scalars.contains(kind, c):
+            raise DomainError("coordinate %s outside factor" % (c,))
+    return coords
+
+
 def principal(group, side, coords, level):
     """Canonical principal descriptor; accepts raw coordinate sequences."""
     if side not in (BELOW, ABOVE):
         raise DomainError("side must be below or above")
-    if not 1 <= level <= group.rank:
-        raise DomainError("level %d outside 1..%d (level 0 cuts are the "
-                          "trivial AllBelow/AllAbove)" % (level, group.rank))
-    coords = [Scalar.make(c) for c in coords]
+    coords = _checked(group, level, coords)
     if len(coords) != group.rank:
         raise DomainError("anchor has wrong number of coordinates")
-    for kind, c in zip(group.factors, coords):
-        if not scalars.contains(kind, c):
-            raise DomainError("coordinate %s outside factor" % (c,))
-    return _cut(group, tuple(coords[:level]), side == BELOW)
+    return _cut(group, coords[:level], side == BELOW)
 
 
 def gap_cut(group, prefix, level, delta):
-    if not 1 <= level <= group.rank:
-        raise DomainError("level %d outside 1..%d" % (level, group.rank))
-    kind = group.factors[level - 1]
-    if scalars.is_discrete_kind(kind):
-        raise DomainError(
-            "discrete factor normalizes gap to principal; use below/above")
-    delta = Scalar.make(delta)
-    if scalars.contains(kind, delta):
-        raise DomainError("gap anchor lies inside the factor; use below/above")
-    prefix = tuple(map(Scalar.make, prefix))
+    prefix = _checked(group, level, prefix)
     if len(prefix) != level - 1:
         raise DomainError("gap prefix needs exactly level-1 coordinates")
-    for kindi, c in zip(group.factors, prefix):
-        if not scalars.contains(kindi, c):
-            raise DomainError("gap prefix coordinate %s outside factor" % (c,))
-    return GapCut(group, prefix, level, delta)
+    if scalars.is_discrete_kind(group.factors[level - 1]):
+        raise DomainError(
+            "discrete factor normalizes gap to principal; use below/above")
+    c = _cut(group, prefix + (Scalar.make(delta),), False)
+    if isinstance(c, Principal):
+        raise DomainError("gap anchor lies inside the factor; use below/above")
+    return c
 
 
 def is_trivial(c):
@@ -115,7 +116,8 @@ def _ref(c):
 
 def _cut(group, ref, closed):
     """The canonical descriptor of the boundary (ref, closed) over group, for
-    a ref tuple whose entries lie in their factors, but perhaps the last."""
+    a ref tuple whose entries lie in their factors, but perhaps the last;
+    the one builder of Principal and GapCut, it settles the last itself."""
     k = len(ref)
     if not k:
         return AllBelow(group) if closed else AllAbove(group)
@@ -127,7 +129,8 @@ def _cut(group, ref, closed):
             t, closed = t - ONE, True
     elif not scalars.contains(kind, t):
         return GapCut(group, ref[:-1], k, t)
-    anchor = GroupElement(group, ref[:-1] + (t,) + (ZERO,) * (group.rank - k))
+    anchor = GroupElement.trusted(
+        group, ref[:-1] + (t,) + (ZERO,) * (group.rank - k))
     return Principal(group, BELOW if closed else ABOVE, anchor, k)
 
 
@@ -314,13 +317,7 @@ def pull(m, c):
     for target, s, kind in zip(ref, m.scales, m.dom.factors):
         pulled += (target / s,)
         if not scalars.contains(kind, pulled[-1]):
-            break  # outside this factor: the preimage cut is decided here
-    else:
-        if isinstance(c, GapCut):
-            # delta mapped back into the factor would contradict delta being
-            # outside the codomain factor
-            raise AssertionError("unreachable: gap anchor pulled into the "
-                                 "factor")
+            break  # outside this factor, as any gap's delta is: decided here
     return _cut(m.dom, pulled, closed)
 
 
@@ -334,8 +331,6 @@ def _witness_positive(c, g):
     less than g moves it, through `scalars.element_below`."""
     k = c.level
     j = iota(g)
-    if j > k:
-        raise AssertionError("witness needs g outside C_level")
     ref, closed = _ref(c)
     if not closed:
         bound = ONE if j < k else g.coords[k - 1]

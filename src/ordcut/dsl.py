@@ -216,18 +216,16 @@ class _Parser:
         if self.eat("widen"):
             return lexgroups.widening(group)
         if self.eat("scale("):
-            rats = self.parse_list(self.parse_rat, ")", empty=False)
+            # one entry per factor: none over lex()
+            rats = self.parse_list(self.parse_rat, ")", empty=not group.rank)
             if len(rats) != group.rank:
                 self.error("scale needs %d entries" % group.rank, after=True)
-            cod = []
-            for kind, s in zip(group.factors, rats):
-                if all(scalars.contains(kind, g * s)
-                       for g in kind.generators()):
-                    cod.append(kind)
-                else:
-                    cod.append(scalars.divisible_hull_kind(kind))
-            return FactorwiseInjection(group, LexGroup(tuple(cod)),
-                                       tuple(rats))
+            # a factor whose scaled generators leave it maps into its hull
+            cod = LexGroup(tuple(
+                k if all(scalars.contains(k, g * s) for g in k.generators())
+                else scalars.divisible_hull_kind(k)
+                for k, s in zip(group.factors, rats)))
+            return FactorwiseInjection(group, cod, tuple(rats))
         self.error("expected a morphism (widen or scale(...))")
 
 

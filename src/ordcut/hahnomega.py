@@ -10,12 +10,16 @@ lives, and with it the tightened cut type that finite rank cannot produce.
 from .errors import DomainError
 from . import scalars
 from .record import Record
-from .scalars import ONE, Scalar, ZERO
+from .scalars import ONE, RankOneKind, Scalar, ZERO
 from .cuts import GAPPED, MINUS, PLUS, RP_BELOW, TIGHTENED
 
 
 class OmegaGroup(Record):
     __slots__ = ("factor",)
+
+    def __post_init__(self):
+        if not isinstance(self.factor, RankOneKind):
+            raise DomainError("omega factor must be a rank-one kind")
 
 
 class OmegaElement(Record):
@@ -55,11 +59,11 @@ class OmegaElement(Record):
                 vals.pop(i, None)
             else:
                 vals[i] = w
-        return OmegaElement(self.group, tuple(sorted(vals.items())))
+        return OmegaElement.trusted(self.group, tuple(sorted(vals.items())))
 
     def __neg__(self):
-        return OmegaElement(self.group,
-                            tuple((i, -v) for i, v in self.support))
+        return OmegaElement.trusted(self.group,
+                                    tuple((i, -v) for i, v in self.support))
 
     def __sub__(self, other):
         return self + (-other)
@@ -228,12 +232,11 @@ def omega_translate(anchor, g):
         return OmegaPoint(anchor.group, anchor.point + g)
     if isinstance(anchor, OmegaGapAt):
         # coordinates beyond the gap index never influence membership
-        head = omega_element(
-            anchor.group,
-            [(i, v) for i, v in (anchor.prefix + g).support
-             if i < anchor.index])
-        return OmegaGapAt(anchor.group, head, anchor.index,
-                          anchor.delta + g.coord(anchor.index))
+        head = OmegaElement.trusted(anchor.group, tuple(
+            (i, v) for i, v in (anchor.prefix + g).support
+            if i < anchor.index))
+        return OmegaGapAt.trusted(anchor.group, head, anchor.index,
+                                  anchor.delta + g.coord(anchor.index))
     pre_len = len(anchor.preperiod)
     p = len(anchor.period)
     need = max(pre_len, g.max_index() + 1)
@@ -242,7 +245,7 @@ def omega_translate(anchor, g):
         need = pre_len + ((need - pre_len + p - 1) // p) * p
     gs = dict(g.support)
     pre = tuple(anchor.coord(i) + gs.get(i, ZERO) for i in range(need))
-    return OmegaPeriodic(anchor.group, pre, anchor.period)
+    return OmegaPeriodic.trusted(anchor.group, pre, anchor.period)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import random
 from fractions import Fraction
 
 from ordcut import cuts, hahnomega, scalars
+from ordcut.errors import DomainError
 from ordcut.lexgroups import GroupElement
 from ordcut.scalars import Scalar
 
@@ -96,6 +97,17 @@ def random_straddle_search(c, g, rng, box, tries=80):
         if sy != sz:
             return y, z
     return None
+
+
+def refused_or(op, *args):
+    """op(*args), or None when it is the known refusal to add scalars over
+    two radicals (a gap anchor over a second radical, moved by a radical
+    coordinate), which builds no value."""
+    try:
+        return op(*args)
+    except DomainError as e:
+        assert str(e) == "cannot add scalars over distinct radicals"
+        return None
 
 
 def sample_omega_element(group, rng, box, max_index=6):

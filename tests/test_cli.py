@@ -137,6 +137,17 @@ def test_push_pull_examples():
     assert "invariance_level: 1" in out
 
 
+def test_scale_over_the_rank_zero_group_takes_no_entries():
+    # scale takes one entry per factor: none over lex(), as elsewhere
+    assert run("pull", "lex()", "scale()", "all_above") == (
+        0, "result_group: lex()\nresult_cut: all_above\n"
+        "invariance_level: 0\n", "")
+    assert run("push", "lex()", "scale()", "all_below") == (
+        0, "result_group: lex()\nlower: all_below\nupper: all_below\n", "")
+    code, out, err = run("pull", "lex(Z)", "scale()", "all_above")
+    assert (code, out) == (1, "") and "expected an integer" in err
+
+
 def test_transport_and_bounds():
     code, out, _ = run("transport", "lex(Z,Z,Z,Z)", "below([1,2,3,0]; C 3)",
                        "3", "1")

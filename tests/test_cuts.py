@@ -19,8 +19,9 @@ from ordcut.cuts import (ABOVE, BELOW, MINUS, PLUS, AllAbove, AllBelow,
                          quotient_image, symmetric_interval_member, trace,
                          translate, transport)
 from ordcut.errors import DomainError
-from ordcut.lexgroups import (ConvexSubgroup, FactorwiseInjection, LexGroup,
-                              element, lex_compare, widening, zero)
+from ordcut.lexgroups import (ConvexSubgroup, FactorwiseInjection,
+                              GroupElement, LexGroup, element, lex_compare,
+                              widening, zero)
 from ordcut.scalars import KIND_Q, KIND_Z, Scalar, quad_q, quad_z
 
 import sampling
@@ -615,6 +616,68 @@ def test_pull_strict_inclusion_counterexample():
     back = pull(m, sigma)
     assert back == principal(ZQ, BELOW, (0, 0), 1)
     assert invariance(back).level == 1  # C_1 strictly above epsilon image
+
+
+# ---------------------------------------------------------------------------
+# each coordinate is checked once, where it enters; values built from
+# checked ones skip the check and still pass it
+
+def test_a_cut_checks_each_coordinate_once(monkeypatch):
+    calls = []
+    contains = scalars.contains
+
+    def counted(kind, x):
+        calls.append(x)
+        return contains(kind, x)
+
+    g = LexGroup((KIND_Z, quad_q(2), KIND_Q, quad_z(3)))
+    x = element(g, (1, SQRT2, Fraction(1, 2), Scalar.make(1, 1, 3)))
+    monkeypatch.setattr(scalars, "contains", counted)
+    # four coordinates on entry, and the last ref entry once in _cut
+    c = principal(g, BELOW, (2, SQRT2, Fraction(3, 4), 5), 3)
+    assert len(calls) <= 5
+    del calls[:]
+    # the sums are in their factors: only the last ref entry is looked at
+    moved = translate(c, x)
+    assert len(calls) <= 1
+    assert moved == principal(g, BELOW, (3, SQRT2 * 2, Fraction(5, 4), 0), 3)
+
+
+RECHECK_GROUPS = [LexGroup((KIND_Z, quad_q(2))),
+                  LexGroup((quad_z(2), KIND_Q, KIND_Z)),
+                  LexGroup((KIND_Q, quad_q(3), quad_z(2), KIND_Z))]
+
+
+def _morphisms(g):
+    """The widening of g and x -> 3x, into its hull and into g itself."""
+    return widening(g), FactorwiseInjection(g, g, (Fraction(3),) * g.rank)
+
+
+def _built_cuts(c, g, x, rng):
+    """Every descriptor the operations build from c, over g, for x in g."""
+    k = c.level
+    return ([c, sampling.refused_or(translate, c, x)] +
+            [push(m, c) for m in _morphisms(g)
+             for push in (push_lower, push_upper)] +
+            [pull(m, sampling.sample_descriptor(m.cod, rng, 6))
+             for m in _morphisms(g)] +
+            [trace(c, ConvexSubgroup(g, j)) for j in range(k)] +
+            [quotient_image(c, ConvexSubgroup(g, j))
+             for j in range(k, g.rank + 1)])
+
+
+def test_trusted_values_pass_the_element_check():
+    rng = sampling.rng_for(16)
+    for g in RECHECK_GROUPS:
+        for _ in range(25):
+            x = sampling.sample_element(g, rng, 6)
+            y = sampling.sample_element(g, rng, 6)
+            for v in [x + y, -x, x - y] + [m.apply(x) for m in _morphisms(g)]:
+                assert GroupElement(v.group, v.coords) == v
+            c = sampling.sample_descriptor(g, rng, 6)
+            for d in _built_cuts(c, g, x, rng):
+                if isinstance(d, Principal):
+                    assert GroupElement(d.group, d.anchor.coords) == d.anchor
 
 
 # ---------------------------------------------------------------------------

@@ -379,3 +379,33 @@ def test_finite_rank_consistency():
         x = sampling.sample_omega_element(GQ, rng, 4, 1)
         lifted = element(lex_q, (x.coord(0), x.coord(1)))
         assert omega_member(gap_o, x) == cuts.member(gap_c, lifted)
+
+
+def _checked(v):
+    """v rebuilt through its class's checked constructor, its prefix or
+    point too."""
+    if isinstance(v, hahnomega.OmegaElement):
+        return hahnomega.OmegaElement(v.group, v.support)
+    if isinstance(v, hahnomega.OmegaPoint):
+        return hahnomega.OmegaPoint(v.group, _checked(v.point))
+    if isinstance(v, hahnomega.OmegaGapAt):
+        return hahnomega.OmegaGapAt(v.group, _checked(v.prefix), v.index,
+                                    v.delta)
+    return hahnomega.OmegaPeriodic(v.group, v.preperiod, v.period)
+
+
+def test_trusted_values_pass_the_checks_they_skip():
+    # sums, negations and translated anchors skip the checks of their
+    # classes; rebuilt through them, each comes back equal
+    rng = sampling.rng_for(16)
+    anchors = SIGNED + [omega_point(GQ, [(1, Fraction(-1, 2))])]
+    for group in (GZ2, GQ3):
+        anchors += _quadratic_anchors(group, rng)
+    for anchor in anchors:
+        for _ in range(8):
+            x = sampling.sample_omega_element(anchor.group, rng, 4)
+            y = sampling.sample_omega_element(anchor.group, rng, 4)
+            moved = sampling.refused_or(omega_translate, anchor, x)
+            for v in (x + y, -x, x - y, x - x, moved):
+                if v is not None:
+                    assert _checked(v) == v

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from ordcut import cuts, dsl, lexgroups, scalars
 from ordcut.errors import DomainError
+from ordcut.hahnomega import OmegaGroup
 from ordcut.lexgroups import (ConvexSubgroup, GroupElement,
                               FactorwiseInjection, LexGroup, convex_subgroups,
                               discreteness, divisible_hull, element,
@@ -254,6 +255,19 @@ def test_group_factors_must_be_a_tuple():
     with pytest.raises(DomainError, match="^group factors must be a tuple"):
         LexGroup([KIND_Z, quad_z(2)])
     assert LexGroup((KIND_Z, quad_z(2))).factors == (KIND_Z, quad_z(2))
+
+
+def test_groups_refuse_factors_that_are_not_kinds():
+    # a factor that is not a RankOneKind is a domain error at once, not a
+    # raw AttributeError later, in the widening or a membership check
+    with pytest.raises(DomainError, match="^group factors must be a tuple "
+                       "of rank-one kinds$"):
+        LexGroup(("Z",))
+    with pytest.raises(DomainError):
+        widening(LexGroup(("Z",)))
+    with pytest.raises(DomainError, match="^omega factor must be a rank-one "
+                       "kind$"):
+        OmegaGroup("Q")
 
 
 def test_equal_groups_share_one_widening():

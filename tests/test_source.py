@@ -36,26 +36,39 @@ def test_records_take_their_constructor_from_record():
     assert found == []
 
 
-# Functions that may build a GroupElement without its membership check.
-# Each one checks its input first: operands from one group (__add__, and
-# __sub__ through it), an operand already in the group (__neg__), or an
-# element of the morphism domain (apply).
-UNCHECKED_ELEMENT_CALLERS = {"GroupElement.__add__", "GroupElement.__neg__",
-                             "FactorwiseInjection.apply"}
+# The callers of Record.trusted, the one constructor that skips a class's
+# checks, each with the reason its inputs pass them.
+TRUSTED_CALLERS = {
+    "GroupElement.__add__":
+        "operands of one group: each coordinate sum stays in its factor",
+    "GroupElement.__neg__":
+        "an element's negated coordinates stay in their factors",
+    "FactorwiseInjection.apply":
+        "an element of the domain: the morphism's check puts each scaled "
+        "coordinate in its codomain factor",
+    "_cut":
+        "ref entries but the last lie in their factors, _cut settles the "
+        "last, and zeros pad the anchor to the rank",
+    "OmegaElement.__add__":
+        "operands of one group: sums stay in the factor, zeros are dropped "
+        "and indices sorted",
+    "OmegaElement.__neg__":
+        "negated nonzero values stay in the factor, in index order",
+    "omega_translate":
+        "an anchor plus an element of its group: entries stay in the factor, "
+        "a gap's delta stays outside it and its prefix below its index",
+}
 
 
-def _uses(tree, name):
-    """(enclosing function, line) of each reference to `name` outside its
-    own definition; the enclosing function is qualified by its class."""
+def _scoped(tree, match):
+    """(enclosing function, line) of each node that `match` accepts; the
+    enclosing function is qualified by its class."""
     found = []
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             scope = scope + (node.name,)
-        if isinstance(node, ast.Name) and node.id == name or \
-                isinstance(node, ast.Attribute) and node.attr == name or \
-                isinstance(node, ast.alias) and name in (node.name,
-                                                         node.asname):
+        if match(node):
             found.append((".".join(scope), node.lineno))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
@@ -64,22 +77,61 @@ def _uses(tree, name):
     return found
 
 
-def _library_uses(name):
-    """{enclosing function: ["file:line", ...]} for each reference to `name`
-    in the library."""
+def _uses(tree, name):
+    """(enclosing function, line) of each reference to `name` outside its
+    own definition."""
+    return _scoped(tree, lambda node: (
+        isinstance(node, ast.Name) and node.id == name or
+        isinstance(node, ast.Attribute) and node.attr == name or
+        isinstance(node, ast.alias) and name in (node.name, node.asname)))
+
+
+def _library_scopes(find):
+    """{enclosing function: ["file:line", ...]} for each node that
+    find(tree) reports in the library."""
     uses = {}
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
-        for scope, line in _uses(tree, name):
+        for scope, line in find(tree):
             uses.setdefault(scope, []).append("%s:%d" % (path.name, line))
     return uses
 
 
-def test_unchecked_element_has_only_allowed_callers():
-    uses = _library_uses("_unchecked_element")
-    assert set(uses) == UNCHECKED_ELEMENT_CALLERS, uses
-    assert all(p.startswith("lexgroups.py:")
-               for places in uses.values() for p in places), uses
+def _library_uses(name):
+    return _library_scopes(lambda tree: _uses(tree, name))
+
+
+def test_trusted_constructor_has_only_allowed_callers():
+    uses = _library_uses("trusted")
+    assert set(uses) == set(TRUSTED_CALLERS), uses
+    assert all(reason for reason in TRUSTED_CALLERS.values())
+    # and it is the only constructor that goes round __post_init__: no
+    # other code stores through the closure or makes a bare instance, but
+    # for scalars' `_new`, which `_raw` uses to build a Scalar (not a record)
+    assert set(_library_uses("_store")) == {"Record.__init_subclass__",
+                                            "Record.trusted"}
+    files = {scope: [p.split(":")[0] for p in places]
+             for scope, places in _library_uses("__new__").items()}
+    assert files == {"Record.trusted": ["record.py"], "": ["scalars.py"]}
+
+
+def _builds(cls):
+    """Calls that construct cls, checked or trusted."""
+    def match(node):
+        f = getattr(node, "func", None)
+        if isinstance(f, ast.Attribute) and f.attr == "trusted":
+            f = f.value
+        return isinstance(node, ast.Call) and getattr(f, "id", None) == cls
+    return lambda tree: _scoped(tree, match)
+
+
+def test_only_cut_builds_principal_and_gap_descriptors():
+    # principal, gap_cut and every operation return through cuts._cut
+    for cls in ("Principal", "GapCut"):
+        uses = _library_scopes(_builds(cls))
+        assert set(uses) == {"_cut"}, uses
+        assert all(p.startswith("cuts.py:")
+                   for places in uses.values() for p in places), uses
 
 
 # Every lexicographic decision walks its coordinates through
