@@ -60,6 +60,9 @@ class GapCut(Record):
 
 def _checked(group, level, coords):
     """The coordinates as Scalars, each checked against its factor."""
+    if level.__class__ is not int:
+        raise DomainError("level must be an integer, not %s"
+                          % level.__class__.__name__)
     if not 1 <= level <= group.rank:
         raise DomainError("level %d outside 1..%d (level 0 cuts are the "
                           "trivial AllBelow/AllAbove)" % (level, group.rank))
@@ -271,15 +274,6 @@ def interval_bounds(c, sigma):
         # matched principal: sigma sits on a closed side and S = C_k
         return levels(min(k + 1, n), k, k, k - 1)
     return levels(i0, i0, i0 - 1, i0 - 1)
-
-
-def symmetric_interval_member(c, sigma, xi):
-    """Whether xi lies in the greatest symmetric interval S around sigma."""
-    if lex_compare(xi, zero(xi.group)) < 0:
-        xi = -xi
-    if member(c, sigma) == MINUS:
-        return member(c, sigma + xi) == MINUS
-    return member(c, sigma - xi) == PLUS
 
 
 # ---------------------------------------------------------------------------

@@ -241,10 +241,6 @@ def parse_group(text):
     return _parse_with("parse_group", text)
 
 
-def parse_scalar(text):
-    return _parse_with("parse_scalar", text)
-
-
 def _parse_over(family, fn_name, text, group):
     """`_parse_with` over a group of the family (LexGroup or OmegaGroup) that
     fn_name reads; a group of the other family is a DomainError."""

@@ -29,8 +29,13 @@ class OmegaElement(Record):
     def __post_init__(self):
         prev = -1
         for i, v in self.support:
-            if i <= prev:
-                raise DomainError("support indices must strictly increase")
+            if i.__class__ is not int:
+                raise DomainError("support index must be an integer, not %s"
+                                  % i.__class__.__name__)
+            if i <= prev:  # prev starts at -1, so a negative index lands here
+                raise DomainError("support indices must be nonnegative"
+                                  if i < 0 else
+                                  "support indices must strictly increase")
             prev = i
             if v.sign() == 0:
                 raise DomainError("support values must be nonzero")
@@ -74,15 +79,14 @@ def omega_element(group, pairs):
     index may not repeat, and zero values are dropped."""
     vals = {}
     for i, v in pairs:
+        if i.__class__ is not int:  # before sorted() compares the indices
+            raise DomainError("support index must be an integer, not %s"
+                              % i.__class__.__name__)
         if i in vals:
             raise DomainError("index %s repeats" % (i,))
         vals[i] = Scalar.make(v)
     return OmegaElement(group, tuple(sorted(
         (i, v) for i, v in vals.items() if v.sign() != 0)))
-
-
-def omega_zero(group):
-    return OmegaElement(group, ())
 
 
 def _pairs(x, y):
@@ -109,6 +113,11 @@ class OmegaGapAt(Record):
     __slots__ = ("group", "prefix", "index", "delta")
 
     def __post_init__(self):
+        if self.index.__class__ is not int:
+            raise DomainError("gap index must be an integer, not %s"
+                              % self.index.__class__.__name__)
+        if self.index < 0:
+            raise DomainError("gap index must be nonnegative")
         if scalars.is_discrete_kind(self.group.factor):
             raise DomainError(
                 "discrete factor normalizes gap to principal; use a point")
@@ -135,10 +144,6 @@ class OmegaPeriodic(Record):
         if i < len(self.preperiod):
             return self.preperiod[i]
         return self.period[(i - len(self.preperiod)) % len(self.period)]
-
-
-def omega_point(group, pairs):
-    return OmegaPoint(group, omega_element(group, pairs))
 
 
 def omega_gap_at(group, prefix_pairs, index, delta):
@@ -184,6 +189,8 @@ class OmegaConvexSubgroup(Record):
     __slots__ = ("group", "index")
 
     def member(self, x):
+        if x.group != self.group:
+            raise DomainError("element belongs to a different group")
         if self.index is None:
             return x.is_zero()
         return all(i >= self.index for i, _ in x.support)

@@ -2,7 +2,9 @@
 
 Factors are indexed 1..n from most significant.  C_k is the convex subgroup
 zeroing the first k coordinates; C_0 = the whole group, C_n = (0), and these
-n+1 subgroups are all convex subgroups of the product.
+n+1 subgroups are all convex subgroups of the product.  The quotient by C_k
+and the sub-quotient C_{k1}/C_{k2} are the groups of `slice_group`; the
+morphisms are the factorwise injections, among them `widening`.
 
 `widening` keeps a memo keyed by the group (by its factors, so two equal
 groups share an entry), bounded at 256 entries: the injection into the
@@ -69,11 +71,17 @@ class ConvexSubgroup(Record):
     __slots__ = ("group", "level")
 
     def __post_init__(self):
-        if not 0 <= self.level <= self.group.rank:
+        level = self.level
+        if level.__class__ is not int:
+            raise DomainError("level must be an integer, not %s"
+                              % level.__class__.__name__)
+        if not 0 <= level <= self.group.rank:
             raise DomainError("level %d outside 0..%d"
-                              % (self.level, self.group.rank))
+                              % (level, self.group.rank))
 
     def member(self, x):
+        if x.group != self.group:
+            raise DomainError("element belongs to a different group")
         return all(c.sign() == 0 for c in x.coords[:self.level])
 
 
@@ -87,6 +95,12 @@ def zero(group):
 
 def unit(group, i):
     """The element with 1 at coordinate i (1-based), 0 elsewhere."""
+    if i.__class__ is not int:
+        raise DomainError("coordinate index must be an integer, not %s"
+                          % i.__class__.__name__)
+    if not 1 <= i <= group.rank:
+        raise DomainError("coordinate index %d outside 1..%d"
+                          % (i, group.rank))
     coords = [ZERO] * group.rank
     coords[i - 1] = ONE
     return GroupElement(group, tuple(coords))
@@ -110,12 +124,6 @@ def initial_part(x):
     return x.coords[iota(x) - 1]
 
 
-def principal_pair(x):
-    """(smallest convex subgroup containing x, largest avoiding x)."""
-    i = iota(x)
-    return (ConvexSubgroup(x.group, i - 1), ConvexSubgroup(x.group, i))
-
-
 def convex_subgroups(g):
     return [ConvexSubgroup(g, k) for k in range(g.rank + 1)]
 
@@ -126,17 +134,6 @@ def is_principal(c):
 
 # ---------------------------------------------------------------------------
 # morphisms
-
-class QuotientProjection(Record):
-    __slots__ = ("group", "level")
-
-    @property
-    def cod(self):
-        return LexGroup(self.group.factors[:self.level])
-
-    def apply(self, x):
-        return GroupElement(self.cod, x.coords[:self.level])
-
 
 class FactorwiseInjection(Record):
     __slots__ = ("dom", "cod", "scales")
@@ -170,14 +167,12 @@ def widening(g):
     return FactorwiseInjection(g, hull, (fractions.Fraction(1),) * g.rank)
 
 
-def quotient(g, c):
-    """(the quotient by C_k, the projection morphism)."""
-    proj = QuotientProjection(g, c.level)
-    return proj.cod, proj
-
-
 def slice_group(g, k1, k2):
     """The sub-quotient C_{k1}/C_{k2}: factors k1+1..k2."""
+    for k in (k1, k2):
+        if k.__class__ is not int:
+            raise DomainError("slice bound must be an integer, not %s"
+                              % k.__class__.__name__)
     if not 0 <= k1 <= k2 <= g.rank:
         raise DomainError("bad slice window %d..%d" % (k1, k2))
     return LexGroup(g.factors[k1:k2])
@@ -214,25 +209,9 @@ def discreteness(g):
     return is_discrete, discretely_ordered, min_positive
 
 
-def epsilon_lower(m, c):
-    """The convex subgroup of the codomain generated by the image of C_k."""
-    if c.group != m.dom:
-        raise DomainError("subgroup belongs to a different group")
-    return ConvexSubgroup(m.cod, c.level)
-
-
 def epsilon_upper(m, c):
     """The trace on the domain of a convex subgroup of the codomain."""
     if c.group != m.cod:
         raise DomainError("subgroup belongs to a different group")
     return ConvexSubgroup(m.dom, c.level)
 
-
-def is_convex_dense(m):
-    """Whether the two epsilon maps are mutually inverse bijections."""
-    for k in range(m.dom.rank + 1):
-        if epsilon_upper(m, epsilon_lower(m, ConvexSubgroup(m.dom, k))).level != k:
-            return False
-        if epsilon_lower(m, epsilon_upper(m, ConvexSubgroup(m.cod, k))).level != k:
-            return False
-    return True

@@ -16,6 +16,9 @@ class FiniteChain(Record):
     __slots__ = ("size",)
 
     def __post_init__(self):
+        if self.size.__class__ is not int:
+            raise DomainError("chain size must be an integer, not %s"
+                              % self.size.__class__.__name__)
         if self.size < 0:
             raise DomainError("chain size must be nonnegative")
 
@@ -24,15 +27,12 @@ class Segment(Record):
     __slots__ = ("chain", "cutoff")
 
     def __post_init__(self):
+        if self.cutoff.__class__ is not int:
+            raise DomainError("cutoff must be an integer, not %s"
+                              % self.cutoff.__class__.__name__)
         if not 0 <= self.cutoff <= self.chain.size:
             raise DomainError("cutoff %d outside 0..%d"
                               % (self.cutoff, self.chain.size))
-
-    def lower_set(self):
-        return frozenset(range(self.cutoff))
-
-    def upper_set(self):
-        return frozenset(range(self.cutoff, self.chain.size))
 
 
 class MonotoneMap(Record):

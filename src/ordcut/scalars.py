@@ -73,8 +73,7 @@ def _sgn(x):
 
 
 def _quad_sign(a, b, d):
-    """Exact sign of a + b*sqrt(d) for integers (or Fractions) a, b and any
-    integer d >= 0.
+    """Exact sign of a + b*sqrt(d) for integers a, b and d >= 0.
 
     When a and b differ in sign, squaring gives sgn(a) * sgn(a^2 - b^2*d);
     d need not be square-free.
@@ -293,12 +292,6 @@ class Scalar(_Ints):
         t = isqrt(t) if q > 0 else -isqrt(t - 1) - 1
         return (self.p + t) // self.n
 
-    def height(self):
-        """The largest numerator or denominator of a and b in lowest terms."""
-        p, q, n = self.p, self.q, self.n
-        g, h = gcd(p, n), gcd(q, n)
-        return max(abs(p) // g, n // g, abs(q) // h, n // h)
-
 
 _new = object.__new__
 
@@ -427,10 +420,6 @@ def divisible_hull_kind(kind):
 
 def is_discrete_kind(kind):
     return kind.tag == "Z" and kind.d == 0
-
-
-def is_dense_kind(kind):
-    return not is_discrete_kind(kind)
 
 
 def small_positive(kind, bound):

@@ -1,4 +1,5 @@
-"""Seeded random generators and brute-force falsifiers for the test oracles.
+"""Seeded random generators and brute-force falsifiers for the test oracles,
+and the small builders and readers that only tests use.
 
 Boxes follow the library convention: integer coordinates in [-box, box],
 rational ones with numerator and denominator bounded by box.
@@ -6,11 +7,39 @@ rational ones with numerator and denominator bounded by box.
 
 import random
 from fractions import Fraction
+from math import gcd
 
-from ordcut import cuts, hahnomega, scalars
+from ordcut import cuts, dsl, hahnomega, scalars
 from ordcut.errors import DomainError
+from ordcut.hahnomega import OmegaElement, OmegaPoint, omega_element
 from ordcut.lexgroups import GroupElement
 from ordcut.scalars import Scalar
+
+
+def is_dense_kind(kind):
+    return not scalars.is_discrete_kind(kind)
+
+
+def height(x):
+    """The largest numerator or denominator of the scalar's a and b in
+    lowest terms."""
+    p, q, n = x.p, x.q, x.n
+    g, h = gcd(p, n), gcd(q, n)
+    return max(abs(p) // g, n // g, abs(q) // h, n // h)
+
+
+def parse_scalar(text):
+    """The scalar of the DSL text, as the library parses an element's
+    coordinates."""
+    return dsl._parse_with("parse_scalar", text)
+
+
+def omega_zero(group):
+    return OmegaElement(group, ())
+
+
+def omega_point(group, pairs):
+    return OmegaPoint(group, omega_element(group, pairs))
 
 
 def rng_for(seed):
@@ -75,7 +104,7 @@ def sample_irrational(kind, rng, box):
 def sample_descriptor(group, rng, box):
     """A random nontrivial cut descriptor over the group."""
     dense_levels = [i + 1 for i, k in enumerate(group.factors)
-                    if scalars.is_dense_kind(k)]
+                    if is_dense_kind(k)]
     if dense_levels and rng.random() < 0.4:
         k = rng.choice(dense_levels)
         prefix = [sample_scalar(group.factors[i], rng, box)

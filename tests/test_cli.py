@@ -2,11 +2,17 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 from ordcut import cli, scalars
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(*argv):
@@ -48,6 +54,24 @@ def test_domain_error_prints_dsl_text():
     assert (code, out) == (2, "")
     assert err == "domain error: coordinate 1/3 + 1/3*sqrt(1009) outside " \
         "factor\n"
+
+
+def test_module_runs_main_and_exits_with_its_code():
+    # `python -m ordcut.cli` ends in sys.exit(main()): exit codes 0, 1 and 2
+    # with the result on stdout and the error on stderr
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    cases = [(["member", "lex(Z,Z)", "below([2,0]; C 1)", "[1,5]"],
+              0, "side: minus\n", ""),
+             (["member", "lex(Z,Z)", "below([2,0]; C 1", "[1,5]"],
+              1, "", "syntax error: expected ')' (at position 16)\n"),
+             (["project", "hahn_omega(Z)", "point({0:1})", "1"],
+              2, "", "domain error: project takes a lex group\n")]
+    for argv, code, out, err in cases:
+        done = subprocess.run([sys.executable, "-m", "ordcut.cli"] + argv,
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == \
+            (code, out, err), argv
 
 
 def test_member_example():

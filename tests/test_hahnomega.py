@@ -6,25 +6,37 @@ from fractions import Fraction
 
 import pytest
 
-from ordcut import cuts, hahnomega
+from ordcut import cuts, hahnomega, lexgroups
 from ordcut.errors import DomainError
 from ordcut.hahnomega import (MINUS, PLUS, OmegaGroup, index_cut,
                               omega_classify, omega_compare, omega_element,
                               omega_gap_at, omega_invariance,
                               omega_invariance_witness, omega_member,
-                              omega_periodic, omega_point, omega_tail,
-                              omega_translate, omega_zero,
+                              omega_periodic, omega_tail, omega_translate,
                               omega_zero_subgroup)
 from ordcut.lexgroups import LexGroup, element
 from ordcut.scalars import KIND_Q, KIND_Z, Scalar, quad_q, quad_z
 
 import sampling
+from sampling import omega_point, omega_zero
 
 GZ = OmegaGroup(KIND_Z)
 GQ = OmegaGroup(KIND_Q)
 GZ2 = OmegaGroup(quad_z(2))
 GQ3 = OmegaGroup(quad_q(3))
 SQRT2 = Scalar.make(0, 1, 2)
+
+
+def test_subgroups_refuse_elements_of_another_group():
+    lex_x = element(LexGroup((KIND_Q,)), (0,))
+    omega_x = omega_element(GQ, [(0, 1)])
+    for sub, x in ((lexgroups.ConvexSubgroup(LexGroup((KIND_Z, KIND_Z)), 1),
+                    lex_x),
+                   (omega_tail(GZ, 1), omega_x),
+                   (omega_zero_subgroup(GZ), omega_x)):
+        with pytest.raises(DomainError,
+                           match="^element belongs to a different group$"):
+            sub.member(x)
 
 
 def test_group_validation():

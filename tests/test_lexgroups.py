@@ -11,11 +11,9 @@ from ordcut.hahnomega import OmegaGroup
 from ordcut.lexgroups import (ConvexSubgroup, GroupElement,
                               FactorwiseInjection, LexGroup, convex_subgroups,
                               discreteness, divisible_hull, element,
-                              epsilon_lower, epsilon_upper, hahn_embed,
-                              initial_part, iota, is_convex_dense,
-                              is_principal, lex_compare, principal_pair,
-                              quotient, skeleton, slice_group, unit, widening,
-                              zero)
+                              epsilon_upper, hahn_embed, initial_part, iota,
+                              is_principal, lex_compare, skeleton,
+                              slice_group, unit, widening, zero)
 from ordcut.scalars import KIND_Q, KIND_Z, Scalar, quad_q, quad_z
 
 import sampling
@@ -48,28 +46,6 @@ def test_order_compatible_with_addition():
                 assert lex_compare(x + z, y + z) < 0
 
 
-def test_principal_pair_examples():
-    up, lo = principal_pair(element(ZZZ, (0, 2, 7)))
-    assert (up.level, lo.level) == (1, 2)
-    up, lo = principal_pair(element(ZZZ, (5, 0, 0)))
-    assert (up.level, lo.level) == (0, 1)
-    up, lo = principal_pair(element(ZZ, (0, -3)))
-    assert (up.level, lo.level) == (1, 2)
-    with pytest.raises(DomainError):
-        principal_pair(zero(ZZ))
-
-
-def test_principal_pair_bounding_oracle():
-    """Delta+ is the smallest convex subgroup containing x (box search)."""
-    x = element(ZZ, (0, -3))
-    up, lo = principal_pair(x)
-    assert up.member(x) and not lo.member(x)
-    # every convex subgroup strictly inside Delta+ misses x
-    for c in convex_subgroups(ZZ):
-        if c.level > up.level:
-            assert not c.member(x)
-
-
 def test_convex_subgroup_census():
     for g in TEST_GROUPS + [LexGroup(())]:
         subs = convex_subgroups(g)
@@ -83,12 +59,20 @@ def test_convex_subgroup_census():
             assert subs[k].member(sep) and not subs[k + 1].member(sep)
 
 
+def test_unit_refuses_indices_outside_the_rank():
+    assert [unit(ZQ, i) for i in (1, 2)] == \
+        [element(ZQ, (1, 0)), element(ZQ, (0, 1))]
+    # 0 and -1 read coordinates 2 and 1 through negative indexing once
+    for i in (0, -1, 3):
+        with pytest.raises(DomainError, match="^coordinate index %d outside "
+                           "1..2$" % i):
+            unit(ZQ, i)
+
+
 def test_quotient_and_slice():
-    qg, proj = quotient(ZZZ, ConvexSubgroup(ZZZ, 2))
-    assert qg == ZZ
-    assert proj.apply(element(ZZZ, (1, 2, 3))) == element(ZZ, (1, 2))
-    qg0, _ = quotient(ZZZ, ConvexSubgroup(ZZZ, 0))
-    assert qg0.rank == 0
+    # the quotient by C_k is the slice C_0/C_k
+    assert slice_group(ZZZ, 0, 2) == ZZ
+    assert slice_group(ZZZ, 0, 0).rank == 0
     g = LexGroup((KIND_Z, KIND_Q, KIND_Z))
     assert slice_group(g, 1, 3) == LexGroup((KIND_Q, KIND_Z))
     with pytest.raises(DomainError):
@@ -135,6 +119,23 @@ def test_discreteness_examples():
     assert discreteness(ZZ) == (True, True, unit(ZZ, 2))
     disc, disc_ord, least = discreteness(ZQ)
     assert (disc, disc_ord, least) == (False, False, None)
+
+
+def epsilon_lower(m, c):
+    """The convex subgroup of the codomain generated by the image of C_k."""
+    if c.group != m.dom:
+        raise DomainError("subgroup belongs to a different group")
+    return ConvexSubgroup(m.cod, c.level)
+
+
+def is_convex_dense(m):
+    """Whether the two epsilon maps are mutually inverse bijections."""
+    for k in range(m.dom.rank + 1):
+        if epsilon_upper(m, epsilon_lower(m, ConvexSubgroup(m.dom, k))).level != k:
+            return False
+        if epsilon_lower(m, epsilon_upper(m, ConvexSubgroup(m.cod, k))).level != k:
+            return False
+    return True
 
 
 def test_epsilon_maps_and_convex_density():

@@ -24,8 +24,6 @@ def test_all_segments_examples():
     assert [s.cutoff for s in all_segments(FiniteChain(0))] == [0]
     segs = all_segments(FiniteChain(5))
     assert len(segs) == 6
-    assert segs[0].lower_set() == frozenset()
-    assert segs[-1].upper_set() == frozenset()
 
 
 def test_monotone_map_validation():

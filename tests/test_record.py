@@ -13,6 +13,8 @@ from ordcut.errors import DomainError
 from ordcut.record import Record
 from ordcut.scalars import KIND_Z, Scalar, quad_q
 
+import sampling
+
 MODULES = (scalars, lexgroups, cuts, hahnomega, ordsets)
 
 
@@ -28,7 +30,6 @@ def _samples():
         g,
         x,
         lexgroups.ConvexSubgroup(g, 1),
-        lexgroups.QuotientProjection(g, 1),
         # built directly: widening(g) returns one shared record per group
         lexgroups.FactorwiseInjection(
             g, lexgroups.LexGroup((scalars.KIND_Q, quad_q(2))),
@@ -39,7 +40,7 @@ def _samples():
         cuts.gap_cut(g, (1,), 2, root3),
         og,
         hahnomega.omega_element(og, [(0, 1), (3, root2)]),
-        hahnomega.omega_point(og, [(1, 2)]),
+        sampling.omega_point(og, [(1, 2)]),
         hahnomega.omega_gap_at(og, [(0, 1)], 2, root3),
         hahnomega.omega_periodic(og, [1], [0, root2]),
         hahnomega.OmegaConvexSubgroup(og, 2),
@@ -61,7 +62,7 @@ def _fields(x):
 
 def test_samples_cover_every_record_class():
     classes = [type(x) for x in _samples()]
-    assert len(classes) == len(set(classes)) == 19
+    assert len(classes) == len(set(classes)) == 18
     assert set(classes) == _record_classes()
 
 
@@ -85,10 +86,8 @@ def test_equality_and_hash_go_by_class_and_fields():
         for y in samples[i + 1:]:
             assert x != y and y != x
     g = samples[1]
-    assert cuts.AllBelow(g) != cuts.AllAbove(g)
     # equal fields, different classes
-    assert lexgroups.ConvexSubgroup(g, 1) != \
-        lexgroups.QuotientProjection(g, 1)
+    assert cuts.AllBelow(g) != cuts.AllAbove(g)
 
 
 def test_repr_reads_name_and_fields():
@@ -113,7 +112,51 @@ def test_pickle_and_copy_round_trip():
     keyed = {x: i for i, x in enumerate(samples)}
     for y in (pickle.loads(pickle.dumps(keyed)), copy.copy(keyed),
               copy.deepcopy(keyed)):
-        assert y == keyed and [y[x] for x in samples] == list(range(19))
+        assert y == keyed and \
+            [y[x] for x in samples] == list(range(len(samples)))
+
+
+CHAIN = ordsets.FiniteChain(3)
+LEX = lexgroups.LexGroup((KIND_Z, scalars.KIND_Q))
+OMEGA = hahnomega.OmegaGroup(scalars.KIND_Q)
+ROOT2 = Scalar.make(0, 1, 2)
+
+# Each argument that indexes or counts: a builder of one value from it, a
+# valid argument and arguments out of range.
+INDEXED = {
+    "ConvexSubgroup": (lambda i: lexgroups.ConvexSubgroup(LEX, i), 1, (-1, 3)),
+    "principal": (lambda i: cuts.principal(LEX, cuts.BELOW, (1, 0), i), 1,
+                  (0, 3)),
+    "gap_cut": (lambda i: cuts.gap_cut(LEX, (1,), i, ROOT2), 2, (0, 3)),
+    "slice_group k1": (lambda i: lexgroups.slice_group(LEX, i, 2), 1,
+                       (-1, 3)),
+    "slice_group k2": (lambda i: lexgroups.slice_group(LEX, 0, i), 1,
+                       (-1, 3)),
+    "unit": (lambda i: lexgroups.unit(LEX, i), 1, (0, -1, 3)),
+    "omega_element": (lambda i: hahnomega.omega_element(OMEGA, [(i, 1)]), 1,
+                      (-1, -2)),
+    "OmegaElement": (lambda i: hahnomega.OmegaElement(
+        OMEGA, ((i, scalars.ONE),)), 1, (-1, -2)),
+    "OmegaGapAt": (lambda i: hahnomega.OmegaGapAt(
+        OMEGA, hahnomega.omega_element(OMEGA, []), i, ROOT2), 1, (-1,)),
+    "FiniteChain": (ordsets.FiniteChain, 1, (-1,)),
+    "Segment": (lambda i: ordsets.Segment(CHAIN, i), 1, (-1, 4)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INDEXED))
+def test_index_arguments_are_ints_in_range(name):
+    build, valid, out_of_range = INDEXED[name]
+    build(valid)
+    # bool is refused too, as radicands refuse it
+    for bad in (1.5, float(valid), True, Fraction(valid), "1", None):
+        with pytest.raises(DomainError, match="must be an integer, not %s$"
+                           % type(bad).__name__):
+            build(bad)
+    for bad in out_of_range:
+        with pytest.raises(DomainError) as e:
+            build(bad)
+        assert "strictly increase" not in str(e.value)
 
 
 def test_unpickling_runs_the_checks_again():

@@ -16,6 +16,8 @@ from ordcut.scalars import (KIND_Q, KIND_Z, Scalar, compare_cross, contains,
                             divisible_hull_kind, is_discrete_kind, quad_q,
                             quad_z)
 
+from sampling import height
+
 RADS = [0, 2, 3, 5]
 
 
@@ -598,7 +600,7 @@ def test_sign_floor_and_compare_match_sympy(x, y):
 @given(big_scalars(), big_scalars())
 def test_height_hash_and_parts(x, y):
     assert type(x.a) is Fraction and type(x.b) is Fraction
-    assert x.height() == max(abs(x.a.numerator), x.a.denominator,
+    assert height(x) == max(abs(x.a.numerator), x.a.denominator,
                              abs(x.b.numerator), x.b.denominator)
     z = Scalar.make(x.a, x.b, x.d)
     assert z == x and hash(z) == hash(x)
@@ -712,7 +714,7 @@ def test_small_positive_over_z_sqrt_d_has_small_height():
     bound = Scalar.make(Fraction(1, 10 ** 6))
     w = scalars.small_positive(quad_z(9998), bound)
     assert contains(quad_z(9998), w)
-    assert w.height() < 10 ** 20
+    assert height(w) < 10 ** 20
     assert 0 < value(w) < sympy.Rational(1, 10 ** 6)
 
 
@@ -725,7 +727,7 @@ def test_small_positive_over_z_sqrt_d_matches_sympy(d, k):
     w = scalars.small_positive(quad_z(d), bound)
     assert contains(quad_z(d), w)
     assert 0 < value(w) < sympy.Rational(1, 10 ** k)
-    assert w.height() <= (isqrt(d) + 1) * 10 ** k
+    assert height(w) <= (isqrt(d) + 1) * 10 ** k
 
 
 def positive(x):

@@ -2,6 +2,7 @@
 
 import ast
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -132,6 +133,144 @@ def test_only_cut_builds_principal_and_gap_descriptors():
         assert set(uses) == {"_cut"}, uses
         assert all(p.startswith("cuts.py:")
                    for places in uses.values() for p in places), uses
+
+
+# Public definitions that no library code uses, each with the file outside
+# src/ that uses it: an acceptance criterion, the README's example or the
+# benchmark.  A definition that only other tests use lives in tests/.  An
+# import counts as a use.
+OUTSIDE_USERS = {
+    "cuts.invariance_witness": "tests/test_acceptance.py",
+    "dsl.print_morphism": "perfbench/adapter.py",
+    "hahnomega.omega_gap_at": "tests/test_acceptance.py",
+    "hahnomega.omega_invariance_witness": "tests/test_acceptance.py",
+    "hahnomega.omega_periodic": "tests/test_acceptance.py",
+    "lexgroups.epsilon_upper": "tests/test_acceptance.py",
+    "lexgroups.initial_part": "tests/test_acceptance.py",
+    "ordsets.MonotoneMap.is_injective": "tests/test_acceptance.py",
+    "ordsets.MonotoneMap.is_surjective": "tests/test_acceptance.py",
+    "ordsets.all_monotone_maps": "tests/test_acceptance.py",
+    "ordsets.cut_images": "tests/test_acceptance.py",
+    "ordsets.cut_witness": "tests/test_acceptance.py",
+    "ordsets.pullback": "tests/test_acceptance.py",
+    "ordsets.reconstruct": "tests/test_acceptance.py",
+    "scalars.Scalar.a": "perfbench/adapter.py",
+    "scalars.Scalar.b": "perfbench/adapter.py",
+    "scalars.quad_q": "tests/test_acceptance.py",  # imported, not called
+    "scalars.quad_z": "tests/test_acceptance.py",
+}
+USER_FILES = ("tests/test_acceptance.py", "README.md", "perfbench/")
+
+
+def _references(nodes, names, modules):
+    """What the code of these nodes refers to: "module.name" for a bare
+    name the module defines or imports from the library, or an attribute of
+    a library module (`dsl.parse_group`); "*.name" for any other attribute,
+    or a string that getattr could read, since it may name any method."""
+    found = set()
+    for node in nodes:
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name) and n.id in names:
+                found.add(names[n.id])
+            elif isinstance(n, ast.Attribute):
+                owner = getattr(n.value, "id", None)
+                found.add("%s.%s" % (modules[owner], n.attr)
+                          if owner in modules else "*." + n.attr)
+            elif isinstance(n, ast.Constant) and isinstance(n.value, str) \
+                    and n.value.isidentifier():
+                found.add("*." + n.value)
+    return found
+
+
+def _library_definitions():
+    """(defs, roots): defs maps each function and class of the library, as
+    "module.name", and each method, as "module.Class.name", to (its class,
+    or None, and what its code refers to); roots is what module-level code,
+    which runs at import, refers to."""
+    defs, roots = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        module, tree = path.stem, ast.parse(path.read_text(), str(path))
+        names = {node.name: "%s.%s" % (module, node.name)
+                 for node in tree.body
+                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        modules = {}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None:  # from . import dsl
+                        modules[alias.asname or alias.name] = alias.name
+                    else:
+                        names[alias.asname or alias.name] = "%s.%s" % (
+                            node.module, alias.name)
+        top = []
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defs[names[node.name]] = None, _references(
+                    [node], names, modules)
+            elif isinstance(node, ast.ClassDef):
+                cls = names[node.name]
+                own = node.bases + node.decorator_list + [
+                    item for item in node.body
+                    if not isinstance(item, ast.FunctionDef)]
+                defs[cls] = None, _references(own, names, modules)
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        defs["%s.%s" % (cls, item.name)] = cls, _references(
+                            [item], names, modules)
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                top.append(node)
+        roots |= _references(top, names, modules)
+    return defs, roots
+
+
+def _unused_public_names(defs, roots, outside_users):
+    """The public definitions of defs that neither roots nor outside_users
+    reach, through the code of what they reach.  A method is reached when
+    its class is and its name is read ("*.name"), or, for a dunder, when its
+    class is; the methods of an unreached class go with it."""
+    reached = roots | set(outside_users)
+    live, grew = set(), True
+    while grew:
+        grew = False
+        for name, (cls, refs) in defs.items():
+            if name in live:
+                continue
+            short = name.rsplit(".", 1)[1]
+            if cls is None:
+                hit = name in reached
+            else:
+                hit = cls in live and (name in reached or short[:2] == "__"
+                                       or "*." + short in reached)
+            if hit:
+                live.add(name)
+                reached |= refs
+                grew = True
+    return sorted(name for name, (cls, _) in defs.items()
+                  if name not in live and cls in live | {None} and
+                  not any(part.startswith("_")
+                          for part in name.split(".")))
+
+
+def _mentions(path, name):
+    """Whether the Python code of the file, or of a Markdown file's python
+    blocks, refers to name."""
+    text = (SRC.parents[1] / path).read_text()
+    if path.endswith(".md"):
+        text = "\n".join(re.findall(r"```python\n(.*?)```", text, re.S))
+    return bool(_uses(ast.parse(text, path), name))
+
+
+def test_public_names_have_a_user():
+    # a definition stays in the library only while library code, an
+    # acceptance criterion, the README's example or the benchmark uses it
+    defs, roots = _library_definitions()
+    assert _unused_public_names(defs, roots, OUTSIDE_USERS) == []
+    for name, path in OUTSIDE_USERS.items():
+        # each entry is needed, and its file uses the name
+        assert name in _unused_public_names(
+            defs, roots, set(OUTSIDE_USERS) - {name}), name
+        assert path.startswith(USER_FILES), (name, path)
+        assert _mentions(path, name.rsplit(".", 1)[1]), (name, path)
 
 
 # Every lexicographic decision walks its coordinates through
