@@ -28,7 +28,7 @@ level; the public constructors refuse gaps over discrete factors and
 level-0 descriptors.  Descriptor equality then decides cut equality.
 """
 
-from .errors import DomainError
+from .errors import DomainError, integer, same_group
 from . import scalars
 from .record import Record
 from .scalars import Scalar, ZERO, ONE
@@ -60,9 +60,7 @@ class GapCut(Record):
 
 def _checked(group, level, coords):
     """The coordinates as Scalars, each checked against its factor."""
-    if level.__class__ is not int:
-        raise DomainError("level must be an integer, not %s"
-                          % level.__class__.__name__)
+    integer(level, "level")
     if not 1 <= level <= group.rank:
         raise DomainError("level %d outside 1..%d (level 0 cuts are the "
                           "trivial AllBelow/AllAbove)" % (level, group.rank))
@@ -139,8 +137,7 @@ def _cut(group, ref, closed):
 
 def member(c, x):
     """Which side of the cut the element lies on."""
-    if x.group != c.group:
-        raise DomainError("element belongs to a different group")
+    same_group(x, c.group)
     ref, closed = _ref(c)
     s = scalars.first_difference(zip(x.coords, ref))[1]
     if s:
@@ -175,16 +172,14 @@ def classify(c):
 
 def translate(c, g):
     """The descriptor of the translated cut (lower part shifted by g)."""
-    if g.group != c.group:
-        raise DomainError("element belongs to a different group")
+    same_group(g, c.group)
     ref, closed = _ref(c)
     return _cut(c.group, tuple(a + b for a, b in zip(ref, g.coords)), closed)
 
 
 def compare_cuts(c1, c2):
     """Total order on cuts by inclusion of lower parts: -1, 0, or +1."""
-    if c1.group != c2.group:
-        raise DomainError("cuts over different groups")
+    same_group(c2, c1.group, "cut")
     r1, closed1 = _ref(c1)
     r2, closed2 = _ref(c2)
     s = scalars.first_difference(zip(r1, r2))[1]
@@ -201,8 +196,7 @@ def compare_cuts(c1, c2):
 
 def quotient_image(c, theta):
     """The image cut under the quotient by Theta = C_m (needs m >= level)."""
-    if theta.group != c.group:
-        raise DomainError("subgroup belongs to a different group")
+    same_group(theta, c.group, "subgroup")
     m = theta.level
     qg = LexGroup(c.group.factors[:m])
     ref, closed = _ref(c)
@@ -215,8 +209,7 @@ def quotient_image(c, theta):
 
 def trace(c, theta):
     """The trace cut on Theta = C_m (needs m < level, else trivial)."""
-    if theta.group != c.group:
-        raise DomainError("subgroup belongs to a different group")
+    same_group(theta, c.group, "subgroup")
     if is_trivial(c):
         raise DomainError("trace of a trivial cut is trivial")
     m = theta.level
@@ -229,8 +222,7 @@ def trace(c, theta):
 
 def transport(c, theta1, theta2):
     """Trace on Theta2 then quotient by Theta1: the sub-quotient cut."""
-    if theta1.group != c.group:
-        raise DomainError("subgroup belongs to a different group")
+    same_group(theta1, c.group, "subgroup")
     m1 = theta1.level
     m2 = theta2.level
     k = level_of(c)
@@ -248,8 +240,7 @@ def interval_bounds(c, sigma):
     sigma may lie on either side; the final-segment variant is used when it
     lies on the plus side.
     """
-    if sigma.group != c.group:
-        raise DomainError("element belongs to a different group")
+    same_group(sigma, c.group)
     g = c.group
     n = g.rank
 
@@ -340,8 +331,7 @@ def invariance_witness(c, g):
     For negative g the mirrored pair (y in the upper part, y+g in the lower
     part) is returned.  Raises for g inside the invariance subgroup.
     """
-    if g.group != c.group:
-        raise DomainError("element belongs to a different group")
+    same_group(g, c.group)
     if is_trivial(c):
         raise DomainError("trivial cuts are stabilized by every element")
     if g.is_zero():

@@ -7,7 +7,7 @@ infinite descending chain Tail(0) > Tail(1) > ... with trivial intersection
 lives, and with it the tightened cut type that finite rank cannot produce.
 """
 
-from .errors import DomainError
+from .errors import DomainError, integer, same_group
 from . import scalars
 from .record import Record
 from .scalars import ONE, RankOneKind, Scalar, ZERO
@@ -29,9 +29,7 @@ class OmegaElement(Record):
     def __post_init__(self):
         prev = -1
         for i, v in self.support:
-            if i.__class__ is not int:
-                raise DomainError("support index must be an integer, not %s"
-                                  % i.__class__.__name__)
+            integer(i, "support index")
             if i <= prev:  # prev starts at -1, so a negative index lands here
                 raise DomainError("support indices must be nonnegative"
                                   if i < 0 else
@@ -55,8 +53,7 @@ class OmegaElement(Record):
         return not self.support
 
     def __add__(self, other):
-        if self.group != other.group:
-            raise DomainError("elements of different groups")
+        same_group(other, self.group)
         vals = dict(self.support)
         for i, v in other.support:
             w = vals.get(i, ZERO) + v
@@ -79,9 +76,7 @@ def omega_element(group, pairs):
     index may not repeat, and zero values are dropped."""
     vals = {}
     for i, v in pairs:
-        if i.__class__ is not int:  # before sorted() compares the indices
-            raise DomainError("support index must be an integer, not %s"
-                              % i.__class__.__name__)
+        integer(i, "support index")  # before sorted() compares them
         if i in vals:
             raise DomainError("index %s repeats" % (i,))
         vals[i] = Scalar.make(v)
@@ -97,25 +92,33 @@ def _pairs(x, y):
 
 
 def omega_compare(x, y):
-    if x.group != y.group:
-        raise DomainError("elements of different groups")
+    same_group(y, x.group)
     return scalars.first_difference(_pairs(x.support, y.support))[1]
 
 
 # ---------------------------------------------------------------------------
 # anchors
 
+def _of_group(x, group, what):
+    """Refuse an anchor's point or gap prefix that is not an element of
+    the anchor's group."""
+    if not isinstance(x, OmegaElement):
+        raise DomainError("%s must be an omega element" % what)
+    same_group(x, group, what)
+
+
 class OmegaPoint(Record):
     __slots__ = ("group", "point")
+
+    def __post_init__(self):
+        _of_group(self.point, self.group, "anchor point")
 
 
 class OmegaGapAt(Record):
     __slots__ = ("group", "prefix", "index", "delta")
 
     def __post_init__(self):
-        if self.index.__class__ is not int:
-            raise DomainError("gap index must be an integer, not %s"
-                              % self.index.__class__.__name__)
+        integer(self.index, "gap index")
         if self.index < 0:
             raise DomainError("gap index must be nonnegative")
         if scalars.is_discrete_kind(self.group.factor):
@@ -123,6 +126,7 @@ class OmegaGapAt(Record):
                 "discrete factor normalizes gap to principal; use a point")
         if scalars.contains(self.group.factor, self.delta):
             raise DomainError("gap anchor lies inside the factor")
+        _of_group(self.prefix, self.group, "gap prefix")
         if self.prefix.max_index() >= self.index:
             raise DomainError("gap prefix support must stay below the index")
 
@@ -161,8 +165,7 @@ def omega_member(anchor, x):
     ref with a closed flag: a point is closed (equality lands on the minus
     side), a gap is its prefix then delta at its index, open; a periodic
     anchor runs to a horizon past x's support and one period."""
-    if x.group != anchor.group:
-        raise DomainError("element belongs to a different group")
+    same_group(x, anchor.group)
     if isinstance(anchor, OmegaPoint):
         pairs, closed = _pairs(x.support, anchor.point.support), True
     elif isinstance(anchor, OmegaGapAt):
@@ -188,9 +191,16 @@ class OmegaConvexSubgroup(Record):
 
     __slots__ = ("group", "index")
 
+    def __post_init__(self):
+        if not isinstance(self.group, OmegaGroup):
+            raise DomainError("a tail subgroup needs an omega group")
+        if self.index is not None:
+            integer(self.index, "tail index")
+            if self.index < 0:
+                raise DomainError("tail index must be nonnegative")
+
     def member(self, x):
-        if x.group != self.group:
-            raise DomainError("element belongs to a different group")
+        same_group(x, self.group)
         if self.index is None:
             return x.is_zero()
         return all(i >= self.index for i, _ in x.support)
@@ -233,8 +243,7 @@ def index_cut(anchor):
 
 def omega_translate(anchor, g):
     """The anchor of the translated cut."""
-    if g.group != anchor.group:
-        raise DomainError("element belongs to a different group")
+    same_group(g, anchor.group)
     if isinstance(anchor, OmegaPoint):
         return OmegaPoint(anchor.group, anchor.point + g)
     if isinstance(anchor, OmegaGapAt):
@@ -287,8 +296,7 @@ def omega_invariance_witness(anchor, g):
     For negative g the mirrored pair (y in the upper part, y+g in the lower
     part) is returned.  Raises for g inside the invariance subgroup.
     """
-    if g.group != anchor.group:
-        raise DomainError("element belongs to a different group")
+    same_group(g, anchor.group)
     if g.is_zero():
         raise DomainError("zero stabilizes every cut")
     if omega_invariance(anchor).member(g):

@@ -15,7 +15,7 @@ refused is not stored, so it raises its error again on every call.
 
 from functools import lru_cache
 
-from .errors import DomainError
+from .errors import DomainError, integer, same_group
 from . import scalars
 from .ordsets import FiniteChain
 from .record import Record
@@ -51,8 +51,7 @@ class GroupElement(Record):
                 raise DomainError("coordinate %s outside factor" % (c,))
 
     def __add__(self, other):
-        if self.group != other.group:
-            raise DomainError("elements of different groups")
+        same_group(other, self.group)
         return GroupElement.trusted(self.group, tuple(
             a + b for a, b in zip(self.coords, other.coords)))
 
@@ -71,17 +70,13 @@ class ConvexSubgroup(Record):
     __slots__ = ("group", "level")
 
     def __post_init__(self):
-        level = self.level
-        if level.__class__ is not int:
-            raise DomainError("level must be an integer, not %s"
-                              % level.__class__.__name__)
-        if not 0 <= level <= self.group.rank:
+        integer(self.level, "level")
+        if not 0 <= self.level <= self.group.rank:
             raise DomainError("level %d outside 0..%d"
-                              % (level, self.group.rank))
+                              % (self.level, self.group.rank))
 
     def member(self, x):
-        if x.group != self.group:
-            raise DomainError("element belongs to a different group")
+        same_group(x, self.group)
         return all(c.sign() == 0 for c in x.coords[:self.level])
 
 
@@ -95,9 +90,7 @@ def zero(group):
 
 def unit(group, i):
     """The element with 1 at coordinate i (1-based), 0 elsewhere."""
-    if i.__class__ is not int:
-        raise DomainError("coordinate index must be an integer, not %s"
-                          % i.__class__.__name__)
+    integer(i, "coordinate index")
     if not 1 <= i <= group.rank:
         raise DomainError("coordinate index %d outside 1..%d"
                           % (i, group.rank))
@@ -107,8 +100,7 @@ def unit(group, i):
 
 
 def lex_compare(x, y):
-    if x.group != y.group:
-        raise DomainError("elements of different groups")
+    same_group(y, x.group)
     return scalars.first_difference(zip(x.coords, y.coords))[1]
 
 
@@ -169,10 +161,8 @@ def widening(g):
 
 def slice_group(g, k1, k2):
     """The sub-quotient C_{k1}/C_{k2}: factors k1+1..k2."""
-    for k in (k1, k2):
-        if k.__class__ is not int:
-            raise DomainError("slice bound must be an integer, not %s"
-                              % k.__class__.__name__)
+    integer(k1, "slice bound")
+    integer(k2, "slice bound")
     if not 0 <= k1 <= k2 <= g.rank:
         raise DomainError("bad slice window %d..%d" % (k1, k2))
     return LexGroup(g.factors[k1:k2])
@@ -211,7 +201,6 @@ def discreteness(g):
 
 def epsilon_upper(m, c):
     """The trace on the domain of a convex subgroup of the codomain."""
-    if c.group != m.cod:
-        raise DomainError("subgroup belongs to a different group")
+    same_group(c, m.cod, "subgroup")
     return ConvexSubgroup(m.dom, c.level)
 

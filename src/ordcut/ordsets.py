@@ -8,7 +8,7 @@ adjoint triple lower_image -| pullback -| upper_image.
 
 from itertools import combinations_with_replacement
 
-from .errors import DomainError
+from .errors import DomainError, integer
 from .record import Record
 
 
@@ -16,9 +16,7 @@ class FiniteChain(Record):
     __slots__ = ("size",)
 
     def __post_init__(self):
-        if self.size.__class__ is not int:
-            raise DomainError("chain size must be an integer, not %s"
-                              % self.size.__class__.__name__)
+        integer(self.size, "chain size")
         if self.size < 0:
             raise DomainError("chain size must be nonnegative")
 
@@ -27,9 +25,7 @@ class Segment(Record):
     __slots__ = ("chain", "cutoff")
 
     def __post_init__(self):
-        if self.cutoff.__class__ is not int:
-            raise DomainError("cutoff must be an integer, not %s"
-                              % self.cutoff.__class__.__name__)
+        integer(self.cutoff, "cutoff")
         if not 0 <= self.cutoff <= self.chain.size:
             raise DomainError("cutoff %d outside 0..%d"
                               % (self.cutoff, self.chain.size))
@@ -39,8 +35,14 @@ class MonotoneMap(Record):
     __slots__ = ("dom", "cod", "images")
 
     def __post_init__(self):
+        if not (isinstance(self.dom, FiniteChain) and
+                isinstance(self.cod, FiniteChain)):
+            raise DomainError("a monotone map goes between finite chains")
+        if not isinstance(self.images, tuple):  # a field must hash
+            raise DomainError("images must be a tuple")
         prev = 0
         for v in self.images:
+            integer(v, "image")
             if not 0 <= v < self.cod.size:
                 raise DomainError("image %d outside codomain" % v)
             if v < prev:

@@ -19,7 +19,7 @@ class meet through isqrt(d*e) (`_over`).
 from functools import lru_cache
 from math import gcd, isqrt
 
-from .errors import DomainError
+from .errors import DomainError, integer
 from .record import Record
 
 _TRIAL = 1 << 10  # trial division bound
@@ -32,9 +32,7 @@ def _square_free(d):
     The type is checked before the memo sees d: 2.0 and True hash and
     compare equal to the ints 2 and 1, and must not read their splits.
     """
-    if d.__class__ is not int:
-        raise DomainError("radicand must be an integer, not %s"
-                          % d.__class__.__name__)
+    integer(d, "radicand")
     if d < 0:
         raise DomainError("negative radicand %s" % _print_ratio(d, 1))
     return _split(d)

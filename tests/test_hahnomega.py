@@ -39,6 +39,39 @@ def test_subgroups_refuse_elements_of_another_group():
             sub.member(x)
 
 
+def test_anchors_refuse_a_point_or_prefix_outside_their_group():
+    # refused where the anchor is built, not later in omega_member
+    z_point = omega_element(GZ, [(0, 1)])
+    for make, what in ((lambda p: hahnomega.OmegaPoint(GQ, p),
+                        "anchor point"),
+                       (lambda p: hahnomega.OmegaGapAt(GQ, p, 2, SQRT2),
+                        "gap prefix")):
+        with pytest.raises(DomainError,
+                           match="^%s belongs to a different group$" % what):
+            make(z_point)
+        for bad in (((0, 1),), None, lexgroups.zero(LexGroup((KIND_Q,)))):
+            with pytest.raises(DomainError,
+                               match="^%s must be an omega element$" % what):
+                make(bad)
+        make(omega_element(GQ, [(0, 1)]))
+
+
+def test_tail_subgroups_take_an_omega_group_and_an_index_or_none():
+    assert omega_tail(GZ, 0).member(omega_element(GZ, [(0, 1)]))
+    assert omega_zero_subgroup(GZ).index is None
+    for group in ("Z", KIND_Z, LexGroup((KIND_Z,))):
+        with pytest.raises(DomainError,
+                           match="^a tail subgroup needs an omega group$"):
+            omega_tail(group, 1)
+    for bad in (1.5, True, Fraction(1), "1"):
+        with pytest.raises(DomainError,
+                           match="^tail index must be an integer, not %s$"
+                           % type(bad).__name__):
+            omega_tail(GZ, bad)
+    with pytest.raises(DomainError, match="^tail index must be nonnegative$"):
+        omega_tail(GZ, -3)
+
+
 def test_group_validation():
     # every rank-one factor makes an omega group; its elements stay inside it
     assert omega_element(GZ2, [(0, SQRT2)]).coord(0) == SQRT2

@@ -33,6 +33,13 @@ def test_monotone_map_validation():
         MonotoneMap(FiniteChain(2), FiniteChain(2), (0, 2))
     with pytest.raises(DomainError):
         Segment(FiniteChain(2), 3)
+    # the fields must hash, and both ends must be chains
+    with pytest.raises(DomainError, match="^images must be a tuple$"):
+        MonotoneMap(FiniteChain(2), FiniteChain(4), [0, 1])
+    for dom, cod in ((3, 4), (FiniteChain(1), 4), (3, FiniteChain(4))):
+        with pytest.raises(DomainError,
+                           match="^a monotone map goes between finite chains$"):
+            MonotoneMap(dom, cod, (0,))
 
 
 def test_pullback_examples():

@@ -141,6 +141,8 @@ INDEXED = {
         OMEGA, hahnomega.omega_element(OMEGA, []), i, ROOT2), 1, (-1,)),
     "FiniteChain": (ordsets.FiniteChain, 1, (-1,)),
     "Segment": (lambda i: ordsets.Segment(CHAIN, i), 1, (-1, 4)),
+    "MonotoneMap image": (lambda i: ordsets.MonotoneMap(
+        ordsets.FiniteChain(2), CHAIN, (i, 2)), 1, (-1, 3)),
 }
 
 
@@ -157,6 +159,53 @@ def test_index_arguments_are_ints_in_range(name):
         with pytest.raises(DomainError) as e:
             build(bad)
         assert "strictly increase" not in str(e.value)
+
+
+OTHER = lexgroups.LexGroup((KIND_Z, KIND_Z))
+OMEGA_Z = hahnomega.OmegaGroup(KIND_Z)
+
+
+def _other_group_calls():
+    """(call, what) for each entry point that takes two values of one
+    group, called with the second from a group of the same shape."""
+    x, y = lexgroups.element(LEX, (1, 0)), lexgroups.element(OTHER, (1, 0))
+    c = cuts.principal(LEX, cuts.BELOW, (1, 0), 2)
+    sub = lexgroups.ConvexSubgroup(OTHER, 1)
+    ox = hahnomega.omega_element(OMEGA, [(0, 1)])
+    oy = hahnomega.omega_element(OMEGA_Z, [(0, 1)])
+    anchor = hahnomega.omega_gap_at(OMEGA, [(0, 1)], 2, ROOT2)
+    m = lexgroups.widening(OTHER)
+    return [
+        (lambda: x + y, "element"),
+        (lambda: x - y, "element"),
+        (lambda: lexgroups.lex_compare(x, y), "element"),
+        (lambda: lexgroups.ConvexSubgroup(LEX, 1).member(y), "element"),
+        (lambda: lexgroups.epsilon_upper(
+            m, lexgroups.ConvexSubgroup(LEX, 1)), "subgroup"),
+        (lambda: cuts.member(c, y), "element"),
+        (lambda: cuts.translate(c, y), "element"),
+        (lambda: cuts.compare_cuts(c, cuts.AllBelow(OTHER)), "cut"),
+        (lambda: cuts.quotient_image(c, sub), "subgroup"),
+        (lambda: cuts.trace(c, sub), "subgroup"),
+        (lambda: cuts.transport(c, sub, sub), "subgroup"),
+        (lambda: cuts.interval_bounds(c, y), "element"),
+        (lambda: cuts.invariance_witness(c, y), "element"),
+        (lambda: ox + oy, "element"),
+        (lambda: ox - oy, "element"),
+        (lambda: hahnomega.omega_compare(ox, oy), "element"),
+        (lambda: hahnomega.omega_member(anchor, oy), "element"),
+        (lambda: hahnomega.omega_tail(OMEGA, 1).member(oy), "element"),
+        (lambda: hahnomega.omega_translate(anchor, oy), "element"),
+        (lambda: hahnomega.omega_invariance_witness(anchor, oy), "element"),
+    ]
+
+
+def test_arguments_of_another_group_are_refused_in_one_wording():
+    # one wording everywhere, for sums and comparisons too
+    for call, what in _other_group_calls():
+        with pytest.raises(DomainError) as e:
+            call()
+        assert str(e.value) == "%s belongs to a different group" % what
 
 
 def test_unpickling_runs_the_checks_again():

@@ -135,6 +135,48 @@ def test_only_cut_builds_principal_and_gap_descriptors():
                    for places in uses.values() for p in places), uses
 
 
+# errors.integer and errors.same_group say the two common refusals, an index
+# that is not exactly an int and an argument over another group.  No other
+# module words them, or tests `__class__ is not int` itself but in the scopes
+# listed here, each with its reason.
+INT_TEST_EXEMPT = {
+    "RankOneKind.__post_init__":
+        "its `d.__class__ is not int` decides whether to split d; "
+        "_square_free does the refusing",
+}
+REFUSAL_WORDS = ("must be an integer", "different group")
+
+
+def _int_tests(tree):
+    """(enclosing function, line) of each `x.__class__ is not int`."""
+    return _scoped(tree, lambda node: (
+        isinstance(node, ast.Compare) and
+        isinstance(node.left, ast.Attribute) and
+        node.left.attr == "__class__" and
+        [op.__class__ for op in node.ops] == [ast.IsNot] and
+        [getattr(c, "id", None) for c in node.comparators] == ["int"]))
+
+
+def test_common_refusals_are_said_once():
+    words, tests = [], {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        text = path.read_text()
+        words += ["%s:%d" % (path.name, n)
+                  for n, line in enumerate(text.splitlines(), 1)
+                  if any(w in line for w in REFUSAL_WORDS)]
+        for scope, line in _int_tests(ast.parse(text, str(path))):
+            tests.setdefault(scope, []).append("%s:%d" % (path.name, line))
+    assert words == []
+    assert set(tests) == set(INT_TEST_EXEMPT), tests
+    assert all(reason for reason in INT_TEST_EXEMPT.values())
+    # and errors.py says each
+    text = (SRC / "errors.py").read_text()
+    assert all(w in text for w in REFUSAL_WORDS)
+    assert [s for s, _ in _int_tests(ast.parse(text))] == ["integer"]
+
+
 # Public definitions that no library code uses, each with the file outside
 # src/ that uses it: an acceptance criterion, the README's example or the
 # benchmark.  A definition that only other tests use lives in tests/.  An
