@@ -201,10 +201,7 @@ def _run(verb, args):
 def _orders(args):
     if len(args) != 1:
         raise _Usage("expected: orders SIZE")
-    n = _int(args[0])
-    if n < 0:
-        raise DomainError("chain size must be nonnegative")
-    segs = ordsets.all_segments(ordsets.FiniteChain(n))
+    segs = ordsets.all_segments(ordsets.FiniteChain(_int(args[0])))
     bounds = []
     for s in segs:
         lo, hi = ordsets.cut_bounds(s)

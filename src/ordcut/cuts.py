@@ -28,12 +28,12 @@ level; the public constructors refuse gaps over discrete factors and
 level-0 descriptors.  Descriptor equality then decides cut equality.
 """
 
-from .errors import DomainError, integer, same_group
+from .errors import DomainError, group_kind, index, same_group
 from . import scalars
 from .record import Record
 from .scalars import Scalar, ZERO, ONE
-from .lexgroups import (ConvexSubgroup, GroupElement, LexGroup, iota,
-                        lex_compare, slice_group, zero)
+from .lexgroups import (ConvexSubgroup, GroupElement, LexGroup,
+                        initial_part, iota, slice_group)
 
 MINUS = "minus"
 PLUS = "plus"
@@ -45,9 +45,15 @@ ABOVE = "above"
 class AllBelow(Record):
     __slots__ = ("group",)
 
+    def __post_init__(self):
+        group_kind(self.group, LexGroup, "a cut")
+
 
 class AllAbove(Record):
     __slots__ = ("group",)
+
+    def __post_init__(self):
+        group_kind(self.group, LexGroup, "a cut")
 
 
 class Principal(Record):
@@ -60,10 +66,7 @@ class GapCut(Record):
 
 def _checked(group, level, coords):
     """The coordinates as Scalars, each checked against its factor."""
-    integer(level, "level")
-    if not 1 <= level <= group.rank:
-        raise DomainError("level %d outside 1..%d (level 0 cuts are the "
-                          "trivial AllBelow/AllAbove)" % (level, group.rank))
+    index(level, "level", 1, group.rank)
     coords = tuple(map(Scalar.make, coords))
     for kind, c in zip(group.factors, coords):
         if not scalars.contains(kind, c):
@@ -338,7 +341,7 @@ def invariance_witness(c, g):
         raise DomainError("zero stabilizes every cut")
     if invariance(c).member(g):
         raise DomainError("element lies in the invariance subgroup")
-    positive = lex_compare(g, zero(g.group)) > 0
+    positive = initial_part(g).sign() > 0
     lo, hi = _witness_positive(c, g if positive else -g)
     if member(c, lo) != MINUS or member(c, hi) != PLUS:
         raise AssertionError("invariance witness does not straddle the cut")

@@ -7,7 +7,7 @@ infinite descending chain Tail(0) > Tail(1) > ... with trivial intersection
 lives, and with it the tightened cut type that finite rank cannot produce.
 """
 
-from .errors import DomainError, integer, same_group
+from .errors import DomainError, group_kind, index, same_group
 from . import scalars
 from .record import Record
 from .scalars import ONE, RankOneKind, Scalar, ZERO
@@ -27,13 +27,12 @@ class OmegaElement(Record):
     __slots__ = ("group", "support")
 
     def __post_init__(self):
+        group_kind(self.group, OmegaGroup, "an omega element")
         prev = -1
         for i, v in self.support:
-            integer(i, "support index")
-            if i <= prev:  # prev starts at -1, so a negative index lands here
-                raise DomainError("support indices must be nonnegative"
-                                  if i < 0 else
-                                  "support indices must strictly increase")
+            index(i, "support index")
+            if i <= prev:
+                raise DomainError("support indices must strictly increase")
             prev = i
             if v.sign() == 0:
                 raise DomainError("support values must be nonzero")
@@ -76,9 +75,9 @@ def omega_element(group, pairs):
     index may not repeat, and zero values are dropped."""
     vals = {}
     for i, v in pairs:
-        integer(i, "support index")  # before sorted() compares them
+        index(i, "support index")  # before sorted() compares them
         if i in vals:
-            raise DomainError("index %s repeats" % (i,))
+            raise DomainError("index %s repeats" % scalars._print_ratio(i, 1))
         vals[i] = Scalar.make(v)
     return OmegaElement(group, tuple(sorted(
         (i, v) for i, v in vals.items() if v.sign() != 0)))
@@ -118,9 +117,8 @@ class OmegaGapAt(Record):
     __slots__ = ("group", "prefix", "index", "delta")
 
     def __post_init__(self):
-        integer(self.index, "gap index")
-        if self.index < 0:
-            raise DomainError("gap index must be nonnegative")
+        group_kind(self.group, OmegaGroup, "a gap anchor")
+        index(self.index, "gap index")
         if scalars.is_discrete_kind(self.group.factor):
             raise DomainError(
                 "discrete factor normalizes gap to principal; use a point")
@@ -135,6 +133,7 @@ class OmegaPeriodic(Record):
     __slots__ = ("group", "preperiod", "period")
 
     def __post_init__(self):
+        group_kind(self.group, OmegaGroup, "a periodic anchor")
         if not self.period:
             raise DomainError("period must be nonempty")
         for v in self.preperiod + self.period:
@@ -192,12 +191,9 @@ class OmegaConvexSubgroup(Record):
     __slots__ = ("group", "index")
 
     def __post_init__(self):
-        if not isinstance(self.group, OmegaGroup):
-            raise DomainError("a tail subgroup needs an omega group")
+        group_kind(self.group, OmegaGroup, "a tail subgroup")
         if self.index is not None:
-            integer(self.index, "tail index")
-            if self.index < 0:
-                raise DomainError("tail index must be nonnegative")
+            index(self.index, "tail index")
 
     def member(self, x):
         same_group(x, self.group)

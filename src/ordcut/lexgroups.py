@@ -15,7 +15,7 @@ refused is not stored, so it raises its error again on every call.
 
 from functools import lru_cache
 
-from .errors import DomainError, integer, same_group
+from .errors import DomainError, group_kind, index, same_group
 from . import scalars
 from .ordsets import FiniteChain
 from .record import Record
@@ -44,6 +44,7 @@ class GroupElement(Record):
     __slots__ = ("group", "coords")
 
     def __post_init__(self):
+        group_kind(self.group, LexGroup, "an element")
         if len(self.coords) != self.group.rank:
             raise DomainError("element has wrong number of coordinates")
         for kind, c in zip(self.group.factors, self.coords):
@@ -70,10 +71,8 @@ class ConvexSubgroup(Record):
     __slots__ = ("group", "level")
 
     def __post_init__(self):
-        integer(self.level, "level")
-        if not 0 <= self.level <= self.group.rank:
-            raise DomainError("level %d outside 0..%d"
-                              % (self.level, self.group.rank))
+        group_kind(self.group, LexGroup, "a convex subgroup")
+        index(self.level, "level", 0, self.group.rank)
 
     def member(self, x):
         same_group(x, self.group)
@@ -90,10 +89,7 @@ def zero(group):
 
 def unit(group, i):
     """The element with 1 at coordinate i (1-based), 0 elsewhere."""
-    integer(i, "coordinate index")
-    if not 1 <= i <= group.rank:
-        raise DomainError("coordinate index %d outside 1..%d"
-                          % (i, group.rank))
+    index(i, "coordinate index", 1, group.rank)
     coords = [ZERO] * group.rank
     coords[i - 1] = ONE
     return GroupElement(group, tuple(coords))
@@ -131,11 +127,17 @@ class FactorwiseInjection(Record):
     __slots__ = ("dom", "cod", "scales")
 
     def __post_init__(self):
+        from fractions import Fraction  # here, so a cold start loads none
         if self.dom.rank != self.cod.rank:
             raise DomainError("factorwise morphism needs equal ranks")
+        if not isinstance(self.scales, tuple):  # a field must hash
+            raise DomainError("scales must be a tuple")
         if len(self.scales) != self.dom.rank:
             raise DomainError("one scale per factor required")
         for kd, kc, s in zip(self.dom.factors, self.cod.factors, self.scales):
+            if s.__class__ is not int and s.__class__ is not Fraction:
+                raise DomainError("a scale is an int or a Fraction, not %s"
+                                  % s.__class__.__name__)
             if s <= 0:
                 raise DomainError("scales must be positive")
             # a divisible factor spans its generators over Q, not only Z
@@ -161,10 +163,8 @@ def widening(g):
 
 def slice_group(g, k1, k2):
     """The sub-quotient C_{k1}/C_{k2}: factors k1+1..k2."""
-    integer(k1, "slice bound")
-    integer(k2, "slice bound")
-    if not 0 <= k1 <= k2 <= g.rank:
-        raise DomainError("bad slice window %d..%d" % (k1, k2))
+    index(k1, "slice bound", 0, g.rank)
+    index(k2, "slice bound", k1, g.rank)
     return LexGroup(g.factors[k1:k2])
 
 

@@ -8,7 +8,7 @@ adjoint triple lower_image -| pullback -| upper_image.
 
 from itertools import combinations_with_replacement
 
-from .errors import DomainError, integer
+from .errors import DomainError, index
 from .record import Record
 
 
@@ -16,19 +16,14 @@ class FiniteChain(Record):
     __slots__ = ("size",)
 
     def __post_init__(self):
-        integer(self.size, "chain size")
-        if self.size < 0:
-            raise DomainError("chain size must be nonnegative")
+        index(self.size, "chain size")
 
 
 class Segment(Record):
     __slots__ = ("chain", "cutoff")
 
     def __post_init__(self):
-        integer(self.cutoff, "cutoff")
-        if not 0 <= self.cutoff <= self.chain.size:
-            raise DomainError("cutoff %d outside 0..%d"
-                              % (self.cutoff, self.chain.size))
+        index(self.cutoff, "cutoff", 0, self.chain.size)
 
 
 class MonotoneMap(Record):
@@ -42,9 +37,7 @@ class MonotoneMap(Record):
             raise DomainError("images must be a tuple")
         prev = 0
         for v in self.images:
-            integer(v, "image")
-            if not 0 <= v < self.cod.size:
-                raise DomainError("image %d outside codomain" % v)
+            index(v, "image", 0, self.cod.size - 1)
             if v < prev:
                 raise DomainError("images are not monotone")
             prev = v

@@ -398,10 +398,6 @@ def quad_z(d):
     return RankOneKind("Z", d)
 
 
-def quad_q(d):
-    return RankOneKind("Q", d)
-
-
 def contains(kind, x):
     """Membership of the scalar x in the rank-one group."""
     # canonical x: q == 0 exactly when d == 0, and a, b are integers

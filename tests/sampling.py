@@ -34,6 +34,11 @@ def parse_scalar(text):
     return dsl._parse_with("parse_scalar", text)
 
 
+def quad_q(d):
+    """The rank-one group Q[sqrt d], or Q for d = 0."""
+    return scalars.RankOneKind("Q", d)
+
+
 def omega_zero(group):
     return OmegaElement(group, ())
 

@@ -21,7 +21,7 @@ from ordcut.lexgroups import (ConvexSubgroup, LexGroup, convex_subgroups,
 from ordcut.ordsets import (FiniteChain, Segment, all_monotone_maps,
                             all_segments, cut_images, cut_witness,
                             lower_image, pullback, reconstruct, upper_image)
-from ordcut.scalars import KIND_Q, KIND_Z, Scalar, quad_q, quad_z
+from ordcut.scalars import KIND_Q, KIND_Z, Scalar, quad_z
 
 import sampling
 

@@ -12,11 +12,11 @@ from ordcut import cuts, dsl, hahnomega, lexgroups, scalars
 from ordcut.errors import DomainError, ParseError
 from ordcut.lexgroups import LexGroup, divisible_hull, widening
 from ordcut.hahnomega import OmegaGroup, omega_gap_at, omega_periodic
-from ordcut.scalars import KIND_Q, KIND_Z, Scalar, quad_q, quad_z
+from ordcut.scalars import KIND_Q, KIND_Z, Scalar, quad_z
 
 import sampling
 import step_parser
-from sampling import omega_point, omega_zero, parse_scalar
+from sampling import omega_point, omega_zero, parse_scalar, quad_q
 
 GROUP_TEXTS = ["lex(Z)", "lex(Z,Z)", "lex(Z,Q)", "lex(Z,Z,Q)",
                "lex(Z[sqrt 2],Q)", "lex(Q[sqrt 5])", "lex()",

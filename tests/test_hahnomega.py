@@ -15,10 +15,10 @@ from ordcut.hahnomega import (MINUS, PLUS, OmegaGroup, index_cut,
                               omega_periodic, omega_tail, omega_translate,
                               omega_zero_subgroup)
 from ordcut.lexgroups import LexGroup, element
-from ordcut.scalars import KIND_Q, KIND_Z, Scalar, quad_q, quad_z
+from ordcut.scalars import KIND_Q, KIND_Z, Scalar, quad_z
 
 import sampling
-from sampling import omega_point, omega_zero
+from sampling import omega_point, omega_zero, quad_q
 
 GZ = OmegaGroup(KIND_Z)
 GQ = OmegaGroup(KIND_Q)
@@ -68,8 +68,10 @@ def test_tail_subgroups_take_an_omega_group_and_an_index_or_none():
                            match="^tail index must be an integer, not %s$"
                            % type(bad).__name__):
             omega_tail(GZ, bad)
-    with pytest.raises(DomainError, match="^tail index must be nonnegative$"):
-        omega_tail(GZ, -3)
+    for bad in (-3, -10 ** 5000):
+        with pytest.raises(DomainError,
+                           match="^tail index must be nonnegative$"):
+            omega_tail(GZ, bad)
 
 
 def test_group_validation():
@@ -89,6 +91,10 @@ def test_repeated_index_is_refused():
             omega_element(GZ, pairs)
     assert omega_element(GZ, [(3, 0), (1, 2)]).support == \
         ((1, Scalar.make(2)),)
+    # an index past `%d`'s digits is printed in full
+    with pytest.raises(DomainError,
+                       match="^index 1%s repeats$" % ("0" * 5000)):
+        omega_element(GZ, [(10 ** 5000, 1), (10 ** 5000, 2)])
 
 
 def test_compare_examples():

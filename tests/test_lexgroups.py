@@ -14,9 +14,10 @@ from ordcut.lexgroups import (ConvexSubgroup, GroupElement,
                               epsilon_upper, hahn_embed, initial_part, iota,
                               is_principal, lex_compare, skeleton,
                               slice_group, unit, widening, zero)
-from ordcut.scalars import KIND_Q, KIND_Z, Scalar, quad_q, quad_z
+from ordcut.scalars import KIND_Q, KIND_Z, Scalar, quad_z
 
 import sampling
+from sampling import quad_q
 
 ZZ = LexGroup((KIND_Z, KIND_Z))
 ZZZ = LexGroup((KIND_Z, KIND_Z, KIND_Z))
@@ -180,6 +181,25 @@ def test_factorwise_injection_validation():
     m = lexgroups.FactorwiseInjection(ZZ, ZQ, (Fraction(3), Fraction(1, 2)))
     assert m.apply(element(ZZ, (2, 4))) == element(
         ZQ, (Scalar.make(6), Scalar.make(2)))
+
+
+def test_factorwise_scales_are_a_tuple_of_positive_ints_or_fractions():
+    assert lexgroups.FactorwiseInjection(ZZ, ZQ, (3, Fraction(1, 2))) == \
+        lexgroups.FactorwiseInjection(ZZ, ZQ, (Fraction(3), Fraction(1, 2)))
+    for scales in ([1, 1], (1, 1, 1), ()):
+        with pytest.raises(DomainError):
+            lexgroups.FactorwiseInjection(ZZ, ZZ, scales)
+    with pytest.raises(DomainError, match="^scales must be a tuple$"):
+        lexgroups.FactorwiseInjection(ZZ, ZZ, [1, 1])
+    # bool is refused as radicands and indices refuse it
+    for bad in (True, "a", 0.5, 1.0, None, Scalar.make(1)):
+        with pytest.raises(
+                DomainError, match="^a scale is an int or a Fraction, not %s$"
+                % type(bad).__name__):
+            lexgroups.FactorwiseInjection(ZZ, ZQ, (1, bad))
+    for bad in (0, -1, Fraction(-1, 2)):
+        with pytest.raises(DomainError, match="^scales must be positive$"):
+            lexgroups.FactorwiseInjection(ZZ, ZQ, (1, bad))
 
 
 # ---------------------------------------------------------------------------

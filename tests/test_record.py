@@ -11,9 +11,10 @@ import pytest
 from ordcut import cuts, hahnomega, lexgroups, ordsets, scalars
 from ordcut.errors import DomainError
 from ordcut.record import Record
-from ordcut.scalars import KIND_Z, Scalar, quad_q
+from ordcut.scalars import KIND_Z, Scalar
 
 import sampling
+from sampling import quad_q
 
 MODULES = (scalars, lexgroups, cuts, hahnomega, ordsets)
 
@@ -120,19 +121,23 @@ CHAIN = ordsets.FiniteChain(3)
 LEX = lexgroups.LexGroup((KIND_Z, scalars.KIND_Q))
 OMEGA = hahnomega.OmegaGroup(scalars.KIND_Q)
 ROOT2 = Scalar.make(0, 1, 2)
+HUGE = 10 ** 5000  # more digits than `%d` prints
 
 # Each argument that indexes or counts: a builder of one value from it, a
-# valid argument and arguments out of range.
+# valid argument and arguments out of range.  Every one refuses -HUGE, and
+# every one with an upper bound refuses HUGE.
 INDEXED = {
-    "ConvexSubgroup": (lambda i: lexgroups.ConvexSubgroup(LEX, i), 1, (-1, 3)),
+    "ConvexSubgroup": (lambda i: lexgroups.ConvexSubgroup(LEX, i), 1,
+                       (-1, 3, HUGE)),
     "principal": (lambda i: cuts.principal(LEX, cuts.BELOW, (1, 0), i), 1,
-                  (0, 3)),
-    "gap_cut": (lambda i: cuts.gap_cut(LEX, (1,), i, ROOT2), 2, (0, 3)),
+                  (0, 3, HUGE)),
+    "gap_cut": (lambda i: cuts.gap_cut(LEX, (1,), i, ROOT2), 2,
+                (0, 3, HUGE)),
     "slice_group k1": (lambda i: lexgroups.slice_group(LEX, i, 2), 1,
-                       (-1, 3)),
+                       (-1, 3, HUGE)),
     "slice_group k2": (lambda i: lexgroups.slice_group(LEX, 0, i), 1,
-                       (-1, 3)),
-    "unit": (lambda i: lexgroups.unit(LEX, i), 1, (0, -1, 3)),
+                       (-1, 3, HUGE)),
+    "unit": (lambda i: lexgroups.unit(LEX, i), 1, (0, -1, 3, HUGE)),
     "omega_element": (lambda i: hahnomega.omega_element(OMEGA, [(i, 1)]), 1,
                       (-1, -2)),
     "OmegaElement": (lambda i: hahnomega.OmegaElement(
@@ -140,9 +145,9 @@ INDEXED = {
     "OmegaGapAt": (lambda i: hahnomega.OmegaGapAt(
         OMEGA, hahnomega.omega_element(OMEGA, []), i, ROOT2), 1, (-1,)),
     "FiniteChain": (ordsets.FiniteChain, 1, (-1,)),
-    "Segment": (lambda i: ordsets.Segment(CHAIN, i), 1, (-1, 4)),
+    "Segment": (lambda i: ordsets.Segment(CHAIN, i), 1, (-1, 4, HUGE)),
     "MonotoneMap image": (lambda i: ordsets.MonotoneMap(
-        ordsets.FiniteChain(2), CHAIN, (i, 2)), 1, (-1, 3)),
+        ordsets.FiniteChain(2), CHAIN, (i, 2)), 1, (-1, 3, HUGE)),
 }
 
 
@@ -155,10 +160,62 @@ def test_index_arguments_are_ints_in_range(name):
         with pytest.raises(DomainError, match="must be an integer, not %s$"
                            % type(bad).__name__):
             build(bad)
-    for bad in out_of_range:
+    for bad in out_of_range + (-HUGE,):
         with pytest.raises(DomainError) as e:
             build(bad)
         assert "strictly increase" not in str(e.value)
+
+
+def test_index_refusals_print_the_index_in_full():
+    # `<what> <value> outside <lo>..<hi>`, or `<what> must be nonnegative`
+    # when there is no upper bound; past `%d`'s digits too
+    for call, message in (
+            (lambda: lexgroups.ConvexSubgroup(LEX, 3), "level 3 outside 0..2"),
+            (lambda: cuts.principal(LEX, cuts.BELOW, (1, 0), 0),
+             "level 0 outside 1..2"),
+            (lambda: cuts.gap_cut(LEX, (1,), -HUGE, ROOT2),
+             "level -1%s outside 1..2" % ("0" * 5000)),
+            (lambda: lexgroups.slice_group(LEX, 2, 1),
+             "slice bound 1 outside 2..2"),
+            (lambda: ordsets.MonotoneMap(ordsets.FiniteChain(2), CHAIN,
+                                         (0, 3)), "image 3 outside 0..2"),
+            (lambda: ordsets.Segment(ordsets.FiniteChain(HUGE), -1),
+             "cutoff -1 outside 0..1" + "0" * 5000),
+            (lambda: hahnomega.OmegaElement(OMEGA, ((-1, scalars.ONE),)),
+             "support index must be nonnegative"),
+            (lambda: ordsets.FiniteChain(-HUGE),
+             "chain size must be nonnegative")):
+        with pytest.raises(DomainError) as e:
+            call()
+        assert str(e.value) == message
+
+
+def test_records_refuse_a_group_of_the_wrong_kind():
+    # checked before any field of the group is read
+    lex_point = lexgroups.zero(LEX)
+    omega_point = hahnomega.omega_element(OMEGA, [])
+    for call, message in (
+            (lambda g: lexgroups.GroupElement(g, ()), "an element needs"),
+            (lambda g: lexgroups.ConvexSubgroup(g, 0),
+             "a convex subgroup needs"),
+            (lambda g: cuts.AllBelow(g), "a cut needs"),
+            (lambda g: cuts.AllAbove(g), "a cut needs")):
+        for bad in ("G", OMEGA, None):
+            with pytest.raises(DomainError) as e:
+                call(bad)
+            assert str(e.value) == message + " a lex group"
+    for call, message in (
+            (lambda g: hahnomega.OmegaElement(g, ()), "an omega element"),
+            (lambda g: hahnomega.OmegaGapAt(g, omega_point, 1, ROOT2),
+             "a gap anchor"),
+            (lambda g: hahnomega.OmegaPeriodic(g, (), (scalars.ONE,)),
+             "a periodic anchor"),
+            (lambda g: hahnomega.OmegaConvexSubgroup(g, 1),
+             "a tail subgroup")):
+        for bad in ("Z", scalars.KIND_Z, LEX, lex_point):
+            with pytest.raises(DomainError) as e:
+                call(bad)
+            assert str(e.value) == message + " needs an omega group"
 
 
 OTHER = lexgroups.LexGroup((KIND_Z, KIND_Z))

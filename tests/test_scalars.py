@@ -13,10 +13,9 @@ from hypothesis import given, settings, strategies as st
 from ordcut import scalars
 from ordcut.errors import DomainError
 from ordcut.scalars import (KIND_Q, KIND_Z, Scalar, compare_cross, contains,
-                            divisible_hull_kind, is_discrete_kind, quad_q,
-                            quad_z)
+                            divisible_hull_kind, is_discrete_kind, quad_z)
 
-from sampling import height
+from sampling import height, quad_q
 
 RADS = [0, 2, 3, 5]
 
