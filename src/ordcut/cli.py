@@ -22,6 +22,7 @@ from . import lexgroups
 from . import ordsets
 from .hahnomega import OmegaGroup
 from .lexgroups import ConvexSubgroup
+from .scalars import _print_ratio
 
 _ORDER_NAMES = {-1: "less", 0: "equal", 1: "greater"}
 
@@ -98,7 +99,7 @@ def _cut_in(c):
 def _omega_invariance(g, a):
     sub = hahnomega.omega_invariance(a)
     return {"invariance": "zero" if sub.index is None
-            else "tail(%d)" % sub.index,
+            else "tail(%s)" % _print_ratio(sub.index, 1),
             "index_cut": hahnomega.index_cut(a)}
 
 

@@ -24,7 +24,7 @@ from .errors import DomainError, ParseError
 from . import scalars
 from .scalars import Scalar, RankOneKind, _print_ratio
 from . import lexgroups
-from .lexgroups import LexGroup, FactorwiseInjection
+from .lexgroups import LexGroup
 from . import cuts
 from . import hahnomega
 from .hahnomega import OmegaGroup
@@ -111,8 +111,8 @@ class _Parser:
         return num, 1
 
     def parse_rat(self):
-        import fractions
-        return fractions.Fraction(*self.parse_ratio())
+        num, den = self.parse_ratio()
+        return scalars.from_ratios(num, den, 0, 1, 0)
 
     def parse_scalar(self):
         an, ad = self.parse_ratio()
@@ -220,12 +220,7 @@ class _Parser:
             rats = self.parse_list(self.parse_rat, ")", empty=not group.rank)
             if len(rats) != group.rank:
                 self.error("scale needs %d entries" % group.rank, after=True)
-            # a factor whose scaled generators leave it maps into its hull
-            cod = LexGroup(tuple(
-                k if all(scalars.contains(k, g * s) for g in k.generators())
-                else scalars.divisible_hull_kind(k)
-                for k, s in zip(group.factors, rats)))
-            return FactorwiseInjection(group, cod, tuple(rats))
+            return lexgroups.scaling(group, tuple(rats))
         self.error("expected a morphism (widen or scale(...))")
 
 
@@ -273,10 +268,6 @@ def parse_morphism(text, group):
 # ---------------------------------------------------------------------------
 # printers (canonical: lowest terms, radical omitted when b = 0)
 
-def print_rat(q):
-    return _print_ratio(q.numerator, q.denominator)
-
-
 print_scalar = Scalar.__str__
 
 
@@ -297,7 +288,7 @@ def print_element(x):
 
 
 def print_oelement(x):
-    return "{%s}" % ",".join("%d:%s" % (i, print_scalar(v))
+    return "{%s}" % ",".join("%s:%s" % (_print_ratio(i, 1), print_scalar(v))
                              for i, v in x.support)
 
 
@@ -316,7 +307,8 @@ def print_oanchor(a):
     if isinstance(a, hahnomega.OmegaPoint):
         return "point(%s)" % print_oelement(a.point)
     if isinstance(a, hahnomega.OmegaGapAt):
-        return "gap_at(%s; %d; %s)" % (print_oelement(a.prefix), a.index,
+        return "gap_at(%s; %s; %s)" % (print_oelement(a.prefix),
+                                       _print_ratio(a.index, 1),
                                        print_scalar(a.delta))
     return "periodic([%s]; [%s])" % (
         ",".join(print_scalar(v) for v in a.preperiod),
@@ -326,4 +318,4 @@ def print_oanchor(a):
 def print_morphism(m):
     if m == lexgroups.widening(m.dom):
         return "widen"
-    return "scale(%s)" % ",".join(print_rat(s) for s in m.scales)
+    return "scale(%s)" % ",".join(print_scalar(s) for s in m.scales)

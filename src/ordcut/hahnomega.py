@@ -234,7 +234,7 @@ def index_cut(anchor):
     inv = omega_invariance(anchor)
     if inv.index is None:
         return "top"
-    return "L^{>%d}" % (inv.index - 1)
+    return "L^{>%s}" % scalars._print_ratio(inv.index - 1, 1)
 
 
 def omega_translate(anchor, g):

@@ -4,7 +4,10 @@ Factors are indexed 1..n from most significant.  C_k is the convex subgroup
 zeroing the first k coordinates; C_0 = the whole group, C_n = (0), and these
 n+1 subgroups are all convex subgroups of the product.  The quotient by C_k
 and the sub-quotient C_{k1}/C_{k2} are the groups of `slice_group`; the
-morphisms are the factorwise injections, among them `widening`.
+morphisms are the factorwise injections, among them `widening` and
+`scaling`.  Their scales are rational `Scalar`s, and whether a scaled
+factor lies in a codomain factor is read off the two tags and radicands and
+whether the scale is an integer (`_scaled_into`), with no product formed.
 
 `widening` keeps a memo keyed by the group (by its factors, so two equal
 groups share an entry), bounded at 256 entries: the injection into the
@@ -13,7 +16,9 @@ returns the same immutable record, which callers share.  A group that is
 refused is not stored, so it raises its error again on every call.
 """
 
+import sys
 from functools import lru_cache
+from math import isqrt
 
 from .errors import DomainError, group_kind, index, same_group
 from . import scalars
@@ -123,28 +128,60 @@ def is_principal(c):
 # ---------------------------------------------------------------------------
 # morphisms
 
+def _scaled_into(kd, s, kc):
+    """Whether s*kd lies in kc, for a rational scalar s, read off the tags,
+    the radicands and whether s is an integer, with no product formed.
+
+    s lies in kc when kc is a Q kind or s is an integer, and s*Q only when
+    kc is a Q kind.  s*sqrt(e), for e = kd.d, lies in kc under the same
+    condition when e = kc.d.  For another radicand c = kc.d of e's square
+    class, sqrt(e) = (t/c)*sqrt(c) with t = isqrt(e*c), as `scalars._over`
+    rewrites it, and the coefficient s*t/c must lie in kc; sqrt(e) of
+    another class lies in no kind over c.
+    """
+    if kc.tag != "Q" and (kd.tag == "Q" or s.n != 1):
+        return False
+    e, c = kd.d, kc.d
+    if not e or e == c:
+        return True
+    if not c:
+        return False
+    t = isqrt(e * c)
+    return t * t == e * c and (kc.tag == "Q" or s.p * t % c == 0)
+
+
 class FactorwiseInjection(Record):
+    """x -> (s_1*x_1, ..., s_n*x_n) from dom into cod, for positive rational
+    scales: each an int, a Fraction or a rational Scalar, stored as a
+    Scalar, so that equal scales give equal morphisms."""
+
     __slots__ = ("dom", "cod", "scales")
 
     def __post_init__(self):
-        from fractions import Fraction  # here, so a cold start loads none
         if self.dom.rank != self.cod.rank:
             raise DomainError("factorwise morphism needs equal ranks")
         if not isinstance(self.scales, tuple):  # a field must hash
             raise DomainError("scales must be a tuple")
         if len(self.scales) != self.dom.rank:
             raise DomainError("one scale per factor required")
+        # a Fraction exists only once fractions is loaded: none is imported
+        fraction = getattr(sys.modules.get("fractions"), "Fraction", None)
+        scales = []
         for kd, kc, s in zip(self.dom.factors, self.cod.factors, self.scales):
-            if s.__class__ is not int and s.__class__ is not Fraction:
-                raise DomainError("a scale is an int or a Fraction, not %s"
-                                  % s.__class__.__name__)
-            if s <= 0:
+            if s.__class__ is not Scalar:
+                if s.__class__ is not int and s.__class__ is not fraction:
+                    raise DomainError("a scale is an int or a Fraction, not %s"
+                                      % s.__class__.__name__)
+                s = Scalar.make(s)
+            elif s.q:
+                raise DomainError("a scale is rational, not %s" % s)
+            if s.p <= 0:
                 raise DomainError("scales must be positive")
-            # a divisible factor spans its generators over Q, not only Z
-            if kd.tag == "Q" and kc.tag != "Q" or not all(
-                    scalars.contains(kc, g * s) for g in kd.generators()):
+            if not _scaled_into(kd, s, kc):
                 raise DomainError(
                     "scaled factor image leaves the codomain factor")
+            scales.append(s)
+        object.__setattr__(self, "scales", tuple(scales))
 
     def apply(self, x):
         if x.group != self.dom:
@@ -153,12 +190,20 @@ class FactorwiseInjection(Record):
             c * s for c, s in zip(x.coords, self.scales)))
 
 
+def scaling(g, scales):
+    """The factorwise injection of g by these rational scalars into the
+    group of each factor itself, or of its divisible hull where the scaled
+    factor leaves it."""
+    return FactorwiseInjection(g, LexGroup(tuple(
+        k if _scaled_into(k, s, k) else scalars.divisible_hull_kind(k)
+        for k, s in zip(g.factors, scales))), scales)
+
+
 @lru_cache(maxsize=256)  # the groups of a session
 def widening(g):
     """The canonical injection of g into its factorwise divisible hull."""
     hull = LexGroup(tuple(scalars.divisible_hull_kind(k) for k in g.factors))
-    import fractions
-    return FactorwiseInjection(g, hull, (fractions.Fraction(1),) * g.rank)
+    return FactorwiseInjection(g, hull, (ONE,) * g.rank)
 
 
 def slice_group(g, k1, k2):

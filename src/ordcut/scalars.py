@@ -1,28 +1,32 @@
 """Exact arithmetic and sign determination for numbers a + b*sqrt(d).
 
-Scalars are the coordinate domain for every rank-one factor and for gap
-anchors.  A scalar is four Python ints (p, q, n, d) standing for
-(p + q*sqrt(d))/n, canonical: n > 0, gcd(p, q, n) = 1, and d = 0 exactly
-when q = 0, else a non-square.  Arithmetic, signs, floors and the witness
-builders `small_positive` and `element_below` work on those ints alone;
+Scalars are the coordinate domain for every rank-one factor, for gap
+anchors and, rational (q = 0), for the scales of factorwise morphisms.  A
+scalar is four Python ints (p, q, n, d) standing for (p + q*sqrt(d))/n,
+canonical: n > 0, gcd(p, q, n) = 1, and d = 0 exactly when q = 0, else a
+non-square.  Arithmetic, signs, floors and the witness builders
+`small_positive` and `element_below` work on those ints alone; a product or
+quotient by a rational scalar, an int or a Fraction is one `_scalar` call.
 `Fraction` only converts input (`Scalar.make`, which hands ints to
 `from_ratios`) and output (`.a`, `.b`), and `fractions` is imported there,
 on first use, which keeps it and the `decimal` it imports out of a cold
 start.  All order decisions are exact:
 signs are resolved by case analysis and squaring on integers, never by
 floating point, for any radicand.  Radicands enter through `from_ratios`
-and `RankOneKind`, split by `_square_free` without factoring, so they may
-keep the square of a prime past 2^10; two radicands d and e of one square
-class meet through isqrt(d*e) (`_over`).
+and `RankOneKind`, split by `_square_free` without factoring: the primes
+below 2^10 come out through gcds with their product, so d may keep the
+square of a larger prime; two radicands d and e of one square class meet
+through isqrt(d*e) (`_over`).
 """
 
 from functools import lru_cache
-from math import gcd, isqrt
+from itertools import compress
+from math import gcd, isqrt, prod
 
 from .errors import DomainError, integer
 from .record import Record
 
-_TRIAL = 1 << 10  # trial division bound
+_TRIAL = 1 << 10  # the primes below it are split off by gcds
 
 
 def _square_free(d):
@@ -38,28 +42,43 @@ def _square_free(d):
     return _split(d)
 
 
+def _primorial(bound):
+    """The product of the primes below bound, by a sieve."""
+    sieve = bytearray([1]) * bound
+    sieve[:2] = b"\0\0"
+    for f in range(2, isqrt(bound - 1) + 1):
+        if sieve[f]:
+            sieve[f * f::f] = bytes(len(range(f * f, bound, f)))
+    return prod(compress(range(bound), sieve))
+
+
+_SMALL = _primorial(_TRIAL)  # gcd(r, _SMALL): the small primes dividing r
+
+
 @lru_cache(maxsize=256)  # the radicands of a query, and of a few groups
 def _split(d):
     """`_square_free` of an int d >= 0, unchecked and memoized.
 
-    Trial division by f < _TRIAL while f^3 <= the cofactor r, then one
-    isqrt pulls out a square r whole.  Once f^3 > r, r has no prime below f,
-    so it is 1, p, pq or p^2 and d0 is square-free; that always happens
-    for d < 2^30.  Above, d0 is a non-square that may keep the square of a
-    prime past _TRIAL: at most _TRIAL/2 divisions, whatever d.
+    The primes below _TRIAL come out by gcds with their product, not by
+    trial division: g holds the small primes still dividing the cofactor r,
+    each round takes one of each out of r, and the ones that divide r again
+    leave as a pair, into k; the others, of odd exponent, go to d0.  A
+    round per pair of the largest small exponent, then one isqrt pulls out
+    a square r whole.  d0 is then square-free when d < 2^30 (r is 1, p, pq
+    or p^2 for primes p, q past _TRIAL); above, a non-square that may keep
+    the square of a prime past _TRIAL.
     """
     if d == 0:
         return 1, 0
-    k, d0, r, f = 1, 1, d, 2
-    while f < _TRIAL and f * f * f <= r:
-        if r % f == 0:
-            while r % (f * f) == 0:
-                r //= f * f
-                k *= f
-            if r % f == 0:
-                r //= f
-                d0 *= f
-        f += 1 + (f & 1)  # 2, then odd f only
+    k, d0, r = 1, 1, d
+    g = gcd(r, _SMALL)
+    while g != 1:
+        r //= g
+        h = gcd(r, g)  # the primes of g that divide r again
+        d0 *= g // h
+        r //= h
+        k *= h
+        g = gcd(r, h)
     s = isqrt(r)
     if s * s == r:
         return k * s, d0
@@ -244,9 +263,11 @@ class Scalar(_Ints):
 
     def __mul__(self, other):
         if not isinstance(other, Scalar):  # an int or a Fraction
-            m = other.numerator
-            return _scalar(self.p * m, self.q * m, self.n * other.denominator,
-                           self.d)
+            m, k = other.numerator, other.denominator
+            return _scalar(self.p * m, self.q * m, self.n * k, self.d)
+        if not other.q:
+            return _scalar(self.p * other.p, self.q * other.p,
+                           self.n * other.n, self.d)
         d = self.d
         if d != other.d:
             merged = self._merged(other)
@@ -260,21 +281,22 @@ class Scalar(_Ints):
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if not isinstance(other, Scalar):  # an int or a Fraction
+        if isinstance(other, Scalar):
+            if other.q:
+                r, s, m = other.p, other.q, other.n
+                norm = r * r - s * s * other.d  # nonzero: sqrt(d) irrational
+                if norm < 0:
+                    norm, m = -norm, -m
+                # 1/other = m*(r - s*sqrt(d))/norm
+                return self * _scalar(r * m, -s * m, norm, other.d)
+            m, k = other.p, other.n
+        else:  # an int or a Fraction
             m, k = other.numerator, other.denominator
-            if m == 0:
-                raise ZeroDivisionError("division by zero")
-            if m < 0:
-                m, k = -m, -k
-            return _scalar(self.p * k, self.q * k, self.n * m, self.d)
-        r, s, m = other.p, other.q, other.n
-        norm = r * r - s * s * other.d
-        if norm == 0:
-            raise ZeroDivisionError("division by zero scalar")
-        if norm < 0:
-            norm, m = -norm, -m
-        # 1/other = m*(r - s*sqrt(d))/norm
-        return self * _scalar(r * m, -s * m, norm, other.d)
+        if m == 0:
+            raise ZeroDivisionError("division by zero")
+        if m < 0:
+            m, k = -m, -k
+        return _scalar(self.p * k, self.q * k, self.n * m, self.d)
 
     def sign(self):
         return _quad_sign(self.p, self.q, self.d)
@@ -382,12 +404,6 @@ class RankOneKind(Record):
             if k != 1 or d0 < 2:
                 raise DomainError("radicand %s is not square-free >= 2"
                                   % _print_ratio(d, 1))
-
-    def generators(self):
-        """1, and sqrt(d) for a quadratic kind: they span the group."""
-        if self.d:
-            return (ONE, _raw(0, 1, 1, self.d))
-        return (ONE,)
 
 
 KIND_Z = RankOneKind("Z", 0)

@@ -28,6 +28,22 @@ def height(x):
     return max(abs(p) // g, n // g, abs(q) // h, n // h)
 
 
+def generators(kind):
+    """1, and sqrt(d) for a quadratic kind: they span the group.  Built
+    without splitting d, which a kind has split already."""
+    if kind.d:
+        return (scalars.ONE, scalars._raw(0, 1, 1, kind.d))
+    return (scalars.ONE,)
+
+
+def scaled_into_by_products(kd, s, kc):
+    """Whether s*kd lies in kc, by multiplying out kd's generators: the
+    check the library made before it read the answer off tags and
+    radicands.  A Q kind spans its generators over Q, so it needs a Q kind."""
+    return not (kd.tag == "Q" and kc.tag != "Q") and all(
+        scalars.contains(kc, g * s) for g in generators(kd))
+
+
 def parse_scalar(text):
     """The scalar of the DSL text, as the library parses an element's
     coordinates."""

@@ -16,6 +16,8 @@ from ordcut.hahnomega import OmegaGroup
 from ordcut.lexgroups import FactorwiseInjection, LexGroup
 from ordcut.scalars import RankOneKind, Scalar
 
+import sampling
+
 _UINT = re.compile("[0-9]+")  # not str.isdigit, which also accepts '²'
 
 
@@ -188,8 +190,7 @@ class _Parser:
                 self.error("scale needs %d entries" % group.rank)
             cod = []
             for kind, s in zip(group.factors, rats):
-                if all(scalars.contains(kind, g * s)
-                       for g in kind.generators()):
+                if sampling.scaled_into_by_products(kind, s, kind):
                     cod.append(kind)
                 else:
                     cod.append(scalars.divisible_hull_kind(kind))

@@ -190,6 +190,16 @@ def test_omega_invariance_output():
     assert "index_cut: L^{>1}" in out
 
 
+def test_omega_invariance_prints_an_index_past_the_literal_limit():
+    # the largest index literal is 4300 nines; its tail index has one digit
+    # more than "%d" prints
+    nines = "9" * 4300
+    assert run("invariance", "hahn_omega(Q)",
+               "gap_at({}; %s; 0 + 1*sqrt(2))" % nines) == (
+        0, "invariance: tail(1%s)\nindex_cut: L^{>%s}\n" % ("0" * 4300, nines),
+        "")
+
+
 def test_orders_output():
     code, out, _ = run("orders", "3")
     assert code == 0
@@ -438,7 +448,7 @@ def test_results_past_the_int_to_str_limit_print_in_full():
     num, den = out[len("result_cut: below(["):-len("]; C 1)\n")].split("/")
     assert len(den) > 8000
     total = Fraction(1, int(Decimal(den1))) + Fraction(1, int(Decimal(den2)))
-    # lowest terms, as print_rat prints every rational
+    # lowest terms, as print_scalar prints every rational
     assert (int(Decimal(num)), int(Decimal(den))) == (total.numerator,
                                                        total.denominator)
 

@@ -110,7 +110,7 @@ def test_morphism_round_trip():
     assert m == widening(g)
     assert dsl.print_morphism(m) == "widen"
     m2 = dsl.parse_morphism("scale(2,1/3)", g)
-    assert m2.scales == (Fraction(2), Fraction(1, 3))
+    assert m2.scales == (Scalar.make(2), Scalar.make(Fraction(1, 3)))
     assert m2.cod == LexGroup((KIND_Z, KIND_Q))
     assert dsl.parse_morphism(dsl.print_morphism(m2), g) == m2
     # non-integral scaling of Z forces the divisible hull on that factor
@@ -162,6 +162,20 @@ def test_refused_group_texts_raise_on_every_call():
         first = _error(text)
         assert first[0] is kind and message in first[1]
         assert _error(text) == _error(text) == first
+
+
+def test_omega_indices_print_past_the_int_to_str_limit():
+    # "%d" raised a plain ValueError past 4300 digits; the printers and
+    # index_cut print every index in full
+    far = 10 ** 5000
+    gap = omega_gap_at(OmegaGroup(KIND_Q), [], far, Scalar.make(0, 1, 2))
+    assert hahnomega.index_cut(gap) == "L^{>1%s}" % ("0" * 5000)
+    assert dsl.print_oanchor(gap) == \
+        "gap_at({}; 1%s; 0 + 1*sqrt(2))" % ("0" * 5000)
+    x = hahnomega.omega_element(OmegaGroup(KIND_Q), [(far, 1)])
+    assert dsl.print_oelement(x) == "{1%s:1}" % ("0" * 5000)
+    assert dsl.print_oanchor(omega_point(OmegaGroup(KIND_Q), [(far, 1)])) \
+        == "point({1%s:1})" % ("0" * 5000)
 
 
 def test_print_morphism_prints_widen_for_the_widening_only():
@@ -296,7 +310,8 @@ def _morphism_text(g, rng):
     if rng.random() < 0.3:
         return "widen"
     return "scale(%s)" % ",".join(
-        dsl.print_rat(sampling.sample_fraction(rng, 6) or Fraction(1))
+        dsl.print_scalar(Scalar.make(
+            sampling.sample_fraction(rng, 6) or Fraction(1)))
         for _ in g.factors)
 
 

@@ -216,7 +216,7 @@ def _quadratic_anchors(group, rng):
     anchors are rational over Z[sqrt d], over a second radical over Q[sqrt d]."""
     k = group.factor
     one = Scalar.make(1)
-    gen = k.generators()[1]
+    gen = sampling.generators(k)[1]
     return [
         omega_point(group, [(0, one + gen), (2, -gen)]),
         omega_point(group, []),
@@ -233,7 +233,7 @@ def test_quadratic_witnesses():
     anchors g starting below and at the gap index."""
     rng = sampling.rng_for(6)
     for group in (GZ2, GQ3):
-        gen = group.factor.generators()[1]
+        gen = sampling.generators(group.factor)[1]
         for anchor in _quadratic_anchors(group, rng):
             starts = range(4)
             if isinstance(anchor, hahnomega.OmegaGapAt):

@@ -14,7 +14,7 @@ from ordcut.lexgroups import (ConvexSubgroup, GroupElement,
                               epsilon_upper, hahn_embed, initial_part, iota,
                               is_principal, lex_compare, skeleton,
                               slice_group, unit, widening, zero)
-from ordcut.scalars import KIND_Q, KIND_Z, Scalar, quad_z
+from ordcut.scalars import KIND_Q, KIND_Z, RankOneKind, Scalar, quad_z
 
 import sampling
 from sampling import quad_q
@@ -191,8 +191,14 @@ def test_factorwise_scales_are_a_tuple_of_positive_ints_or_fractions():
             lexgroups.FactorwiseInjection(ZZ, ZZ, scales)
     with pytest.raises(DomainError, match="^scales must be a tuple$"):
         lexgroups.FactorwiseInjection(ZZ, ZZ, [1, 1])
-    # bool is refused as radicands and indices refuse it
-    for bad in (True, "a", 0.5, 1.0, None, Scalar.make(1)):
+    # bool is refused as radicands and indices refuse it; a rational Scalar
+    # is a scale, an irrational one is not
+    assert lexgroups.FactorwiseInjection(ZZ, ZQ, (1, Scalar.make(1))) == \
+        lexgroups.FactorwiseInjection(ZZ, ZQ, (1, 1))
+    with pytest.raises(DomainError,
+                       match=r"^a scale is rational, not 0 \+ 1\*sqrt\(2\)$"):
+        lexgroups.FactorwiseInjection(ZZ, ZQ, (1, Scalar.make(0, 1, 2)))
+    for bad in (True, "a", 0.5, 1.0, None):
         with pytest.raises(
                 DomainError, match="^a scale is an int or a Fraction, not %s$"
                 % type(bad).__name__):
@@ -218,7 +224,8 @@ def element_pair_and_morphism(draw):
         return x, y, widening(g)
     scales = [Fraction(draw(st.integers(1, 9)), draw(st.integers(1, 9)))
               for _ in g.factors]
-    text = "scale(%s)" % ",".join(dsl.print_rat(s) for s in scales)
+    text = "scale(%s)" % ",".join(dsl.print_scalar(Scalar.make(s))
+                                  for s in scales)
     return x, y, dsl.parse_morphism(text, g)
 
 
@@ -265,6 +272,63 @@ def test_factorwise_injection_keeps_divisible_factors_divisible():
                             (Fraction(2),))
     m = FactorwiseInjection(q, LexGroup((quad_q(2),)), (Fraction(2),))
     assert m.apply(element(q, (Fraction(1, 2),))).coords == (Scalar.make(1),)
+
+
+# The factor rule against the products it replaced: Z and Q kinds, plain
+# and over radicands of three square classes, two of them one class (1033
+# and 1031^2 * 1033, which keeps the square of a prime past 2^10), scaled by
+# integers and non-integers, 1031 among them.
+RULE_KINDS = [RankOneKind(tag, d) for tag in ("Z", "Q")
+              for d in (0, 2, 3, 1033, 1031 ** 2 * 1033)]
+RULE_SCALES = (1, 2, Fraction(1, 2), Fraction(3, 2), 1031, Fraction(1, 1031))
+
+
+def test_factor_rule_agrees_with_generator_products():
+    for kd in RULE_KINDS:
+        dom = LexGroup((kd,))
+        for s in RULE_SCALES:
+            scalar = Scalar.make(s)
+            for kc in RULE_KINDS:
+                cod = LexGroup((kc,))
+                expected = sampling.scaled_into_by_products(kd, scalar, kc)
+                try:
+                    m = FactorwiseInjection(dom, cod, (s,))
+                except DomainError as e:
+                    assert not expected, (kd, s, kc)
+                    assert str(e) == \
+                        "scaled factor image leaves the codomain factor"
+                    continue
+                assert expected, (kd, s, kc)
+                # int, Fraction and Scalar scales build one morphism
+                same = [FactorwiseInjection(dom, cod, (t,))
+                        for t in (Fraction(s), scalar)]
+                assert m.scales == (scalar,)
+                assert all(m == n and hash(m) == hash(n) for n in same)
+            # the parser's codomain: the factor, or its hull where it must
+            hull = scalars.divisible_hull_kind(kd)
+            text = "scale(%s)" % dsl.print_scalar(scalar)
+            assert dsl.parse_morphism(text, dom).cod == LexGroup(
+                (kd if sampling.scaled_into_by_products(kd, scalar, kd)
+                 else hull,))
+    # sqrt(1033) * 1031 is sqrt(1031^2 * 1033), and back by 1
+    big = 1031 ** 2 * 1033
+    assert FactorwiseInjection(LexGroup((quad_z(1033),)),
+                               LexGroup((quad_z(big),)), (1031,))
+    assert FactorwiseInjection(LexGroup((quad_z(big),)),
+                               LexGroup((quad_z(1033),)), (1,))
+
+
+def test_factor_rule_refusals_keep_their_messages():
+    for bad, message in ((0, "scales must be positive"),
+                         (-1, "scales must be positive"),
+                         (True, "a scale is an int or a Fraction, not bool"),
+                         (1.5, "a scale is an int or a Fraction, not float"),
+                         ("1", "a scale is an int or a Fraction, not str")):
+        for kd, kc in ((KIND_Z, KIND_Z), (KIND_Q, KIND_Q),
+                       (quad_z(2), quad_q(2))):
+            with pytest.raises(DomainError) as e:
+                FactorwiseInjection(LexGroup((kd,)), LexGroup((kc,)), (bad,))
+            assert str(e.value) == message
 
 
 # ---------------------------------------------------------------------------

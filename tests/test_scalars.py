@@ -15,7 +15,8 @@ from ordcut.errors import DomainError
 from ordcut.scalars import (KIND_Q, KIND_Z, Scalar, compare_cross, contains,
                             divisible_hull_kind, is_discrete_kind, quad_z)
 
-from sampling import height, quad_q
+import sampling
+from sampling import generators, height, quad_q
 
 RADS = [0, 2, 3, 5]
 
@@ -268,13 +269,58 @@ def test_square_free_cube_root_boundary():
     p, q = 999983, 1000003
     for d in (p * p, 2 * p * p, p * q, 4 * p * q, p ** 4 * 3):
         assert scalars._square_free(d) == sympy_square_free(d), d
-    # trial division stops below p, and p^3 is no square: d0 keeps p^2
+    # p is past the small primes, and p^3 is no square: d0 keeps p^2
     assert scalars._square_free(p ** 3) == (1, p ** 3)
     assert scalars._square_free(1031 ** 2 * 1033) == (1, 1031 ** 2 * 1033)
     assert scalars._square_free(1021 ** 2 * 1033) == (1021, 1033)
     assert scalars._square_free(0) == (1, 0)
     with pytest.raises(DomainError):
         scalars._square_free(-3)
+
+
+def split_by_trial_division(d):
+    """`scalars._split` as trial division made it before the gcd kernel:
+    divide by f < 2^10 while f^3 <= the cofactor r, then one isqrt.  The
+    oracle for the kernel, which must give the same (k, d0) for every d."""
+    if d == 0:
+        return 1, 0
+    k, d0, r, f = 1, 1, d, 2
+    while f < scalars._TRIAL and f * f * f <= r:
+        if r % f == 0:
+            while r % (f * f) == 0:
+                r //= f * f
+                k *= f
+            if r % f == 0:
+                r //= f
+                d0 *= f
+        f += 1 + (f & 1)  # 2, then odd f only
+    s = isqrt(r)
+    if s * s == r:
+        return k * s, d0
+    return k, d0 * r
+
+
+def test_gcd_split_matches_trial_division():
+    split = scalars._split.__wrapped__
+    assert [d for d in range(2 * 10 ** 5)
+            if split(d) != split_by_trial_division(d)] == []
+    # products of prime powers below 10^40: small primes, the primes on
+    # either side of 2^10, and larger ones, each to a power up to 7
+    rng = sampling.rng_for(21)
+    pool = SMALL_PRIMES + [1031, 1033, 1039, 65537, 999983, 10 ** 9 + 7]
+    for _ in range(3000):
+        d = 1
+        while True:
+            f = rng.choice(pool) ** rng.randint(1, 7)
+            if d * f >= 10 ** 40:
+                break
+            d *= f
+        assert split(d) == split_by_trial_division(d), d
+    for d in (1031 ** 2 * 1033, 2 ** 100, 3 ** 80 * 1031, 1021 ** 13,
+              (2 * 3 * 5 * 7) ** 20 * (10 ** 9 + 7)):
+        assert split(d) == split_by_trial_division(d), d
+    assert split(1031 ** 2 * 1033) == (1, 1031 ** 2 * 1033)
+    assert split(2 ** 100) == (2 ** 50, 1)
 
 
 def test_radicands_must_be_ints_even_when_their_value_is_cached():
@@ -422,7 +468,7 @@ def test_signs_and_arithmetic_never_factor(monkeypatch):
     z.floor()
     compare_cross(w, z)
     scalars._sign3(Fraction(1), Fraction(2), 12, Fraction(-3), 50)
-    assert [contains(kind, g) for g in kind.generators()] == [True, True]
+    assert [contains(kind, g) for g in generators(kind)] == [True, True]
 
 
 def test_floor_of_tall_scalar_is_quick():

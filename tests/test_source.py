@@ -145,8 +145,8 @@ INT_TEST_EXEMPT = {
         "its `d.__class__ is not int` decides whether to split d; "
         "_square_free does the refusing",
     "FactorwiseInjection.__post_init__":
-        "a scale may be an int or a Fraction, so it is refused for being "
-        "neither, not as an index is",
+        "a scale may be an int, a Fraction or a rational Scalar, so it is "
+        "refused for being none of them, not as an index is",
 }
 # As patterns: a range may be written `outside %d..` or `outside 0..%d`.
 REFUSAL_WORDS = ("must be an integer", "different group", "must be nonnegative",
@@ -366,7 +366,8 @@ def test_library_has_no_unused_imports():
 # The integer scalar core: these bodies work on the ints (p, q, n, d) alone,
 # and so does the sign kernel under them and the witness builders over them.
 FRACTION_FREE = {"Scalar.__add__", "Scalar.__neg__", "Scalar.__sub__",
-                 "Scalar.__mul__", "Scalar.sign", "Scalar.floor",
+                 "Scalar.__mul__", "Scalar.__truediv__",
+                 "Scalar.sign", "Scalar.floor",
                  "Scalar._merged", "Scalar.__eq__", "Scalar.__hash__",
                  "_over", "from_ratios", "compare_cross", "first_difference",
                  "contains", "_sgn", "_quad_sign", "_sign3", "small_positive",
@@ -453,3 +454,19 @@ def test_cli_import_leaves_heavy_modules_out():
     loaded = set(json.loads(done.stdout))
     assert "ordcut.cli" in loaded
     assert [m for m in COLD_IMPORT_FREE if m in loaded] == []
+
+
+def test_scale_push_loads_no_number_modules():
+    # the scales are rational Scalars: parsing, checking and applying them
+    # reads no Fraction, so neither fractions nor the decimal and numbers
+    # it imports are loaded
+    code = ("import sys; sys.path.insert(0, %r); from ordcut import cli; "
+            "cli.main(['push', 'lex(Z,Q)', 'scale(1/2,3)', "
+            "'below([1,0]; C 1)']); print(sorted({'fractions', 'decimal', "
+            "'numbers'} & set(sys.modules)))" % str(SRC.parent))
+    done = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "result_group: lex(Q,Q)", "lower: below([1/2,0]; C 1)",
+        "upper: above([1,0]; C 1)", "[]"]
