@@ -55,21 +55,21 @@ def _int(text):
     raise _Usage("expected a level integer, got %r" % text)
 
 
-# An argument after GROUP: its word in the usage line and its parsers, each
-# (text, group) -> value, over a lex and (if it has one) a hahn_omega group.
-_Arg = namedtuple("_Arg", "word lex omega", defaults=(None,))
+# An argument after GROUP: its word in the usage line and its parser,
+# (text, group) -> value.
+_Arg = namedtuple("_Arg", "word parse")
 
 
 def _level(text, g):
     return ConvexSubgroup(g, _int(text))
 
 
-def _keep(text, g):  # read by the verb: `_compare`, pull's cut
+def _keep(text, g):  # read by the verb: compare's A and B, pull's cut
     return text
 
 
-CUT = _Arg("CUT", dsl.parse_cut, dsl.parse_oanchor)
-ELEMENT = _Arg("ELEMENT", dsl.parse_element, dsl.parse_oelement)
+CUT = _Arg("CUT", dsl.parse_cut)
+ELEMENT = _Arg("ELEMENT", dsl.parse_element)
 LEVEL = _Arg("LEVEL", _level)
 MORPHISM = _Arg("MORPHISM", dsl.parse_morphism)
 
@@ -113,17 +113,6 @@ def _with_invariance(c):
     return dict(_cut_in(c), invariance_level=cuts.invariance(c).level)
 
 
-def _skeleton(g):
-    chain, factors = lexgroups.skeleton(g)
-    return {"size": chain.size,
-            "factors": ",".join(dsl.print_factor(k) for k in factors)}
-
-
-def _embed(g, x):
-    image = lexgroups.hahn_embed(lexgroups.divisible_hull(g)[1].apply(x))
-    return {"image": "[%s]" % ",".join(dsl.print_scalar(c) for c in image)}
-
-
 def _convex_subgroups(g):
     subs = lexgroups.convex_subgroups(g)
     return {"levels": ",".join(str(s.level) for s in subs),
@@ -149,9 +138,9 @@ _VERBS = {
         (CUT, ELEMENT), lambda g, c, x: {"side": cuts.member(c, x)},
         lambda g, a, x: {"side": hahnomega.omega_member(a, x)}),
     "compare": _Verb(
-        (_Arg("A", _keep, dsl.parse_oelement),
-         _Arg("B", _keep, dsl.parse_oelement)), _compare,
-        lambda g, x, y: _order(hahnomega.omega_compare(x, y))),
+        (_Arg("A", _keep), _Arg("B", _keep)), _compare,
+        lambda g, a, b: _order(hahnomega.omega_compare(
+            dsl.parse_element(a, g), dsl.parse_element(b, g)))),
     "translate": _Verb(
         (CUT, ELEMENT),
         lambda g, c, x: {"result_cut": dsl.print_cut(cuts.translate(c, x))},
@@ -173,13 +162,15 @@ _VERBS = {
         (MORPHISM, _Arg("CUT", _keep)), lambda g, m, c: _with_invariance(
             cuts.pull(m, dsl.parse_cut(c, m.cod)))),
     "skeleton": _Verb(
-        (), _skeleton,
+        (), lambda g: {"size": g.rank, "factors": ",".join(
+            dsl.print_factor(k) for k in g.factors)},
         lambda g: {"size": "omega", "factors": dsl.print_factor(g.factor)}),
-    "embed": _Verb((ELEMENT,), _embed),
+    "embed": _Verb((ELEMENT,), lambda g, x: {"image": dsl.print_element(
+        lexgroups.widening(g).apply(x))}),
     "convex-subgroups": _Verb((), _convex_subgroups),
     "discreteness": _Verb((), _discreteness),
     "hull": _Verb((), lambda g: {"result_group": dsl.print_group(
-        lexgroups.divisible_hull(g)[0])}),
+        lexgroups.widening(g).cod)}),
 }
 
 
@@ -195,7 +186,7 @@ def _run(verb, args):
     result = getattr(row, side)
     if result is None:
         raise DomainError("%s takes a lex group" % verb)
-    return result(g, *[getattr(arg, side)(text, g)
+    return result(g, *[arg.parse(text, g)
                        for arg, text in zip(row.args, args[1:])])
 
 

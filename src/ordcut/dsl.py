@@ -10,6 +10,10 @@ reparsing it yields an equal value when every integer in it is below the
 parser's literal limit (the interpreter's int-to-str limit, 4300 digits by
 default).
 
+`parse_element` and `parse_cut` read the group's own family: over a
+hahn_omega group an element is `{i:v,...}` and a cut is an anchor.
+`parse_morphism` takes a lex group.
+
 `parse_group` keeps a memo keyed by the group text, bounded at 256 entries:
 one text parses and checks once, and every later call returns the same
 immutable group record, which callers share.  A text that is refused is not
@@ -20,7 +24,7 @@ import re
 from functools import lru_cache
 from itertools import islice
 
-from .errors import DomainError, ParseError
+from .errors import ParseError, group_kind
 from . import scalars
 from .scalars import Scalar, RankOneKind, _print_ratio
 from . import lexgroups
@@ -149,6 +153,10 @@ class _Parser:
         return self.parse_list(self.parse_scalar, close_tok)
 
     def parse_element(self, group):
+        if isinstance(group, OmegaGroup):
+            self.expect("{")
+            return hahnomega.omega_element(
+                group, self.parse_list(self.parse_pair, "}"))
         coords = self.parse_scalar_list("[", "]")
         if len(coords) != group.rank:
             self.error("element needs %d coordinates" % group.rank,
@@ -160,12 +168,9 @@ class _Parser:
         self.expect(":")
         return i, self.parse_scalar()
 
-    def parse_oelement(self, group):
-        self.expect("{")
-        return hahnomega.omega_element(group,
-                                       self.parse_list(self.parse_pair, "}"))
-
     def parse_cut(self, group):
+        if isinstance(group, OmegaGroup):
+            return self.parse_anchor(group)
         if self.eat("all_below"):
             return cuts.AllBelow(group)
         if self.eat("all_above"):
@@ -191,13 +196,13 @@ class _Parser:
             return cuts.gap_cut(group, prefix, k, delta)
         self.error("expected a cut expression")
 
-    def parse_oanchor(self, group):
+    def parse_anchor(self, group):
         if self.eat("point("):
-            e = self.parse_oelement(group)
+            e = self.parse_element(group)
             self.expect(")")
             return hahnomega.OmegaPoint(group, e)
         if self.eat("gap_at("):
-            prefix = self.parse_oelement(group)
+            prefix = self.parse_element(group)
             self.expect(";")
             i = self.parse_uint()
             self.expect(";")
@@ -236,33 +241,17 @@ def parse_group(text):
     return _parse_with("parse_group", text)
 
 
-def _parse_over(family, fn_name, text, group):
-    """`_parse_with` over a group of the family (LexGroup or OmegaGroup) that
-    fn_name reads; a group of the other family is a DomainError."""
-    if not isinstance(group, family):
-        raise DomainError("%s takes a %s group" % (
-            fn_name, "lex" if family is LexGroup else "hahn_omega"))
-    return _parse_with(fn_name, text, group)
-
-
 def parse_element(text, group):
-    return _parse_over(LexGroup, "parse_element", text, group)
-
-
-def parse_oelement(text, group):
-    return _parse_over(OmegaGroup, "parse_oelement", text, group)
+    return _parse_with("parse_element", text, group)
 
 
 def parse_cut(text, group):
-    return _parse_over(LexGroup, "parse_cut", text, group)
-
-
-def parse_oanchor(text, group):
-    return _parse_over(OmegaGroup, "parse_oanchor", text, group)
+    return _parse_with("parse_cut", text, group)
 
 
 def parse_morphism(text, group):
-    return _parse_over(LexGroup, "parse_morphism", text, group)
+    group_kind(group, LexGroup, "a morphism")
+    return _parse_with("parse_morphism", text, group)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +263,7 @@ print_scalar = Scalar.__str__
 def print_factor(kind):
     if kind.d == 0:
         return kind.tag
-    return "%s[sqrt %d]" % (kind.tag, kind.d)
+    return "%s[sqrt %s]" % (kind.tag, _print_ratio(kind.d, 1))
 
 
 def print_group(g):

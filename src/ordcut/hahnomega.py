@@ -202,18 +202,10 @@ class OmegaConvexSubgroup(Record):
         return all(i >= self.index for i, _ in x.support)
 
 
-def omega_tail(group, i):
-    return OmegaConvexSubgroup(group, i)
-
-
-def omega_zero_subgroup(group):
-    return OmegaConvexSubgroup(group, None)
-
-
 def omega_invariance(anchor):
     if isinstance(anchor, OmegaGapAt):
-        return omega_tail(anchor.group, anchor.index + 1)
-    return omega_zero_subgroup(anchor.group)  # point and periodic anchors
+        return OmegaConvexSubgroup(anchor.group, anchor.index + 1)
+    return OmegaConvexSubgroup(anchor.group, None)  # point and periodic
 
 
 def omega_classify(anchor):

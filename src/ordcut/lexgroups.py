@@ -9,6 +9,11 @@ morphisms are the factorwise injections, among them `widening` and
 factor lies in a codomain factor is read off the two tags and radicands and
 whether the scale is an integer (`_scaled_into`), with no product formed.
 
+A lex group is already its own Hahn sum over the index chain 1..n: its
+skeleton is its rank and factors, its Hahn embedding is the identity on
+coordinates, each factor being a subgroup of the reals, and `widening` is
+its injection into the divisible hull.
+
 `widening` keeps a memo keyed by the group (by its factors, so two equal
 groups share an entry), bounded at 256 entries: the injection into the
 divisible hull is built and checked once per group, and every later call
@@ -22,7 +27,6 @@ from math import isqrt
 
 from .errors import DomainError, group_kind, index, same_group
 from . import scalars
-from .ordsets import FiniteChain
 from .record import Record
 from .scalars import RankOneKind, Scalar, ZERO, ONE
 
@@ -211,27 +215,6 @@ def slice_group(g, k1, k2):
     index(k1, "slice bound", 0, g.rank)
     index(k2, "slice bound", k1, g.rank)
     return LexGroup(g.factors[k1:k2])
-
-
-def skeleton(g):
-    """(index chain of size n, the rank-one factor list)."""
-    return FiniteChain(g.rank), list(g.factors)
-
-
-def hahn_embed(x):
-    """Coordinates of x under the embedding into the real lex power.
-
-    For lex products the canonical decomposition is coordinatewise, so the
-    image is the coordinate sequence itself (order, iota, and initial parts
-    are preserved on the nose): the map is the identity for every group
-    ordcut builds, whose factors are already subgroups of the reals.
-    """
-    return tuple(x.coords)
-
-
-def divisible_hull(g):
-    m = widening(g)
-    return m.cod, m
 
 
 def discreteness(g):

@@ -97,11 +97,6 @@ def upper_image(u, s):
     return Segment(u.cod, c)
 
 
-def cut_images(u, s):
-    """Both cut images (lower via u_!, upper via u_*); upper <= lower."""
-    return lower_image(u, s), upper_image(u, s)
-
-
 def cut_witness(u, s):
     """The element of u(lower part) intersect u(upper part), if any."""
     _check_chain(u.dom, s)

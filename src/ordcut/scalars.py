@@ -222,8 +222,8 @@ class Scalar(_Ints):
         if not self.q:
             return a
         g = gcd(self.q, self.n)
-        return "%s + %s*sqrt(%d)" % (a, _print_ratio(self.q // g, self.n // g),
-                                     self.d)
+        return "%s + %s*sqrt(%s)" % (a, _print_ratio(self.q // g, self.n // g),
+                                     _print_ratio(self.d, 1))
 
     def __repr__(self):
         return "Scalar(%s)" % self
@@ -410,10 +410,6 @@ KIND_Z = RankOneKind("Z", 0)
 KIND_Q = RankOneKind("Q", 0)
 
 
-def quad_z(d):
-    return RankOneKind("Z", d)
-
-
 def contains(kind, x):
     """Membership of the scalar x in the rank-one group."""
     # canonical x: q == 0 exactly when d == 0, and a, b are integers
@@ -425,7 +421,7 @@ def contains(kind, x):
 
 
 def divisible_hull_kind(kind):
-    return RankOneKind("Q", kind.d)
+    return RankOneKind.trusted("Q", kind.d)
 
 
 def is_discrete_kind(kind):

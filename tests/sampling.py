@@ -50,6 +50,11 @@ def parse_scalar(text):
     return dsl._parse_with("parse_scalar", text)
 
 
+def quad_z(d):
+    """The rank-one group Z[sqrt d], or Z for d = 0."""
+    return scalars.RankOneKind("Z", d)
+
+
 def quad_q(d):
     """The rank-one group Q[sqrt d], or Q for d = 0."""
     return scalars.RankOneKind("Q", d)

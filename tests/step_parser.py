@@ -215,19 +215,14 @@ def parse_scalar(text):
 
 
 def parse_element(text, group):
-    return _parse_with("parse_element", text, group)
-
-
-def parse_oelement(text, group):
-    return _parse_with("parse_oelement", text, group)
+    omega = isinstance(group, OmegaGroup)
+    return _parse_with("parse_oelement" if omega else "parse_element", text,
+                       group)
 
 
 def parse_cut(text, group):
-    return _parse_with("parse_cut", text, group)
-
-
-def parse_oanchor(text, group):
-    return _parse_with("parse_oanchor", text, group)
+    omega = isinstance(group, OmegaGroup)
+    return _parse_with("parse_oanchor" if omega else "parse_cut", text, group)
 
 
 def parse_morphism(text, group):

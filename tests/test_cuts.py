@@ -21,10 +21,10 @@ from ordcut.errors import DomainError
 from ordcut.lexgroups import (ConvexSubgroup, FactorwiseInjection,
                               GroupElement, LexGroup, element, lex_compare,
                               widening, zero)
-from ordcut.scalars import KIND_Q, KIND_Z, Scalar, quad_z
+from ordcut.scalars import KIND_Q, KIND_Z, Scalar
 
 import sampling
-from sampling import quad_q
+from sampling import quad_q, quad_z
 
 ZZ = LexGroup((KIND_Z, KIND_Z))
 ZZZ = LexGroup((KIND_Z, KIND_Z, KIND_Z))

@@ -10,13 +10,13 @@ from hypothesis import given, settings, strategies as st
 
 from ordcut import cuts, dsl, hahnomega, lexgroups, scalars
 from ordcut.errors import DomainError, ParseError
-from ordcut.lexgroups import LexGroup, divisible_hull, widening
+from ordcut.lexgroups import LexGroup, widening
 from ordcut.hahnomega import OmegaGroup, omega_gap_at, omega_periodic
-from ordcut.scalars import KIND_Q, KIND_Z, Scalar, quad_z
+from ordcut.scalars import KIND_Q, KIND_Z, RankOneKind, Scalar
 
 import sampling
 import step_parser
-from sampling import omega_point, omega_zero, parse_scalar, quad_q
+from sampling import omega_point, omega_zero, parse_scalar, quad_q, quad_z
 
 GROUP_TEXTS = ["lex(Z)", "lex(Z,Z)", "lex(Z,Q)", "lex(Z,Z,Q)",
                "lex(Z[sqrt 2],Q)", "lex(Q[sqrt 5])", "lex()",
@@ -96,12 +96,12 @@ def test_omega_round_trip():
     rng = sampling.rng_for(0)
     for _ in range(30):
         x = sampling.sample_omega_element(gz, rng, 6)
-        assert dsl.parse_oelement(dsl.print_oelement(x), gz) == x
+        assert dsl.parse_element(dsl.print_oelement(x), gz) == x
     anchors = [omega_point(gz, [(0, 2), (3, -1)]),
                omega_periodic(gz, (2, 0), (1, 3)),
                omega_gap_at(gq, [(0, Fraction(1, 2))], 2, Scalar.make(0, 1, 2))]
     for a in anchors:
-        assert dsl.parse_oanchor(dsl.print_oanchor(a), a.group) == a
+        assert dsl.parse_cut(dsl.print_oanchor(a), a.group) == a
 
 
 def test_morphism_round_trip():
@@ -125,15 +125,25 @@ def test_hull_widen_and_print_never_factor_again():
     g = dsl.parse_group("lex(Z[sqrt 100000007],Q[sqrt 3],Z)")
     expected = LexGroup((quad_q(100000007), quad_q(3), KIND_Q))
     splits = scalars._split.cache_info().misses
-    hull, m = divisible_hull(g)
+    m = widening(g)
+    hull = m.cod
     assert hull == expected
-    assert widening(g) == m and m.cod == hull
+    assert widening(g) is m
     assert dsl.print_morphism(m) == "widen"
     m2 = dsl.parse_morphism("scale(1/2,1,1)", g)
     assert dsl.print_morphism(m2) == "scale(1/2,1,1)"
     assert dsl.print_group(hull) == \
         "lex(Q[sqrt 100000007],Q[sqrt 3],Q)"
     assert scalars._split.cache_info().misses == splits
+
+
+def test_radicands_past_the_int_to_str_limit_print_in_full():
+    # "%d" raises a plain ValueError past the int-to-str limit
+    d = 10 ** 5000 + 3
+    digits = "1" + "0" * 4999 + "3"
+    assert dsl.print_group(LexGroup((RankOneKind("Z", d),))) == \
+        "lex(Z[sqrt %s])" % digits
+    assert str(Scalar.make(0, 1, d)) == "0 + 1*sqrt(%s)" % digits
 
 
 def test_one_group_text_parses_to_one_record():
@@ -214,9 +224,9 @@ def test_list_errors_keep_their_messages_and_positions():
              (dsl.parse_element, ("[1,]", zq), "expected an integer", 3),
              (dsl.parse_element, ("[ ]", zq), "element needs 2 coordinates",
               3),
-             (dsl.parse_oelement, ("{1:2,}", oq), "expected an integer", 5),
-             (dsl.parse_oelement, ("{1 2}", oq), "expected ':'", 3),
-             (dsl.parse_oelement, ("{1:2", oq), "expected '}'", 4),
+             (dsl.parse_element, ("{1:2,}", oq), "expected an integer", 5),
+             (dsl.parse_element, ("{1 2}", oq), "expected ':'", 3),
+             (dsl.parse_element, ("{1:2", oq), "expected '}'", 4),
              (parse_scalar, ("1 + 2*sqrt(3)  y",),
               "unexpected trailing input", 15)]
     for parse, args, message, pos in cases:
@@ -224,9 +234,9 @@ def test_list_errors_keep_their_messages_and_positions():
             parse(*args)
         assert (str(e.value), e.value.pos) == \
             ("%s (at position %d)" % (message, pos), pos), args
-    assert dsl.parse_oelement("{ 1 : 2 , 3: -1/2 } ", oq) == \
+    assert dsl.parse_element("{ 1 : 2 , 3: -1/2 } ", oq) == \
         hahnomega.omega_element(oq, [(1, 2), (3, Fraction(-1, 2))])
-    assert dsl.parse_oelement("{}", oq) == omega_zero(oq)
+    assert dsl.parse_element("{}", oq) == omega_zero(oq)
 
 
 def test_domain_errors_from_parsed_cuts():
@@ -238,38 +248,51 @@ def test_domain_errors_from_parsed_cuts():
         dsl.parse_cut("gap([]; 1; 1/2)", gq)
 
 
-# Each entry point that reads over a group takes one family of groups and
-# refuses the other before it reads the text, even text that would parse.
-LEX, OMEGA = dsl.parse_group("lex(Z,Q)"), dsl.parse_group("hahn_omega(Q)")
+# parse_element and parse_cut read the text of the group's own family; the
+# other family's text is a syntax error at its first token.
+ZQ, OQ = dsl.parse_group("lex(Z,Q)"), dsl.parse_group("hahn_omega(Q)")
 
 
-def _refuses(parse, family, texts, group):
+def _reads(parse, group, texts, other, message):
     for text in texts:
-        with pytest.raises(DomainError, match="^%s takes a %s group$"
-                           % (parse.__name__, family)):
+        assert parse(text, group).group == group
+    for text in other:
+        with pytest.raises(ParseError) as e:
             parse(text, group)
+        assert (str(e.value), e.value.pos) == \
+            ("%s (at position 0)" % message, 0), text
 
 
 def test_parse_cut_takes_a_lex_group():
-    _refuses(dsl.parse_cut, "lex",
-             ["all_below", "below([1,0]; C 1)", "gap([]; 1; 1)", "?"], OMEGA)
+    _reads(dsl.parse_cut, ZQ,
+           ["all_below", "below([1,0]; C 1)", "gap([1]; 2; 0 + 1*sqrt(2))"],
+           ["point({0:1})", "periodic([]; [1])"], "expected a cut expression")
+
+
+def test_parse_cut_takes_a_hahn_omega_group():
+    _reads(dsl.parse_cut, OQ,
+           ["point({0:1})", "periodic([]; [1])",
+            "gap_at({}; 1; 0 + 1*sqrt(2))"],
+           ["all_below", "below([1,0]; C 1)"], "expected an anchor expression")
 
 
 def test_parse_element_takes_a_lex_group():
-    _refuses(dsl.parse_element, "lex", ["[1,2]", "[]", "?"], OMEGA)
+    _reads(dsl.parse_element, ZQ, ["[1,2]", "[0,-1/2]"], ["{0:1}", "{}"],
+           "expected '['")
+
+
+def test_parse_element_takes_a_hahn_omega_group():
+    _reads(dsl.parse_element, OQ, ["{0:1}", "{}"], ["[1,2]", "[]"],
+           "expected '{'")
 
 
 def test_parse_morphism_takes_a_lex_group():
-    _refuses(dsl.parse_morphism, "lex", ["widen", "scale(1,2)", "?"], OMEGA)
-
-
-def test_parse_oelement_takes_a_hahn_omega_group():
-    _refuses(dsl.parse_oelement, "hahn_omega", ["{0:1}", "{}", "?"], LEX)
-
-
-def test_parse_oanchor_takes_a_hahn_omega_group():
-    _refuses(dsl.parse_oanchor, "hahn_omega",
-             ["point({0:1})", "periodic([]; [1])", "?"], LEX)
+    # refused before the text is read, even text that would parse
+    for text in ("widen", "scale(1,2)", "?"):
+        with pytest.raises(DomainError,
+                           match="^a morphism needs a lex group$"):
+            dsl.parse_morphism(text, OQ)
+    assert dsl.parse_morphism("widen", ZQ) is widening(ZQ)
 
 
 # ---------------------------------------------------------------------------
@@ -315,21 +338,21 @@ def _morphism_text(g, rng):
         for _ in g.factors)
 
 
-# entry point: (groups it reads over, or None, text sampler, printer)
-ENTRIES = {
-    "parse_group": (None, lambda g, rng: dsl.print_group(
+# (entry point, groups it reads over or None, text sampler, printer)
+ENTRIES = [
+    ("parse_group", None, lambda g, rng: dsl.print_group(
         rng.choice(LEX + OMEGA + [LexGroup(())])), dsl.print_group),
-    "parse_scalar": (None, lambda g, rng: dsl.print_scalar(
+    ("parse_scalar", None, lambda g, rng: dsl.print_scalar(
         sampling.sample_scalar(quad_q(rng.choice((2, 5))), rng, 6)),
         dsl.print_scalar),
-    "parse_element": (LEX, lambda g, rng: dsl.print_element(
+    ("parse_element", LEX, lambda g, rng: dsl.print_element(
         sampling.sample_element(g, rng, 6)), dsl.print_element),
-    "parse_oelement": (OMEGA, _omega_text, dsl.print_oelement),
-    "parse_cut": (LEX, lambda g, rng: dsl.print_cut(
+    ("parse_element", OMEGA, _omega_text, dsl.print_oelement),
+    ("parse_cut", LEX, lambda g, rng: dsl.print_cut(
         sampling.sample_descriptor(g, rng, 6)), dsl.print_cut),
-    "parse_oanchor": (OMEGA, _oanchor_text, dsl.print_oanchor),
-    "parse_morphism": (LEX, _morphism_text, dsl.print_morphism),
-}
+    ("parse_cut", OMEGA, _oanchor_text, dsl.print_oanchor),
+    ("parse_morphism", LEX, _morphism_text, dsl.print_morphism),
+]
 
 PIECES = list(WHITESPACE) + [
     "*sqrt(", "Z[sqrt", "Q[sqrt", "gap(", "below (", "below(", "gap_at(",
@@ -349,12 +372,12 @@ def _outcome(parser, name, text, args, printer):
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.sampled_from(sorted(ENTRIES)), st.integers(0, 2 ** 32),
+@given(st.sampled_from(ENTRIES), st.integers(0, 2 ** 32),
        st.lists(st.tuples(st.sampled_from(("insert", "delete", "replace")),
                           st.floats(0, 1), st.sampled_from(PIECES)),
                 max_size=3))
-def test_scanner_agrees_with_the_step_parser(name, seed, edits):
-    groups, sample, printer = ENTRIES[name]
+def test_scanner_agrees_with_the_step_parser(entry, seed, edits):
+    name, groups, sample, printer = entry
     rng = sampling.rng_for(seed)
     g = rng.choice(groups) if groups else None
     text = sample(g, rng)

@@ -8,17 +8,16 @@ import pytest
 
 from ordcut import cuts, hahnomega, lexgroups
 from ordcut.errors import DomainError
-from ordcut.hahnomega import (MINUS, PLUS, OmegaGroup, index_cut,
-                              omega_classify, omega_compare, omega_element,
-                              omega_gap_at, omega_invariance,
+from ordcut.hahnomega import (MINUS, PLUS, OmegaConvexSubgroup, OmegaGroup,
+                              index_cut, omega_classify, omega_compare,
+                              omega_element, omega_gap_at, omega_invariance,
                               omega_invariance_witness, omega_member,
-                              omega_periodic, omega_tail, omega_translate,
-                              omega_zero_subgroup)
+                              omega_periodic, omega_translate)
 from ordcut.lexgroups import LexGroup, element
-from ordcut.scalars import KIND_Q, KIND_Z, Scalar, quad_z
+from ordcut.scalars import KIND_Q, KIND_Z, Scalar
 
 import sampling
-from sampling import omega_point, omega_zero, quad_q
+from sampling import omega_point, omega_zero, quad_q, quad_z
 
 GZ = OmegaGroup(KIND_Z)
 GQ = OmegaGroup(KIND_Q)
@@ -32,8 +31,8 @@ def test_subgroups_refuse_elements_of_another_group():
     omega_x = omega_element(GQ, [(0, 1)])
     for sub, x in ((lexgroups.ConvexSubgroup(LexGroup((KIND_Z, KIND_Z)), 1),
                     lex_x),
-                   (omega_tail(GZ, 1), omega_x),
-                   (omega_zero_subgroup(GZ), omega_x)):
+                   (OmegaConvexSubgroup(GZ, 1), omega_x),
+                   (OmegaConvexSubgroup(GZ, None), omega_x)):
         with pytest.raises(DomainError,
                            match="^element belongs to a different group$"):
             sub.member(x)
@@ -57,21 +56,21 @@ def test_anchors_refuse_a_point_or_prefix_outside_their_group():
 
 
 def test_tail_subgroups_take_an_omega_group_and_an_index_or_none():
-    assert omega_tail(GZ, 0).member(omega_element(GZ, [(0, 1)]))
-    assert omega_zero_subgroup(GZ).index is None
+    assert OmegaConvexSubgroup(GZ, 0).member(omega_element(GZ, [(0, 1)]))
+    assert OmegaConvexSubgroup(GZ, None).index is None
     for group in ("Z", KIND_Z, LexGroup((KIND_Z,))):
         with pytest.raises(DomainError,
                            match="^a tail subgroup needs an omega group$"):
-            omega_tail(group, 1)
+            OmegaConvexSubgroup(group, 1)
     for bad in (1.5, True, Fraction(1), "1"):
         with pytest.raises(DomainError,
                            match="^tail index must be an integer, not %s$"
                            % type(bad).__name__):
-            omega_tail(GZ, bad)
+            OmegaConvexSubgroup(GZ, bad)
     for bad in (-3, -10 ** 5000):
         with pytest.raises(DomainError,
                            match="^tail index must be nonnegative$"):
-            omega_tail(GZ, bad)
+            OmegaConvexSubgroup(GZ, bad)
 
 
 def test_group_validation():
@@ -160,11 +159,11 @@ def test_invariance_and_classification():
     assert omega_classify(ones) == hahnomega.TIGHTENED
     assert str(index_cut(ones)) == "top"
     gap = omega_gap_at(GQ, [], 1, SQRT2)
-    assert omega_invariance(gap) == omega_tail(GQ, 2)
+    assert omega_invariance(gap) == OmegaConvexSubgroup(GQ, 2)
     assert omega_classify(gap) == hahnomega.GAPPED
     assert str(index_cut(gap)) == "L^{>1}"
     pt = omega_point(GZ, [(0, 3)])
-    assert omega_invariance(pt) == omega_zero_subgroup(GZ)
+    assert omega_invariance(pt) == OmegaConvexSubgroup(GZ, None)
     assert omega_classify(pt) == hahnomega.RP_BELOW
     assert str(index_cut(pt)) == "top"
 
@@ -172,11 +171,12 @@ def test_invariance_and_classification():
 def test_tail_chain():
     """Tail(i+1) is the immediate predecessor of Tail(i) for i <= 8."""
     for i in range(9):
-        big = omega_tail(GZ, i)
-        small = omega_tail(GZ, i + 1)
+        big = OmegaConvexSubgroup(GZ, i)
+        small = OmegaConvexSubgroup(GZ, i + 1)
         sep = omega_element(GZ, [(i, 1)])
         assert big.member(sep) and not small.member(sep)
-    assert not omega_zero_subgroup(GZ).member(omega_element(GZ, [(7, 1)]))
+    assert not OmegaConvexSubgroup(GZ, None).member(
+        omega_element(GZ, [(7, 1)]))
 
 
 def _assert_straddles(anchor, g):
@@ -400,7 +400,8 @@ def test_signed_periods_classify_and_invariance():
     rng = sampling.rng_for(5)
     for anchor in SIGNED:
         assert omega_classify(anchor) == hahnomega.TIGHTENED
-        assert omega_invariance(anchor) == omega_zero_subgroup(anchor.group)
+        assert omega_invariance(anchor) == \
+            OmegaConvexSubgroup(anchor.group, None)
         assert str(index_cut(anchor)) == "top"
         # invariance (0): every nonzero g moves the cut; a truncation past
         # g's support, or it minus g, straddles it

@@ -10,14 +10,13 @@ from ordcut.errors import DomainError
 from ordcut.hahnomega import OmegaGroup
 from ordcut.lexgroups import (ConvexSubgroup, GroupElement,
                               FactorwiseInjection, LexGroup, convex_subgroups,
-                              discreteness, divisible_hull, element,
-                              epsilon_upper, hahn_embed, initial_part, iota,
-                              is_principal, lex_compare, skeleton,
+                              discreteness, element, epsilon_upper,
+                              initial_part, iota, is_principal, lex_compare,
                               slice_group, unit, widening, zero)
-from ordcut.scalars import KIND_Q, KIND_Z, RankOneKind, Scalar, quad_z
+from ordcut.scalars import KIND_Q, KIND_Z, RankOneKind, Scalar
 
 import sampling
-from sampling import quad_q
+from sampling import quad_q, quad_z
 
 ZZ = LexGroup((KIND_Z, KIND_Z))
 ZZZ = LexGroup((KIND_Z, KIND_Z, KIND_Z))
@@ -81,29 +80,26 @@ def test_quotient_and_slice():
 
 
 def test_skeleton_and_iota():
-    chain, factors = skeleton(ZQ)
-    assert chain.size == 2 and factors == [KIND_Z, KIND_Q]
+    # the skeleton is the group's own rank and factors
+    assert (ZQ.rank, ZQ.factors) == (2, (KIND_Z, KIND_Q))
     x = element(ZZZ, (0, 0, 5))
     assert iota(x) == 3
     assert initial_part(x) == Scalar.make(5)
-    assert skeleton(LexGroup(()))[0].size == 0
+    assert LexGroup(()).rank == 0
 
 
 def test_hahn_embed_is_identity_on_coordinates():
+    # into the divisible hull, which is the Hahn sum's own group
     x = element(ZZZ, (0, 2, -1))
-    assert hahn_embed(x) == x.coords
+    assert widening(ZZZ).apply(x).coords == x.coords
 
 
 def test_divisible_hull():
     g = LexGroup((KIND_Z, quad_z(2)))
-    hull, m = divisible_hull(g)
-    assert hull == LexGroup((KIND_Q, quad_q(2)))
-    assert hull.rank == g.rank
-    hq, _ = divisible_hull(LexGroup((KIND_Q,)))
-    assert hq == LexGroup((KIND_Q,))
+    assert widening(g).cod == LexGroup((KIND_Q, quad_q(2)))
+    assert widening(LexGroup((KIND_Q,))).cod == LexGroup((KIND_Q,))
     for grp in TEST_GROUPS:
-        h, _ = divisible_hull(grp)
-        assert h.rank == grp.rank
+        assert widening(grp).cod.rank == grp.rank
 
 
 def test_discreteness_examples():

@@ -4,7 +4,7 @@ import pytest
 
 from ordcut.errors import DomainError
 from ordcut.ordsets import (FiniteChain, MonotoneMap, Segment, all_monotone_maps,
-                            all_segments, cut_bounds, cut_images, cut_witness,
+                            all_segments, cut_bounds, cut_witness,
                             lower_image, pullback, reconstruct, upper_image)
 
 
@@ -68,8 +68,7 @@ def test_image_examples():
 def test_cut_images_surjective_witness():
     u = MonotoneMap(FiniteChain(4), FiniteChain(2), (0, 0, 1, 1))
     s = Segment(u.dom, 1)
-    lower, upper = cut_images(u, s)
-    assert lower.cutoff == 1 and upper.cutoff == 0
+    assert lower_image(u, s).cutoff == 1 and upper_image(u, s).cutoff == 0
     assert cut_witness(u, s) == 0
 
 
@@ -77,7 +76,7 @@ def test_cut_images_surjective_witness():
 def test_segments_of_another_chain_are_refused():
     u = MonotoneMap(FiniteChain(3), FiniteChain(2), (0, 1, 1))
     for s in (Segment(FiniteChain(5), 4), Segment(FiniteChain(2), 1)):
-        for f in (cut_witness, cut_images, lower_image, upper_image):
+        for f in (cut_witness, lower_image, upper_image):
             with pytest.raises(DomainError, match="different chain"):
                 f(u, s)
 
@@ -125,7 +124,7 @@ def test_cut_image_comparison():
     u(upper part) has at most one element."""
     for u in enumerate_maps(5):
         for s in all_segments(u.dom):
-            lower, upper = cut_images(u, s)
+            lower, upper = lower_image(u, s), upper_image(u, s)
             if u.is_surjective():
                 assert subset(upper, lower)
                 overlap = {u.images[j] for j in range(s.cutoff)} & \

@@ -27,7 +27,7 @@ def _samples():
     og = hahnomega.OmegaGroup(quad_q(2))
     chain = ordsets.FiniteChain(3)
     return [
-        scalars.quad_z(5),
+        sampling.quad_z(5),
         g,
         x,
         lexgroups.ConvexSubgroup(g, 1),
@@ -251,7 +251,8 @@ def _other_group_calls():
         (lambda: ox - oy, "element"),
         (lambda: hahnomega.omega_compare(ox, oy), "element"),
         (lambda: hahnomega.omega_member(anchor, oy), "element"),
-        (lambda: hahnomega.omega_tail(OMEGA, 1).member(oy), "element"),
+        (lambda: hahnomega.OmegaConvexSubgroup(OMEGA, 1).member(oy),
+         "element"),
         (lambda: hahnomega.omega_translate(anchor, oy), "element"),
         (lambda: hahnomega.omega_invariance_witness(anchor, oy), "element"),
     ]
@@ -278,7 +279,7 @@ def test_unpickling_runs_the_checks_again():
     # checks when they are rebuilt
     g = lexgroups.LexGroup((KIND_Z, quad_q(2)))
     x = lexgroups.element(g, (1, 2))
-    for y in (x + x, -x, scalars.divisible_hull_kind(scalars.quad_z(7))):
+    for y in (x + x, -x, scalars.divisible_hull_kind(sampling.quad_z(7))):
         assert pickle.loads(pickle.dumps(y)) == y
 
 

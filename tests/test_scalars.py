@@ -13,10 +13,10 @@ from hypothesis import given, settings, strategies as st
 from ordcut import scalars
 from ordcut.errors import DomainError
 from ordcut.scalars import (KIND_Q, KIND_Z, Scalar, compare_cross, contains,
-                            divisible_hull_kind, is_discrete_kind, quad_z)
+                            divisible_hull_kind, is_discrete_kind)
 
 import sampling
-from sampling import generators, height, quad_q
+from sampling import generators, height, quad_q, quad_z
 
 RADS = [0, 2, 3, 5]
 
@@ -157,6 +157,9 @@ def test_is_discrete_kind():
     assert contains(quad_z(2), small)
     assert small.sign() > 0
     assert compare_cross(small, Scalar.make(Fraction(1, 100))) < 0
+    # over Z, 1 lies below a bound above 1; no integer lies below 1
+    assert scalars.small_positive(KIND_Z, Scalar.make(Fraction(3, 2))) == \
+        scalars.ONE
 
 
 def test_first_difference_positions_and_signs():
