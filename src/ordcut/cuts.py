@@ -32,8 +32,7 @@ from .errors import DomainError, group_kind, index, same_group
 from . import scalars
 from .record import Record
 from .scalars import Scalar, ZERO, ONE
-from .lexgroups import (ConvexSubgroup, GroupElement, LexGroup,
-                        initial_part, iota, slice_group)
+from .lexgroups import ConvexSubgroup, GroupElement, LexGroup, slice_group
 
 MINUS = "minus"
 PLUS = "plus"
@@ -312,13 +311,13 @@ def pull(m, c):
 # ---------------------------------------------------------------------------
 # constructive invariance witnesses
 
-def _witness_positive(c, g):
+def _witness_positive(c, g, j):
     """(lo, hi) with lo in the lower part, hi = lo + g in the upper part,
-    for positive g outside the invariance subgroup: lo is the ref padded
-    with zeros, an open ref's last entry first lowered into its factor, by
-    less than g moves it, through `scalars.element_below`."""
+    for positive g whose first nonzero coordinate j is at most the level k:
+    lo is the ref padded with zeros, an open ref's last entry first lowered
+    into its factor, by less than g moves it (1 when j < k, else g's k-th
+    coordinate), through `scalars.element_below`."""
     k = c.level
-    j = iota(g)
     ref, closed = _ref(c)
     if not closed:
         bound = ONE if j < k else g.coords[k - 1]
@@ -337,14 +336,19 @@ def invariance_witness(c, g):
     same_group(g, c.group)
     if is_trivial(c):
         raise DomainError("trivial cuts are stabilized by every element")
-    if g.is_zero():
+    # g's first nonzero coordinate j and its sign decide the rest: g lies in
+    # the invariance subgroup C_k exactly when j > k
+    for j, x in enumerate(g.coords, 1):
+        s = x.sign()
+        if s:
+            break
+    else:
         raise DomainError("zero stabilizes every cut")
-    if invariance(c).member(g):
+    if j > c.level:
         raise DomainError("element lies in the invariance subgroup")
-    positive = initial_part(g).sign() > 0
-    lo, hi = _witness_positive(c, g if positive else -g)
+    lo, hi = _witness_positive(c, g if s > 0 else -g, j)
     if member(c, lo) != MINUS or member(c, hi) != PLUS:
         raise AssertionError("invariance witness does not straddle the cut")
-    if positive:
+    if s > 0:
         return lo, hi
     return hi, lo

@@ -121,14 +121,15 @@ def _sign3(u, v, d, w, e):
 
 
 def _ratio(x):
-    """Numerator and denominator of an int or a Fraction, or of any other
-    Rational, as Fraction(x) would copy them; else of Fraction(x)."""
+    """Numerator and denominator of x in lowest terms, by one
+    as_integer_ratio() call for an int, a bool, a Fraction, a float or a
+    Decimal (a NaN raises ValueError, an infinity OverflowError); of
+    Fraction(x) for anything else, such as a string."""
     try:
-        return x.numerator, x.denominator
+        return x.as_integer_ratio()
     except AttributeError:
         import fractions
-        x = fractions.Fraction(x)
-        return x.numerator, x.denominator
+        return fractions.Fraction(x).as_integer_ratio()
 
 
 def _print_ratio(num, den):
@@ -460,19 +461,24 @@ def small_positive(kind, bound):
 
 def element_below(kind, t, gap):
     """An element of the dense kind inside (t - gap, t), for any t and
-    gap > 0, with u = small_positive(kind, gap): t - u when t lies in the
-    kind, else u*floor(t/u), which is not t.  A t over another radical is
-    first lowered the same way to a dyadic within gap/2 (never t itself: t
-    is irrational), and gap halved."""
+    gap > 0, in one exact step: floor(t) when gap >= 1 and t is not an
+    integer, since every dense kind holds Z; else, for u =
+    small_positive(kind, gap), t - u when t lies in the kind, and else
+    u*floor(t/u), which is not t.  Over Z[sqrt d] a t over another radical
+    has no quotient by u: it is first lowered the same way to a dyadic
+    within gap/2 (never t itself: t is irrational), and gap halved."""
     if is_discrete_kind(kind):
         raise DomainError("element_below needs a dense kind")
-    r, step = t, gap
-    if t.d not in (0, kind.d):
-        step = gap / 2
-        u = small_positive(KIND_Q, step)
-        r = u * (t / u).floor()
-    u = small_positive(kind, step)
-    q = r - u if contains(kind, r) else u * (r / u).floor()
+    if (t.q or t.n != 1) and compare_cross(gap, ONE) >= 0:
+        q = _raw(t.floor(), 0, 1, 0)
+    else:
+        r, step = t, gap
+        if kind.tag == "Z" and t.d not in (0, kind.d):
+            step = gap / 2
+            u = small_positive(KIND_Q, step)
+            r = u * (t / u).floor()
+        u = small_positive(kind, step)
+        q = r - u if contains(kind, r) else u * (r / u).floor()
     if compare_cross(q, t) >= 0 or compare_cross(q + gap, t) <= 0:
         raise AssertionError("element_below left (t - gap, t)")
     return q

@@ -652,6 +652,50 @@ def test_a_cut_checks_each_coordinate_once(monkeypatch):
     assert moved == principal(g, BELOW, (3, SQRT2 * 2, Fraction(5, 4), 0), 3)
 
 
+def test_a_witness_walks_g_once(monkeypatch):
+    # g's first nonzero coordinate j and its sign decide the refusals, the
+    # orientation and the bound: no ConvexSubgroup is built, and the signs
+    # of g's first j coordinates are read once each, none past them; at
+    # j = k small_positive may check its bound, g's k-th coordinate, again
+    built, signed = [], []
+    init, store, sign = ConvexSubgroup.__init__, ConvexSubgroup._store, \
+        Scalar.sign
+
+    def counted(make):
+        return lambda self, *fields: built.append(fields) or \
+            make(self, *fields)
+
+    g4 = LexGroup((KIND_Z, quad_q(2), KIND_Q, quad_z(3)))
+    cut_list = [principal(g4, side, (2, SQRT2, Fraction(3, 4), 5), k)
+                for side in (BELOW, ABOVE) for k in range(1, 5)] + [
+        gap_cut(g4, (1,), 2, Scalar.make(0, 1, 3)),
+        gap_cut(g4, (1, SQRT2), 3, SQRT2),
+        gap_cut(g4, (1, SQRT2, 0), 4, Scalar.make(Fraction(1, 2)))]
+    monkeypatch.setattr(ConvexSubgroup, "__init__", counted(init))
+    monkeypatch.setattr(ConvexSubgroup, "_store", counted(store))
+    monkeypatch.setattr(Scalar, "sign",
+                        lambda self: signed.append(self) or sign(self))
+    for c in cut_list:
+        for j in range(1, 5):
+            dense = g4.factors[j - 1].tag == "Q"
+            for head in ((Fraction(1, 3), -Fraction(7, 3)) if dense else
+                         (1, -2)):
+                # fresh coordinate objects, none shared with the cut
+                g = element(g4, (0,) * (j - 1) + (head,) + (1,) * (4 - j))
+                del signed[:]
+                if j > c.level:
+                    with pytest.raises(DomainError, match="invariance"):
+                        invariance_witness(c, g)
+                else:
+                    y, z = invariance_witness(c, g)
+                    assert {member(c, y), member(c, z)} == {MINUS, PLUS}
+                read = [id(x) for x in signed]
+                assert [x for x in g.coords[j:] if id(x) in read] == []
+                assert sum(read.count(id(x)) for x in g.coords) <= \
+                    j + (j == c.level)
+    assert built == []
+
+
 RECHECK_GROUPS = [LexGroup((KIND_Z, quad_q(2))),
                   LexGroup((quad_z(2), KIND_Q, KIND_Z)),
                   LexGroup((KIND_Q, quad_q(3), quad_z(2), KIND_Z))]

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from ordcut import cuts, hahnomega, lexgroups
+from ordcut import cuts, hahnomega, lexgroups, scalars
 from ordcut.errors import DomainError
 from ordcut.hahnomega import (MINUS, PLUS, OmegaConvexSubgroup, OmegaGroup,
                               index_cut, omega_classify, omega_compare,
@@ -201,6 +201,28 @@ def test_witness_examples():
         omega_invariance_witness(pt, omega_zero(GZ))
     with pytest.raises(DomainError):
         omega_invariance_witness(pt, omega_element(GQ, [(0, 1)]))
+
+
+def test_gap_witnesses_lower_delta_by_less_than_g_moves_it():
+    # j below the gap index: g moves every point of the factor by more than
+    # 1, so a delta outside Z is lowered to floor(delta); j at the index: to
+    # within g's entry there
+    for group, delta in ((GQ, SQRT2 * 7), (GZ2, Scalar.make(Fraction(7, 2))),
+                         (GQ3, SQRT2 * -3)):
+        anchor = omega_gap_at(group, [(0, 1)], 2, delta)
+        tiny = scalars.small_positive(group.factor,
+                                      Scalar.make(Fraction(1, 10 ** 6)))
+        for sign in (1, -1):
+            # the pair's member of the lower part comes first for positive g
+            below = omega_element(group, [(1, sign), (5, -3)])
+            _assert_straddles(anchor, below)
+            lo = omega_invariance_witness(anchor, below)[sign < 0]
+            assert lo.coord(2) == Scalar.make(delta.floor())
+            at = omega_element(group, [(2, tiny * sign), (4, 1)])
+            _assert_straddles(anchor, at)
+            lo = omega_invariance_witness(anchor, at)[sign < 0]
+            assert scalars.compare_cross(lo.coord(2), delta) < 0
+            assert scalars.compare_cross(lo.coord(2) + tiny, delta) > 0
 
 
 def test_witness_a_box_search_missed():

@@ -3,6 +3,7 @@
 import copy
 import pickle
 import time
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -203,6 +204,28 @@ def test_make_returns_a_scalar_as_it_is():
     for x in (Scalar.make(3), Scalar.make(Fraction(1, 3), 2, 5)):
         assert Scalar.make(x) is x
         assert Scalar.make(x, 0, 0) is x
+
+
+def test_make_reads_each_operand_as_fraction_does():
+    # one as_integer_ratio() for an int, a bool, a Fraction, a float or a
+    # Decimal; Fraction(x) for anything else, with Fraction's errors
+    for x in (3, -10 ** 40, True, False, Fraction(-7, 4), 0.375, -2.0,
+              Decimal("-1.25"), Decimal("4E+2"), "5/6", " -2 "):
+        assert Scalar.make(x) == Scalar.make(Fraction(x))
+        assert (Scalar.make(x).a, Scalar.make(0, x, 2).b) == (Fraction(x),) * 2
+        assert all(type(v) is int for v in (Scalar.make(x).p,
+                                            Scalar.make(1, x, 3).q))
+    for x, error in ((float("nan"), ValueError), (Decimal("NaN"), ValueError),
+                     (float("-inf"), OverflowError),
+                     (Decimal("Infinity"), OverflowError),
+                     ("1/0", ZeroDivisionError), ("x", ValueError),
+                     (None, TypeError), (1j, TypeError)):
+        with pytest.raises(error):
+            Fraction(x)
+        with pytest.raises(error):
+            Scalar.make(x)
+        with pytest.raises(error):  # b is read whatever d is
+            Scalar.make(1, x)
 
 
 def test_canonical_form():
@@ -809,23 +832,24 @@ def test_small_positive_over_q_is_the_largest_dyadic_below(bound):
 @st.composite
 def below_cases(draw):
     """(kind, t, gap) over Q, Q[sqrt 3] and Z[sqrt 2] at heights up to
-    10^30: t inside or outside the kind, gap a positive element of it, often
-    a tiny one."""
+    10^30, for each branch of element_below: t an integer, a rational, over
+    the kind's radical (sqrt 2 over Q; over Z[sqrt 2] often with integer
+    parts, inside the kind) or over another radical; gap a positive element
+    of the kind below, at or above 1, often a tiny one."""
     kind = draw(st.sampled_from([KIND_Q, quad_q(3), quad_z(2)]))
     h = 10 ** draw(st.integers(0, 30))
     num, den = st.integers(-h, h), st.integers(1, h)
-    if draw(st.booleans()):  # inside the kind
-        if kind.tag == "Z":
-            t = Scalar.make(draw(num), draw(num), 2)
-        else:
-            t = Scalar.make(Fraction(draw(num), draw(den)),
-                            Fraction(draw(num), draw(den)), kind.d)
-    else:  # over another radical, or a half-integer outside Z[sqrt 2]
-        d = draw(st.sampled_from([0, 3, 5] if kind.tag == "Z" else
-                                 [2, 5, 7]))
-        b = Fraction(draw(st.integers(1, h)), draw(den))
-        t = Scalar.make(Fraction(draw(num), draw(den)), b, d) if d else \
-            Scalar.make(Fraction(2 * draw(num) + 1, 2))
+    form = draw(st.sampled_from(["integer", "rational", "own", "other"]))
+    if form == "integer":
+        t = Scalar.make(draw(num))
+    elif form == "rational":
+        t = Scalar.make(Fraction(draw(num), draw(den)))
+    else:
+        d = (kind.d or 2) if form == "own" else draw(st.sampled_from([5, 7]))
+        if kind.tag == "Z" and form == "own" and draw(st.booleans()):
+            den = st.just(1)
+        t = Scalar.make(Fraction(draw(num), draw(den)),
+                        Fraction(draw(num), draw(den)), d)
     b = draw(st.integers(1, h))
     if kind.d and (kind.tag == "Z" or draw(st.booleans())):
         # |near(b, d) + off - b*sqrt(d)| is irrational, below 3 and near 1/b
@@ -837,26 +861,40 @@ def below_cases(draw):
     return kind, t, positive(gap)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(below_cases())
 def test_element_below_lies_inside_the_gap(case):
     kind, t, gap = case
     q = scalars.element_below(kind, t, gap)
     assert contains(kind, q)
     assert_canonical(q)
-    assert sympy_sign(value(t) - value(q)) == 1
-    assert sympy_sign(value(q) + value(gap) - value(t)) == 1
+    vt, vq = value(t), value(q)
+    assert sympy_sign(vt - vq) == 1
+    assert sympy_sign(vq + value(gap) - vt) == 1
+    # the step each branch takes, for u = small_positive(kind, gap)
+    if sympy_sign(value(gap) - 1) >= 0 and vt != sympy.floor(vt):
+        assert vq == sympy.floor(vt)  # every dense kind holds Z
+    elif contains(kind, t):
+        assert q == t - scalars.small_positive(kind, gap)
+    elif kind.tag == "Q":  # a rational u: one step to a multiple of u
+        u = value(scalars.small_positive(kind, gap))
+        assert vq == u * sympy.floor(vt / u)
 
 
 def test_element_below_steps_down_from_a_point_of_the_kind():
-    # t in the kind: t - u keeps t's height, whatever the gap
+    # t in the kind: floor(t) when gap >= 1 and t is not an integer, else
+    # t - u
     h = 10 ** 30
     for kind, t in ((KIND_Q, Scalar.make(Fraction(h, 7))),
                     (quad_q(3), Scalar.make(h, h - 1, 3)),
-                    (quad_z(2), Scalar.make(h, h - 1, 2))):
-        for gap in (Scalar.make(Fraction(1, 10 ** 6)), Scalar.make(5)):
-            assert scalars.element_below(kind, t, gap) == \
-                t - scalars.small_positive(kind, gap)
+                    (quad_z(2), Scalar.make(h, h - 1, 2)),
+                    (quad_z(2), Scalar.make(h))):
+        for gap in map(Scalar.make, (Fraction(1, 10 ** 6), 1, 5)):
+            step = scalars.element_below(kind, t, gap)
+            if gap.p >= gap.n and t != Scalar.make(t.floor()):
+                assert step == Scalar.make(t.floor())
+            else:
+                assert step == t - scalars.small_positive(kind, gap)
 
 
 def test_witness_builders_refuse_what_has_no_answer():

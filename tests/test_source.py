@@ -197,6 +197,7 @@ OUTSIDE_USERS = {
     "hahnomega.omega_invariance_witness": "tests/test_acceptance.py",
     "hahnomega.omega_periodic": "tests/test_acceptance.py",
     "lexgroups.epsilon_upper": "tests/test_acceptance.py",
+    "lexgroups.initial_part": "tests/test_acceptance.py",
     "lexgroups.zero": "tests/test_acceptance.py",
     "ordsets.MonotoneMap.is_injective": "tests/test_acceptance.py",
     "ordsets.MonotoneMap.is_surjective": "tests/test_acceptance.py",
