@@ -1,7 +1,9 @@
-"""Error types shared across the library, and the refusals that every
-module makes: an index that is not an int in its range, a record over a
-group of the wrong kind, and an argument over another group.  Each is
-written once here, so each reads the same everywhere."""
+"""Error types shared across the library, and the refusals every module
+makes: an index not an int in its range, a number not an int or a
+Fraction, a record over a group of the wrong kind, and an argument over
+another group.  Each is written once here, so it reads the same everywhere."""
+
+import sys
 
 
 class DomainError(ValueError):
@@ -30,6 +32,18 @@ def integer(value, what):
     if value.__class__ is not int:
         raise DomainError("%s must be an integer, not %s"
                           % (what, value.__class__.__name__))
+
+
+def rational(value, what):
+    """(numerator, denominator) in lowest terms of an int, not a bool, or a
+    Fraction, which exists only once fractions is loaded; refuse the rest."""
+    if value.__class__ is int:
+        return value, 1
+    fractions = sys.modules.get("fractions")
+    if fractions is not None and value.__class__ is fractions.Fraction:
+        return value.as_integer_ratio()
+    raise DomainError("%s is an int or a Fraction, not %s"
+                      % (what, value.__class__.__name__))
 
 
 def index(value, what, lo=0, hi=None):

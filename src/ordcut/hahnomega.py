@@ -255,11 +255,10 @@ def omega_translate(anchor, g):
 # ---------------------------------------------------------------------------
 # constructive invariance witnesses
 
-def _witness_positive(anchor, g):
-    """lo in the lower part of the cut, for positive g outside the
-    invariance subgroup; lo + g lies in the upper part."""
+def _witness_positive(anchor, g, j, head):
+    """lo in the lower part of the cut, for positive g outside the invariance
+    subgroup, head at j its first entry; lo + g lies in the upper part."""
     group = anchor.group
-    j, head = g.support[0]
     if isinstance(anchor, OmegaPoint):
         return anchor.point  # the cut is closed: the point is below it
     if isinstance(anchor, OmegaGapAt):
@@ -285,15 +284,18 @@ def omega_invariance_witness(anchor, g):
     part) is returned.  Raises for g inside the invariance subgroup.
     """
     same_group(g, anchor.group)
-    if g.is_zero():
+    if not g.support:
         raise DomainError("zero stabilizes every cut")
-    if omega_invariance(anchor).member(g):
+    # g's first entry, head at j, decides the rest: a gap at i has invariance
+    # Tail(i + 1), which holds g when j > i; point and periodic anchors, (0)
+    j, head = g.support[0]
+    if isinstance(anchor, OmegaGapAt) and j > anchor.index:
         raise DomainError("element lies in the invariance subgroup")
-    up = g if g.support[0][1].sign() > 0 else -g
-    lo = _witness_positive(anchor, up)
-    hi = lo + up
+    if head.sign() < 0:  # the mirror of -g's pair
+        lo, hi = omega_invariance_witness(anchor, -g)
+        return hi, lo
+    lo = _witness_positive(anchor, g, j, head)
+    hi = lo + g
     if omega_member(anchor, lo) != MINUS or omega_member(anchor, hi) != PLUS:
         raise AssertionError("invariance witness does not straddle the cut")
-    if up is g:
-        return lo, hi
-    return hi, lo
+    return lo, hi

@@ -21,11 +21,10 @@ returns the same immutable record, which callers share.  A group that is
 refused is not stored, so it raises its error again on every call.
 """
 
-import sys
 from functools import lru_cache
 from math import isqrt
 
-from .errors import DomainError, group_kind, index, same_group
+from .errors import DomainError, group_kind, index, rational, same_group
 from . import scalars
 from .record import Record
 from .scalars import RankOneKind, Scalar, ZERO, ONE
@@ -168,14 +167,10 @@ class FactorwiseInjection(Record):
             raise DomainError("scales must be a tuple")
         if len(self.scales) != self.dom.rank:
             raise DomainError("one scale per factor required")
-        # a Fraction exists only once fractions is loaded: none is imported
-        fraction = getattr(sys.modules.get("fractions"), "Fraction", None)
         scales = []
         for kd, kc, s in zip(self.dom.factors, self.cod.factors, self.scales):
             if s.__class__ is not Scalar:
-                if s.__class__ is not int and s.__class__ is not fraction:
-                    raise DomainError("a scale is an int or a Fraction, not %s"
-                                      % s.__class__.__name__)
+                rational(s, "a scale")
                 s = Scalar.make(s)
             elif s.q:
                 raise DomainError("a scale is rational, not %s" % s)

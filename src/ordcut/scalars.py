@@ -7,10 +7,9 @@ canonical: n > 0, gcd(p, q, n) = 1, and d = 0 exactly when q = 0, else a
 non-square.  Arithmetic, signs, floors and the witness builders
 `small_positive` and `element_below` work on those ints alone; a product or
 quotient by a rational scalar, an int or a Fraction is one `_scalar` call.
-`Fraction` only converts input (`Scalar.make`, which hands ints to
-`from_ratios`) and output (`.a`, `.b`), and `fractions` is imported there,
-on first use, which keeps it and the `decimal` it imports out of a cold
-start.  All order decisions are exact:
+A number that is not a Scalar is an int or a Fraction (`errors.rational`);
+`fractions` is imported only for output (`.a`, `.b`), which keeps it and the
+`decimal` it imports out of a cold start.  All order decisions are exact:
 signs are resolved by case analysis and squaring on integers, never by
 floating point, for any radicand.  Radicands enter through `from_ratios`
 and `RankOneKind`, split by `_square_free` without factoring: the primes
@@ -23,7 +22,7 @@ from functools import lru_cache
 from itertools import compress
 from math import gcd, isqrt, prod
 
-from .errors import DomainError, integer
+from .errors import DomainError, integer, rational
 from .record import Record
 
 _TRIAL = 1 << 10  # the primes below it are split off by gcds
@@ -120,18 +119,6 @@ def _sign3(u, v, d, w, e):
     return s_l * _quad_sign(v * v * d + w * w * e - u * u, 2 * v * w, d * e)
 
 
-def _ratio(x):
-    """Numerator and denominator of x in lowest terms, by one
-    as_integer_ratio() call for an int, a bool, a Fraction, a float or a
-    Decimal (a NaN raises ValueError, an infinity OverflowError); of
-    Fraction(x) for anything else, such as a string."""
-    try:
-        return x.as_integer_ratio()
-    except AttributeError:
-        import fractions
-        return fractions.Fraction(x).as_integer_ratio()
-
-
 def _print_ratio(num, den):
     """num/den in lowest terms, den > 0; den omitted when it is 1."""
     try:
@@ -170,8 +157,8 @@ class Scalar(_Ints):
         and b = d = 0; splits d unless d == 0."""
         if a.__class__ is Scalar and b == 0 and d == 0:
             return a
-        an, ad = _ratio(a)
-        bn, bd = _ratio(b)  # b is converted, or refused, whatever d is
+        an, ad = rational(a, "a coefficient")
+        bn, bd = rational(b, "a coefficient")  # whatever d is
         if d == 0:
             return _raw(an, 0, ad, 0)  # an/ad is in lowest terms
         return from_ratios(an, ad, bn, bd, d)
@@ -260,11 +247,13 @@ class Scalar(_Ints):
         return _raw(-self.p, -self.q, self.n, self.d)
 
     def __sub__(self, other):
-        return self + (-other)
+        if not isinstance(other, Scalar):  # read before it is negated
+            other = Scalar.make(other)
+        return self + -other
 
     def __mul__(self, other):
-        if not isinstance(other, Scalar):  # an int or a Fraction
-            m, k = other.numerator, other.denominator
+        if not isinstance(other, Scalar):
+            m, k = rational(other, "a coefficient")
             return _scalar(self.p * m, self.q * m, self.n * k, self.d)
         if not other.q:
             return _scalar(self.p * other.p, self.q * other.p,
@@ -291,8 +280,8 @@ class Scalar(_Ints):
                 # 1/other = m*(r - s*sqrt(d))/norm
                 return self * _scalar(r * m, -s * m, norm, other.d)
             m, k = other.p, other.n
-        else:  # an int or a Fraction
-            m, k = other.numerator, other.denominator
+        else:
+            m, k = rational(other, "a coefficient")
         if m == 0:
             raise ZeroDivisionError("division by zero")
         if m < 0:

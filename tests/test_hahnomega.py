@@ -203,6 +203,48 @@ def test_witness_examples():
         omega_invariance_witness(pt, omega_element(GQ, [(0, 1)]))
 
 
+def test_an_omega_witness_walks_g_once(monkeypatch):
+    # g's first entry, its index j and its sign decide the refusals, the
+    # orientation and the bound: no OmegaConvexSubgroup is built, and no
+    # sign is read on g's values past its first entry; at a gap's index
+    # small_positive may check its bound, g's first entry, again
+    built, signed = [], []
+    init, store, sign = OmegaConvexSubgroup.__init__, \
+        OmegaConvexSubgroup._store, Scalar.sign
+
+    def counted(make):
+        return lambda self, *fields: built.append(fields) or \
+            make(self, *fields)
+
+    anchors = [omega_point(GQ, [(0, 1), (2, -1)]), omega_point(GQ, []),
+               omega_gap_at(GQ, [(0, 1)], 2, SQRT2),
+               omega_gap_at(GQ, [], 0, SQRT2),
+               omega_periodic(GQ, (1,), (0, -2)),
+               omega_periodic(GQ, (), (Fraction(3, 2),))]
+    monkeypatch.setattr(OmegaConvexSubgroup, "__init__", counted(init))
+    monkeypatch.setattr(OmegaConvexSubgroup, "_store", counted(store))
+    monkeypatch.setattr(Scalar, "sign",
+                        lambda self: signed.append(self) or sign(self))
+    for anchor in anchors:
+        for j in range(4):
+            for head in (Fraction(1, 3), -Fraction(7, 3)):
+                # fresh values, none shared with the anchor
+                g = omega_element(GQ, [(j, head), (j + 1, 1), (j + 3, -2)])
+                del signed[:]
+                at = getattr(anchor, "index", None)
+                if at is not None and j > at:
+                    with pytest.raises(DomainError, match="invariance"):
+                        omega_invariance_witness(anchor, g)
+                else:
+                    y, z = omega_invariance_witness(anchor, g)
+                    assert {omega_member(anchor, y),
+                            omega_member(anchor, z)} == {MINUS, PLUS}
+                read = [id(x) for x in signed]
+                assert [v for _, v in g.support[1:] if id(v) in read] == []
+                assert read.count(id(g.support[0][1])) <= 1 + (j == at)
+    assert built == []
+
+
 def test_gap_witnesses_lower_delta_by_less_than_g_moves_it():
     # j below the gap index: g moves every point of the factor by more than
     # 1, so a delta outside Z is lowered to floor(delta); j at the index: to

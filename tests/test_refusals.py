@@ -1,10 +1,14 @@
 """Refusals that no other test reaches: each raise site, called once, says
 its exact message, and a command line that reaches one exits with its
-code."""
+code.  And the scalar contract: every entry point that reads a number takes
+an int, a Fraction or a Scalar, and refuses anything else."""
 
 import io
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ordcut import cli, cuts, hahnomega, lexgroups, ordsets, scalars
 from ordcut.errors import DomainError
@@ -68,3 +72,70 @@ def test_each_refusal_says_its_message(call, raises, message):
     with pytest.raises(raises) as e:
         call()
     assert str(e.value) == message
+
+
+# ---------------------------------------------------------------------------
+# the scalar contract, over arbitrary Python values
+
+BIG = 10 ** 4300  # past the int-to-str limit
+
+_rationals = st.one_of(st.integers(), st.fractions(),
+                       st.integers().map(lambda k: k + BIG),
+                       st.integers().map(lambda k: k - BIG))
+_leaves = st.one_of(
+    _rationals,
+    st.builds(Scalar.make, _rationals, _rationals, st.sampled_from((2, 3, 8))),
+    st.booleans(), st.floats(), st.decimals(), st.text(max_size=6), st.none(),
+    st.complex_numbers())
+VALUES = st.recursive(_leaves, lambda inner: st.one_of(
+    st.tuples(inner), st.tuples(inner, inner), st.lists(inner, max_size=3)),
+    max_leaves=4)
+
+GROUPS = [lexgroups.LexGroup((k,)) for k in (KIND_Z, KIND_Q,
+                                             scalars.RankOneKind("Q", 2))]
+OMEGA_GROUPS = [GZ, hahnomega.OmegaGroup(KIND_Q)]
+ENTRY_POINTS = {
+    "make(v)": lambda g, G, v: Scalar.make(v),
+    "make(0, v, 2)": lambda g, G, v: Scalar.make(0, v, 2),
+    "make(v, 1, 2)": lambda g, G, v: Scalar.make(v, 1, 2),
+    "ONE + v": lambda g, G, v: ONE + v,
+    "ONE - v": lambda g, G, v: ONE - v,
+    "ONE * v": lambda g, G, v: ONE * v,
+    "v * ONE": lambda g, G, v: v * ONE,
+    "ONE / v": lambda g, G, v: ONE / v,
+    "scale": lambda g, G, v: lexgroups.FactorwiseInjection(g, g, (v,)),
+    "element": lambda g, G, v: lexgroups.element(g, [v]),
+    "principal": lambda g, G, v: cuts.principal(g, cuts.BELOW, [v], 1),
+    "gap_cut": lambda g, G, v: cuts.gap_cut(g, [], 1, v),
+    "omega_element": lambda g, G, v: hahnomega.omega_element(G, [(0, v)]),
+}
+
+
+def _is_zero(v):
+    if v.__class__ is Scalar:
+        return v.sign() == 0
+    return v.__class__ in (int, Fraction) and v == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(VALUES, st.sampled_from(GROUPS), st.sampled_from(OMEGA_GROUPS))
+def test_each_number_is_read_or_refused_as_a_domain_error(v, g, G):
+    for name, call in ENTRY_POINTS.items():
+        try:
+            call(g, G, v)
+        except DomainError:
+            pass
+        except ZeroDivisionError:
+            assert name == "ONE / v" and _is_zero(v), name
+
+
+@pytest.mark.parametrize("v", [True, 0.5, Decimal("0.5"), "1/3", None, 1j,
+                               [1]])
+def test_what_is_not_rational_is_refused_by_its_type(v):
+    # every entry point names the type it refuses, a scale as a scale
+    for name, call in ENTRY_POINTS.items():
+        what = "a scale" if name == "scale" else "a coefficient"
+        with pytest.raises(DomainError) as e:
+            call(GROUPS[1], OMEGA_GROUPS[1], v)
+        assert str(e.value) == "%s is an int or a Fraction, not %s" % (
+            what, type(v).__name__), name

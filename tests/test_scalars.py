@@ -206,26 +206,24 @@ def test_make_returns_a_scalar_as_it_is():
         assert Scalar.make(x, 0, 0) is x
 
 
-def test_make_reads_each_operand_as_fraction_does():
-    # one as_integer_ratio() for an int, a bool, a Fraction, a float or a
-    # Decimal; Fraction(x) for anything else, with Fraction's errors
-    for x in (3, -10 ** 40, True, False, Fraction(-7, 4), 0.375, -2.0,
-              Decimal("-1.25"), Decimal("4E+2"), "5/6", " -2 "):
-        assert Scalar.make(x) == Scalar.make(Fraction(x))
+def test_make_reads_ints_and_fractions_and_refuses_the_rest():
+    # an int, not a bool, or a Fraction is read exactly; anything else, what
+    # Fraction(x) would read included, is refused with its type's name
+    for x in (3, -10 ** 40, Fraction(-7, 4), Fraction(5)):
         assert (Scalar.make(x).a, Scalar.make(0, x, 2).b) == (Fraction(x),) * 2
         assert all(type(v) is int for v in (Scalar.make(x).p,
                                             Scalar.make(1, x, 3).q))
-    for x, error in ((float("nan"), ValueError), (Decimal("NaN"), ValueError),
-                     (float("-inf"), OverflowError),
-                     (Decimal("Infinity"), OverflowError),
-                     ("1/0", ZeroDivisionError), ("x", ValueError),
-                     (None, TypeError), (1j, TypeError)):
-        with pytest.raises(error):
-            Fraction(x)
-        with pytest.raises(error):
-            Scalar.make(x)
-        with pytest.raises(error):  # b is read whatever d is
-            Scalar.make(1, x)
+    # a Scalar is returned as it is when b = d = 0, and is no coefficient
+    root = Scalar.make(1, 1, 2)
+    for x in (True, False, 0.375, -2.0, float("nan"), float("-inf"),
+              Decimal("-1.25"), Decimal("NaN"), Decimal("Infinity"), "5/6",
+              " -2 ", "1/0", "x", None, 1j, [1], (1,), root):
+        message = ("^a coefficient is an int or a Fraction, not %s$"
+                   % type(x).__name__)
+        for a, b, d in ((x, 0, 0), (1, x, 0), (x, 1, 2), (0, x, 2)):
+            if a is not root or b or d:
+                with pytest.raises(DomainError, match=message):
+                    Scalar.make(a, b, d)
 
 
 def test_canonical_form():
@@ -697,10 +695,12 @@ def test_scalars_are_immutable_and_round_trip():
 
 def test_make_checks_b_whatever_d():
     for d in (0, 2):
-        with pytest.raises(ValueError):
-            Scalar.make(1, "abc", d)
-    assert Scalar.make(1, "1/2", 0) == Scalar.make(1)
-    assert Scalar.make(1, "1/2", 2) == Scalar.make(1, Fraction(1, 2), 2)
+        for b in ("abc", "1/2", 0.5, None):
+            with pytest.raises(DomainError, match="^a coefficient is an int "
+                               "or a Fraction, not %s$" % type(b).__name__):
+                Scalar.make(1, b, d)
+    assert Scalar.make(1, Fraction(1, 2), 0) == Scalar.make(1)
+    assert Scalar.make(1, Fraction(1, 2), 8) == Scalar.make(1, 1, 2)
 
 
 # ---------------------------------------------------------------------------

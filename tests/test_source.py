@@ -146,13 +146,10 @@ INT_TEST_EXEMPT = {
     "RankOneKind.__post_init__":
         "its `d.__class__ is not int` decides whether to split d; "
         "_square_free does the refusing",
-    "FactorwiseInjection.__post_init__":
-        "a scale may be an int, a Fraction or a rational Scalar, so it is "
-        "refused for being none of them, not as an index is",
 }
 # As patterns: a range may be written `outside %d..` or `outside 0..%d`.
 REFUSAL_WORDS = ("must be an integer", "different group", "must be nonnegative",
-                 r"outside \S*\.\.")
+                 r"outside \S*\.\.", "is an int or a Fraction, not")
 
 
 def _int_tests(tree):
@@ -473,3 +470,26 @@ def test_scale_push_loads_no_number_modules():
     assert done.stdout.splitlines() == [
         "result_group: lex(Q,Q)", "lower: below([1/2,0]; C 1)",
         "upper: above([1,0]; C 1)", "[]"]
+
+
+def test_refusing_a_float_loads_no_number_modules():
+    # errors.rational tells an int from a Fraction without importing
+    # fractions: a float is refused as a make coefficient, an arithmetic
+    # operand and a scale, and neither fractions nor decimal is loaded
+    code = ("import sys; sys.path.insert(0, %r); "
+            "from ordcut import lexgroups, scalars\n"
+            "g = lexgroups.LexGroup((scalars.KIND_Q,))\n"
+            "for call in (lambda: scalars.Scalar.make(0.5), "
+            "lambda: scalars.ONE * 0.5, "
+            "lambda: lexgroups.FactorwiseInjection(g, g, (0.5,))):\n"
+            "    try:\n        call()\n"
+            "    except scalars.DomainError as e:\n        print(e)\n"
+            "print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+            % str(SRC.parent))
+    done = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "a coefficient is an int or a Fraction, not float",
+        "a coefficient is an int or a Fraction, not float",
+        "a scale is an int or a Fraction, not float", "[]"]
