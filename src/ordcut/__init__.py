@@ -1,6 +1,6 @@
 """Exact symbolic computation with totally ordered abelian groups.
 
-Subpackages:
+Modules:
   ordsets    segments and cuts of finite chains, with the adjoint triple;
   scalars    exact arithmetic for a + b*sqrt(d) and rank-one group kinds;
   lexgroups  finite lexicographic products, convex subgroups, morphisms;

@@ -1,7 +1,8 @@
 """Error types shared across the library, and the refusals every module
 makes: an index not an int in its range, a number not an int or a
-Fraction, a record over a group of the wrong kind, and an argument over
-another group.  Each is written once here, so it reads the same everywhere."""
+Fraction, a record field not a tuple, a record over a group of the wrong
+kind, and an argument over another group.  Each is written once here, so
+it reads the same everywhere."""
 
 import sys
 
@@ -57,6 +58,12 @@ def index(value, what, lo=0, hi=None):
         from .scalars import _print_ratio  # scalars imports this module
         raise DomainError("%s %s outside %d..%s" % (
             what, _print_ratio(value, 1), lo, _print_ratio(hi, 1)))
+
+
+def tuple_field(value, what):
+    """Refuse a record field that is not a tuple, which could not hash."""
+    if not isinstance(value, tuple):
+        raise DomainError("%s must be a tuple" % what)
 
 
 _GROUP_KINDS = {"LexGroup": "a lex group", "OmegaGroup": "an omega group"}

@@ -7,7 +7,7 @@ infinite descending chain Tail(0) > Tail(1) > ... with trivial intersection
 lives, and with it the tightened cut type that finite rank cannot produce.
 """
 
-from .errors import DomainError, group_kind, index, same_group
+from .errors import DomainError, group_kind, index, same_group, tuple_field
 from . import scalars
 from .record import Record
 from .scalars import ONE, RankOneKind, Scalar, ZERO
@@ -28,16 +28,20 @@ class OmegaElement(Record):
 
     def __post_init__(self):
         group_kind(self.group, OmegaGroup, "an omega element")
+        tuple_field(self.support, "support")
         prev = -1
-        for i, v in self.support:
+        for pair in self.support:
+            if not isinstance(pair, tuple) or len(pair) != 2:
+                raise DomainError("a support entry is an (index, value) tuple")
+            i, v = pair
             index(i, "support index")
             if i <= prev:
                 raise DomainError("support indices must strictly increase")
             prev = i
-            if v.sign() == 0:
-                raise DomainError("support values must be nonzero")
             if not scalars.contains(self.group.factor, v):
                 raise DomainError("value %s outside the factor" % (v,))
+            if v.sign() == 0:
+                raise DomainError("support values must be nonzero")
 
     def coord(self, i):
         for j, v in self.support:
@@ -134,6 +138,8 @@ class OmegaPeriodic(Record):
 
     def __post_init__(self):
         group_kind(self.group, OmegaGroup, "a periodic anchor")
+        tuple_field(self.preperiod, "preperiod")
+        tuple_field(self.period, "period")
         if not self.period:
             raise DomainError("period must be nonempty")
         for v in self.preperiod + self.period:

@@ -5,9 +5,7 @@ zeroing the first k coordinates; C_0 = the whole group, C_n = (0), and these
 n+1 subgroups are all convex subgroups of the product.  The quotient by C_k
 and the sub-quotient C_{k1}/C_{k2} are the groups of `slice_group`; the
 morphisms are the factorwise injections, among them `widening` and
-`scaling`.  Their scales are rational `Scalar`s, and whether a scaled
-factor lies in a codomain factor is read off the two tags and radicands and
-whether the scale is an integer (`_scaled_into`), with no product formed.
+`scaling`, with rational `Scalar` scales.
 
 A lex group is already its own Hahn sum over the index chain 1..n: its
 skeleton is its rank and factors, its Hahn embedding is the identity on
@@ -22,9 +20,9 @@ refused is not stored, so it raises its error again on every call.
 """
 
 from functools import lru_cache
-from math import isqrt
 
-from .errors import DomainError, group_kind, index, rational, same_group
+from .errors import (DomainError, group_kind, index, rational, same_group,
+                     tuple_field)
 from . import scalars
 from .record import Record
 from .scalars import RankOneKind, Scalar, ZERO, ONE
@@ -53,6 +51,7 @@ class GroupElement(Record):
 
     def __post_init__(self):
         group_kind(self.group, LexGroup, "an element")
+        tuple_field(self.coords, "coordinates")
         if len(self.coords) != self.group.rank:
             raise DomainError("element has wrong number of coordinates")
         for kind, c in zip(self.group.factors, self.coords):
@@ -132,55 +131,51 @@ def is_principal(c):
 # morphisms
 
 def _scaled_into(kd, s, kc):
-    """Whether s*kd lies in kc, for a rational scalar s, read off the tags,
-    the radicands and whether s is an integer, with no product formed.
-
-    s lies in kc when kc is a Q kind or s is an integer, and s*Q only when
-    kc is a Q kind.  s*sqrt(e), for e = kd.d, lies in kc under the same
-    condition when e = kc.d.  For another radicand c = kc.d of e's square
-    class, sqrt(e) = (t/c)*sqrt(c) with t = isqrt(e*c), as `scalars._over`
-    rewrites it, and the coefficient s*t/c must lie in kc; sqrt(e) of
-    another class lies in no kind over c.
+    """Whether s*kd lies in kc, for a rational scalar s, with no product
+    formed.  For e = kd.d and c = kc.d: s lies in kc when kc is a Q kind or
+    s an integer, s*Q only in a Q kind, and s*sqrt(e) under that condition
+    when e is c, else when sqrt(e) = (t/c)*sqrt(c) for t =
+    `scalars.class_root`(c, e) != 0 and s*t/c lies in kc.
     """
     if kc.tag != "Q" and (kd.tag == "Q" or s.n != 1):
         return False
     e, c = kd.d, kc.d
     if not e or e == c:
         return True
-    if not c:
-        return False
-    t = isqrt(e * c)
-    return t * t == e * c and (kc.tag == "Q" or s.p * t % c == 0)
+    t = scalars.class_root(c, e)
+    return t != 0 and (kc.tag == "Q" or s.p * t % c == 0)
+
+
+def _scale(s):
+    """A scale as a Scalar: an int, a Fraction or a rational Scalar, > 0."""
+    if s.__class__ is not Scalar:
+        rational(s, "a scale")
+        s = Scalar.make(s)
+    elif s.q:
+        raise DomainError("a scale is rational, not %s" % s)
+    if s.p <= 0:
+        raise DomainError("scales must be positive")
+    return s
 
 
 class FactorwiseInjection(Record):
-    """x -> (s_1*x_1, ..., s_n*x_n) from dom into cod, for positive rational
-    scales: each an int, a Fraction or a rational Scalar, stored as a
-    Scalar, so that equal scales give equal morphisms."""
+    """x -> (s_1*x_1, ..., s_n*x_n) from dom into cod, its scales stored as
+    Scalars (`_scale`), so that equal scales give equal morphisms."""
 
     __slots__ = ("dom", "cod", "scales")
 
     def __post_init__(self):
         if self.dom.rank != self.cod.rank:
             raise DomainError("factorwise morphism needs equal ranks")
-        if not isinstance(self.scales, tuple):  # a field must hash
-            raise DomainError("scales must be a tuple")
+        tuple_field(self.scales, "scales")
         if len(self.scales) != self.dom.rank:
             raise DomainError("one scale per factor required")
-        scales = []
-        for kd, kc, s in zip(self.dom.factors, self.cod.factors, self.scales):
-            if s.__class__ is not Scalar:
-                rational(s, "a scale")
-                s = Scalar.make(s)
-            elif s.q:
-                raise DomainError("a scale is rational, not %s" % s)
-            if s.p <= 0:
-                raise DomainError("scales must be positive")
+        scales = tuple(map(_scale, self.scales))
+        for kd, kc, s in zip(self.dom.factors, self.cod.factors, scales):
             if not _scaled_into(kd, s, kc):
                 raise DomainError(
                     "scaled factor image leaves the codomain factor")
-            scales.append(s)
-        object.__setattr__(self, "scales", tuple(scales))
+        object.__setattr__(self, "scales", scales)
 
     def apply(self, x):
         if x.group != self.dom:
@@ -193,6 +188,8 @@ def scaling(g, scales):
     """The factorwise injection of g by these rational scalars into the
     group of each factor itself, or of its divisible hull where the scaled
     factor leaves it."""
+    tuple_field(scales, "scales")
+    scales = tuple(map(_scale, scales))
     return FactorwiseInjection(g, LexGroup(tuple(
         k if _scaled_into(k, s, k) else scalars.divisible_hull_kind(k)
         for k, s in zip(g.factors, scales))), scales)

@@ -9,13 +9,12 @@ non-square.  Arithmetic, signs, floors and the witness builders
 quotient by a rational scalar, an int or a Fraction is one `_scalar` call.
 A number that is not a Scalar is an int or a Fraction (`errors.rational`);
 `fractions` is imported only for output (`.a`, `.b`), which keeps it and the
-`decimal` it imports out of a cold start.  All order decisions are exact:
-signs are resolved by case analysis and squaring on integers, never by
-floating point, for any radicand.  Radicands enter through `from_ratios`
-and `RankOneKind`, split by `_square_free` without factoring: the primes
-below 2^10 come out through gcds with their product, so d may keep the
-square of a larger prime; two radicands d and e of one square class meet
-through isqrt(d*e) (`_over`).
+`decimal` it imports out of a cold start.  All order decisions are exact,
+on integers and never in floating point, by the one sign rule stated at
+`compare_cross`.  Radicands enter through `from_ratios` and `RankOneKind`,
+split by `_square_free` without factoring: the primes below 2^10 come out
+through gcds with their product, so d may keep the square of a larger
+prime; two radicands of one square class meet through `class_root`.
 """
 
 from functools import lru_cache
@@ -89,34 +88,13 @@ def _sgn(x):
 
 
 def _quad_sign(a, b, d):
-    """Exact sign of a + b*sqrt(d) for integers a, b and d >= 0.
-
-    When a and b differ in sign, squaring gives sgn(a) * sgn(a^2 - b^2*d);
-    d need not be square-free.
-    """
-    if not b or not d:
+    """Exact sign of a + b*sqrt(d) for integers a, b and d >= 0, d > 0
+    when b != 0: the rule of `compare_cross` over one radical."""
+    if not b:
         return _sgn(a)
     if not a or (a > 0) == (b > 0):
         return _sgn(b)
     return _sgn(a) * _sgn(a * a - b * b * d)
-
-
-def _sign3(u, v, d, w, e):
-    """Exact sign of u + v*sqrt(d) + w*sqrt(e), as for `_quad_sign`."""
-    if not w or not e:
-        return _quad_sign(u, v, d)
-    if not v or not d:
-        return _quad_sign(u, w, e)
-    if d == e:
-        return _quad_sign(u, v + w, d)
-    s_l = _sgn(v)  # sign of v*sqrt(d) + w*sqrt(e)
-    if (v > 0) != (w > 0):
-        s_l *= _sgn(v * v * d - w * w * e)
-    s_u = _sgn(u)
-    if s_l * s_u >= 0:
-        return s_l or s_u
-    # opposite signs: the larger of (v*sqrt(d) + w*sqrt(e))^2 and u^2 wins
-    return s_l * _quad_sign(v * v * d + w * w * e - u * u, 2 * v * w, d * e)
 
 
 def _print_ratio(num, den):
@@ -216,27 +194,27 @@ class Scalar(_Ints):
     def __repr__(self):
         return "Scalar(%s)" % self
 
-    def _merged(self, other):
+    def _merged(self, other, verb=None):
         """(x, y, d): self and other over one radical d, the smaller of two
-        radicands of one class; None for distinct radicals."""
+        radicands of one class.  For distinct radicals None, or, given the
+        verb, the DomainError "cannot <verb> scalars ..." of `+` and `*`."""
         d, e = self.d, other.d
         if not d or not e:
             return self, other, d or e
-        if d < e:
-            y = _over(d, other)
-            return None if y is None else (self, y, d)
-        x = _over(e, self)
-        return None if x is None else (x, other, e)
+        x, y = (self, _over(d, other)) if d < e else (_over(e, self), other)
+        if x is not None and y is not None:
+            return x, y, min(d, e)
+        if verb:
+            raise DomainError("cannot %s scalars over distinct radicals"
+                              % verb)
+        return None
 
     def __add__(self, other):
         if not isinstance(other, Scalar):
             other = Scalar.make(other)
         d = self.d
         if d != other.d:
-            merged = self._merged(other)
-            if merged is None:
-                raise DomainError("cannot add scalars over distinct radicals")
-            self, other, d = merged
+            self, other, d = self._merged(other, "add")
         n, m = self.n, other.n
         if n == m:
             return _scalar(self.p + other.p, self.q + other.q, n, d)
@@ -260,11 +238,7 @@ class Scalar(_Ints):
                            self.n * other.n, self.d)
         d = self.d
         if d != other.d:
-            merged = self._merged(other)
-            if merged is None:
-                raise DomainError(
-                    "cannot multiply scalars over distinct radicals")
-            self, other, d = merged
+            self, other, d = self._merged(other, "multiply")
         p, q, r, s = self.p, self.q, other.p, other.q
         return _scalar(p * r + q * s * d, p * s + q * r, self.n * other.n, d)
 
@@ -341,14 +315,17 @@ def from_ratios(an, ad, bn, bd, d):
     return _scalar(an * bd, bn * k * ad, ad * bd, d0)
 
 
+def class_root(d, e):
+    """The square-class test of d, e >= 0: t = sqrt(d*e) when that is an
+    int t > 0, so that sqrt(e) = (t/d)*sqrt(d); else 0."""
+    t = isqrt(d * e)
+    return t if t * t == d * e else 0
+
+
 def _over(d, x):
-    """x rewritten over sqrt(d), for x over sqrt(e) with d, e non-squares:
-    sqrt(e) = (s/d)*sqrt(d) when s = isqrt(d*e) has s^2 = d*e; None when
-    d*e is not a square, so that sqrt(e)/sqrt(d) is irrational."""
-    s = isqrt(d * x.d)
-    if s * s != d * x.d:
-        return None
-    return _scalar(x.p * d, x.q * s, x.n * d, d)
+    """x rewritten over sqrt(d); None when d and x.d are of two classes."""
+    t = class_root(d, x.d)
+    return _scalar(x.p * d, x.q * t, x.n * d, d) if t else None
 
 
 ZERO = Scalar.make(0)
@@ -356,12 +333,24 @@ ONE = Scalar.make(1)
 
 
 def compare_cross(x, y):
-    """Exact ordering of any two scalars, possibly over distinct radicals."""
+    """Exact ordering of any two scalars, over one radical or two.
+
+    Over the common denominator x - y = a + w*sqrt(e), a = u + v*sqrt(d),
+    for ints u, v, w.  Its sign is sgn(a) when w = 0, sgn(w) when a = 0 or
+    sgn(a) = sgn(w), else sgn(a)*sgn(a^2 - w^2*e) by squaring.  One radical
+    (d = 0, e = 0 or d = e) makes a the int u: `_quad_sign`.  With two,
+    sgn(a) is `_quad_sign` too, and a^2 - w^2*e has the one radical sqrt(d).
+    """
     n, m = x.n, y.n
-    if x.d or y.d:
-        return _sign3(x.p * m - y.p * n, x.q * m, x.d, -y.q * n, y.d)
-    s, t = x.p * m, y.p * n
-    return (s > t) - (s < t)
+    u, d, e = x.p * m - y.p * n, x.d, y.d
+    if d == e or not d or not e:
+        b = x.q * m - y.q * n
+        return _quad_sign(u, b, d or e) if b else (u > 0) - (u < 0)
+    v, w = x.q * m, -y.q * n
+    s = _quad_sign(u, v, d)
+    if not s or (s > 0) == (w > 0):
+        return _sgn(w)
+    return s * _quad_sign(u * u + v * v * d - w * w * e, 2 * u * v, d)
 
 
 def first_difference(pairs):
@@ -401,12 +390,15 @@ KIND_Q = RankOneKind("Q", 0)
 
 
 def contains(kind, x):
-    """Membership of the scalar x in the rank-one group."""
+    """Membership of the scalar x in the rank-one group; every record
+    checks its scalars here, and refuses a value that is not a Scalar."""
+    if x.__class__ is not Scalar:
+        raise DomainError("a coordinate is a Scalar, not %s"
+                          % x.__class__.__name__)
     # canonical x: q == 0 exactly when d == 0, and a, b are integers
     # exactly when n == 1
-    if x.d in (0, kind.d):
-        return kind.tag == "Q" or x.n == 1
-    x = _over(kind.d, x) if kind.d else None
+    if x.d not in (0, kind.d):
+        x = _over(kind.d, x)
     return x is not None and (kind.tag == "Q" or x.n == 1)
 
 

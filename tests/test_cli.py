@@ -210,6 +210,10 @@ def test_orders_output():
 def test_misc_verbs():
     assert run("discreteness", "lex(Q,Z)")[1] == \
         "discrete: true\ndiscretely_ordered: false\nmin_positive: [0,1]\n"
+    # the rank-0 group has no positive element, and no factor to be dense
+    assert run("discreteness", "lex()") == (0, "discrete: false\n"
+                                            "discretely_ordered: true\n"
+                                            "min_positive: none\n", "")
     assert run("hull", "lex(Z,Z[sqrt 2])")[1] == \
         "result_group: lex(Q,Q[sqrt 2])\n"
     assert run("convex-subgroups", "lex(Z,Q)")[1] == \
@@ -481,6 +485,12 @@ def test_level_and_size_take_ascii_digits_only():
             assert (code, out) == (1, ""), argv
             assert err == "syntax error: expected a level integer, got " \
                 "%r\n" % text
+    # the grammar's INT, past the digits that int() converts
+    long = "9" * 4301
+    for argv in (("orders", long),
+                 ("project", "lex(Z,Z)", "below([1,0]; C 1)", long)):
+        assert run(*argv) == (1, "", "syntax error: expected a level "
+                              "integer, got %r\n" % long)
     # a negative value is well formed and refused as a domain error
     assert run("orders", "-1")[0] == 2
     assert run("project", "lex(Z,Z)", "below([1,0]; C 1)", "-1")[0] == 2

@@ -1,7 +1,8 @@
 """Refusals that no other test reaches: each raise site, called once, says
 its exact message, and a command line that reaches one exits with its
 code.  And the scalar contract: every entry point that reads a number takes
-an int, a Fraction or a Scalar, and refuses anything else."""
+an int, a Fraction or a Scalar, and refuses anything else; every record that
+holds scalars takes a tuple of Scalars, and refuses anything else."""
 
 import io
 from decimal import Decimal
@@ -111,6 +112,27 @@ ENTRY_POINTS = {
 }
 
 
+# records that hold scalars or tuples of them, and scaling, given v as a
+# whole field and as one entry of it
+_G0 = hahnomega.OmegaElement(hahnomega.OmegaGroup(KIND_Q), ())
+RECORDS = {
+    "GroupElement(v)": lambda g, G, v: lexgroups.GroupElement(g, v),
+    "GroupElement((v,))": lambda g, G, v: lexgroups.GroupElement(g, (v,)),
+    "OmegaElement(v)": lambda g, G, v: hahnomega.OmegaElement(G, v),
+    "OmegaElement(((0, v),))":
+        lambda g, G, v: hahnomega.OmegaElement(G, ((0, v),)),
+    "OmegaGapAt(v)": lambda g, G, v: hahnomega.OmegaGapAt(
+        _G0.group, _G0, 0, v),
+    "OmegaPeriodic(v, (ONE,))":
+        lambda g, G, v: hahnomega.OmegaPeriodic(G, v, (ONE,)),
+    "OmegaPeriodic((), v)": lambda g, G, v: hahnomega.OmegaPeriodic(G, (), v),
+    "OmegaPeriodic((), (v,))":
+        lambda g, G, v: hahnomega.OmegaPeriodic(G, (), (v,)),
+    "scaling(v)": lambda g, G, v: lexgroups.scaling(g, v),
+    "scaling((v,))": lambda g, G, v: lexgroups.scaling(g, (v,)),
+}
+
+
 def _is_zero(v):
     if v.__class__ is Scalar:
         return v.sign() == 0
@@ -120,9 +142,10 @@ def _is_zero(v):
 @settings(max_examples=200, deadline=None)
 @given(VALUES, st.sampled_from(GROUPS), st.sampled_from(OMEGA_GROUPS))
 def test_each_number_is_read_or_refused_as_a_domain_error(v, g, G):
-    for name, call in ENTRY_POINTS.items():
+    # what a call returns is a value: it hashes
+    for name, call in {**ENTRY_POINTS, **RECORDS}.items():
         try:
-            call(g, G, v)
+            hash(call(g, G, v))
         except DomainError:
             pass
         except ZeroDivisionError:

@@ -480,6 +480,8 @@ def test_signs_and_arithmetic_never_factor(monkeypatch):
     x = Scalar.make(Fraction(-7, 3), 5, 12)
     y = Scalar.make(1, Fraction(1, 2), 3)
     z = Scalar.make(2, 10 ** 30, 10 ** 8 + 7)
+    # 1 + 2*sqrt(12) - 3*sqrt(50): two radicals, decided by squaring
+    u, v = Scalar.make(1, 2, 12), Scalar.make(0, 3, 50)
     kind = quad_q(3)
 
     def refuse(d):
@@ -491,7 +493,7 @@ def test_signs_and_arithmetic_never_factor(monkeypatch):
     w.floor()
     z.floor()
     compare_cross(w, z)
-    scalars._sign3(Fraction(1), Fraction(2), 12, Fraction(-3), 50)
+    assert compare_cross(u, v) == -1
     assert [contains(kind, g) for g in generators(kind)] == [True, True]
 
 
@@ -544,19 +546,29 @@ def test_quad_sign_of_mixed_signs_matches_sympy(parts):
     assert scalars._quad_sign(a, b, d) == sympy_sign(sympy_value(a, b, d))
 
 
+# two radicands of one square class: 8 = 2^2*2 is split on input, while
+# 1031 is past the primes that _split takes out, so 1031^2*1033 stays
+ONE_CLASS = [None, (2, 8), (1033, 1031 ** 2 * 1033)]
+
+
 @settings(max_examples=100, deadline=None)
-@given(mixed_sign_parts(), mixed_sign_parts(), st.integers(-3, 3))
-def test_sign3_of_mixed_signs_matches_sympy(p1, p2, off):
-    # u + v*sqrt(d) + w*sqrt(e) with v, w of opposite signs and u set
-    # against their sum, so the squaring branches decide
+@given(mixed_sign_parts(), mixed_sign_parts(), st.integers(-3, 3),
+       st.sampled_from(ONE_CLASS))
+def test_compare_cross_of_two_radicals_matches_sympy(p1, p2, off, pair):
+    # x - y = u + v*sqrt(d) + w*sqrt(e) with v, w of opposite signs and u
+    # set against their sum, so the squaring branches decide
     _, v, d = p1
     _, w, e = p2
+    if pair:
+        d, e = pair
     if (v > 0) == (w > 0):
         w = -w
     lead = sympy_value(0, v, d) + sympy_value(0, w, e)
     u = -Fraction(int(sympy.floor(lead * 10 ** 6)) + off, 10 ** 6)
     expected = sympy_sign(sympy.Rational(u) + lead)
-    assert scalars._sign3(u, v, d, w, e) == expected
+    x, y = Scalar.make(u, v, d), Scalar.make(0, -w, e)
+    assert compare_cross(x, y) == expected
+    assert compare_cross(y, x) == -expected
 
 
 @settings(max_examples=150, deadline=None)

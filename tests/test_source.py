@@ -369,9 +369,9 @@ FRACTION_FREE = {"Scalar.__add__", "Scalar.__neg__", "Scalar.__sub__",
                  "Scalar.__mul__", "Scalar.__truediv__",
                  "Scalar.sign", "Scalar.floor",
                  "Scalar._merged", "Scalar.__eq__", "Scalar.__hash__",
-                 "_over", "from_ratios", "compare_cross", "first_difference",
-                 "contains", "_sgn", "_quad_sign", "_sign3", "small_positive",
-                 "element_below"}
+                 "class_root", "_over", "from_ratios", "compare_cross",
+                 "first_difference", "contains", "_sgn", "_quad_sign",
+                 "small_positive", "element_below"}
 
 
 def test_scalar_arithmetic_and_signs_name_no_fraction():
