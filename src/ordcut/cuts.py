@@ -212,10 +212,8 @@ def quotient_image(c, theta):
 def trace(c, theta):
     """The trace cut on Theta = C_m (needs m < level, else trivial)."""
     same_group(theta, c.group, "subgroup")
-    if is_trivial(c):
-        raise DomainError("trace of a trivial cut is trivial")
     m = theta.level
-    if m >= c.level:
+    if m >= level_of(c):
         raise DomainError("trace is trivial: the window lies inside the "
                           "invariance subgroup")
     ref, closed = _ref(c)
@@ -334,8 +332,6 @@ def invariance_witness(c, g):
     part) is returned.  Raises for g inside the invariance subgroup.
     """
     same_group(g, c.group)
-    if is_trivial(c):
-        raise DomainError("trivial cuts are stabilized by every element")
     # g's first nonzero coordinate j and its sign decide the rest: g lies in
     # the invariance subgroup C_k exactly when j > k
     for j, x in enumerate(g.coords, 1):
@@ -344,7 +340,7 @@ def invariance_witness(c, g):
             break
     else:
         raise DomainError("zero stabilizes every cut")
-    if j > c.level:
+    if j > level_of(c):
         raise DomainError("element lies in the invariance subgroup")
     lo, hi = _witness_positive(c, g if s > 0 else -g, j)
     if member(c, lo) != MINUS or member(c, hi) != PLUS:

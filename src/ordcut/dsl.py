@@ -12,19 +12,19 @@ default).
 
 `parse_element` and `parse_cut` read the group's own family: over a
 hahn_omega group an element is `{i:v,...}` and a cut is an anchor.
-`parse_morphism` takes a lex group.
+`parse_morphism` takes a lex group.  Any other text or group is a DomainError.
 
-`parse_group` keeps a memo keyed by the group text, bounded at 256 entries:
-one text parses and checks once, and every later call returns the same
-immutable group record, which callers share.  A text that is refused is not
-stored, so it raises its error again on every call.
+`parse_group` keeps a memo (`_group`) keyed by the group text, bounded at
+256 entries: one text parses and checks once, and every later call returns
+the same immutable group record, which callers share.  A text that is
+refused is not stored, so it raises its error again on every call.
 """
 
 import re
 from functools import lru_cache
 from itertools import islice
 
-from .errors import ParseError, group_kind
+from .errors import DomainError, ParseError, group_kind
 from . import scalars
 from .scalars import Scalar, RankOneKind, _print_ratio
 from . import lexgroups
@@ -148,16 +148,16 @@ class _Parser:
             return OmegaGroup(factor)
         self.error("expected lex(...) or hahn_omega(...)")
 
-    def parse_scalar_list(self, open_tok, close_tok):
-        self.expect(open_tok)
-        return self.parse_list(self.parse_scalar, close_tok)
+    def parse_scalars(self):
+        self.expect("[")
+        return self.parse_list(self.parse_scalar, "]")
 
     def parse_element(self, group):
         if isinstance(group, OmegaGroup):
             self.expect("{")
             return hahnomega.omega_element(
                 group, self.parse_list(self.parse_pair, "}"))
-        coords = self.parse_scalar_list("[", "]")
+        coords = self.parse_scalars()
         if len(coords) != group.rank:
             self.error("element needs %d coordinates" % group.rank,
                        after=True)
@@ -177,7 +177,7 @@ class _Parser:
             return cuts.AllAbove(group)
         for side in (cuts.BELOW, cuts.ABOVE):
             if self.eat(side + "("):
-                coords = self.parse_scalar_list("[", "]")
+                coords = self.parse_scalars()
                 self.expect(";")
                 self.expect("C")
                 k = self.parse_uint()
@@ -187,7 +187,7 @@ class _Parser:
                                after=True)
                 return cuts.principal(group, side, coords, k)
         if self.eat("gap("):
-            prefix = self.parse_scalar_list("[", "]")
+            prefix = self.parse_scalars()
             self.expect(";")
             k = self.parse_uint()
             self.expect(";")
@@ -210,14 +210,15 @@ class _Parser:
             self.expect(")")
             return hahnomega.OmegaGapAt(group, prefix, i, delta)
         if self.eat("periodic("):
-            pre = self.parse_scalar_list("[", "]")
+            pre = self.parse_scalars()
             self.expect(";")
-            per = self.parse_scalar_list("[", "]")
+            per = self.parse_scalars()
             self.expect(")")
             return hahnomega.OmegaPeriodic(group, tuple(pre), tuple(per))
         self.error("expected an anchor expression")
 
     def parse_morphism(self, group):
+        group_kind(group, LexGroup, "a morphism")
         if self.eat("widen"):
             return lexgroups.widening(group)
         if self.eat("scale("):
@@ -229,6 +230,19 @@ class _Parser:
         self.error("expected a morphism (widen or scale(...))")
 
 
+def _entry(fn_name, text, *group):
+    """Every parse function's way in: a text that is not a str, or a group of
+    neither family, is refused before the parser or `_group` reads it."""
+    if text.__class__ is str:
+        if not group:  # parse_group, through its memo
+            return _group(text)
+        if isinstance(group[0], (LexGroup, OmegaGroup)):
+            return _parse_with(fn_name, text, *group)
+    raise DomainError("the DSL reads a str over a LexGroup or an OmegaGroup, "
+                      "not %s" % (group[0] if text.__class__ is str else text
+                                  ).__class__.__name__)
+
+
 def _parse_with(fn_name, text, *args):
     p = _Parser(text)
     value = getattr(p, fn_name)(*args)
@@ -237,21 +251,24 @@ def _parse_with(fn_name, text, *args):
 
 
 @lru_cache(maxsize=256)  # the group texts of a session
-def parse_group(text):
+def _group(text):
     return _parse_with("parse_group", text)
 
 
+def parse_group(text):
+    return _entry("parse_group", text)
+
+
 def parse_element(text, group):
-    return _parse_with("parse_element", text, group)
+    return _entry("parse_element", text, group)
 
 
 def parse_cut(text, group):
-    return _parse_with("parse_cut", text, group)
+    return _entry("parse_cut", text, group)
 
 
 def parse_morphism(text, group):
-    group_kind(group, LexGroup, "a morphism")
-    return _parse_with("parse_morphism", text, group)
+    return _entry("parse_morphism", text, group)
 
 
 # ---------------------------------------------------------------------------

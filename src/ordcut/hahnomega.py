@@ -249,10 +249,9 @@ def omega_translate(anchor, g):
                                   anchor.delta + g.coord(anchor.index))
     pre_len = len(anchor.preperiod)
     p = len(anchor.period)
+    # whole periods past the preperiod keep the phase aligned
     need = max(pre_len, g.max_index() + 1)
-    if need > pre_len:
-        # keep the period phase aligned
-        need = pre_len + ((need - pre_len + p - 1) // p) * p
+    need = pre_len + ((need - pre_len + p - 1) // p) * p
     gs = dict(g.support)
     pre = tuple(anchor.coord(i) + gs.get(i, ZERO) for i in range(need))
     return OmegaPeriodic.trusted(anchor.group, pre, anchor.period)

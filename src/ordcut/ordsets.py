@@ -6,9 +6,10 @@ cut (initial part, complementary final part).  Monotone maps carry the
 adjoint triple lower_image -| pullback -| upper_image.
 """
 
+from bisect import bisect_left
 from itertools import combinations_with_replacement
 
-from .errors import DomainError, index
+from .errors import DomainError, index, tuple_field
 from .record import Record
 
 
@@ -33,8 +34,7 @@ class MonotoneMap(Record):
         if not (isinstance(self.dom, FiniteChain) and
                 isinstance(self.cod, FiniteChain)):
             raise DomainError("a monotone map goes between finite chains")
-        if not isinstance(self.images, tuple):  # a field must hash
-            raise DomainError("images must be a tuple")
+        tuple_field(self.images, "images")
         prev = 0
         for v in self.images:
             index(v, "image", 0, self.cod.size - 1)
@@ -57,10 +57,6 @@ def all_segments(chain):
 
 def all_monotone_maps(dom, cod):
     """Every monotone map between the two chains (exhaustive oracle input)."""
-    if dom.size == 0:
-        return [MonotoneMap(dom, cod, ())]
-    if cod.size == 0:
-        return []
     return [MonotoneMap(dom, cod, images)
             for images in combinations_with_replacement(range(cod.size),
                                                         dom.size)]
@@ -74,27 +70,19 @@ def _check_chain(expected, segment):
 def pullback(u, s):
     """u^*: the preimage {j : u(j) in s}, an initial segment of dom."""
     _check_chain(u.cod, s)
-    c = 0
-    while c < u.dom.size and u.images[c] < s.cutoff:
-        c += 1
-    return Segment(u.dom, c)
+    return Segment(u.dom, bisect_left(u.images, s.cutoff))  # images ascend
 
 
 def lower_image(u, s):
     """u_!: smallest initial segment of cod containing u(s)."""
     _check_chain(u.dom, s)
-    if s.cutoff == 0:
-        return Segment(u.cod, 0)
-    return Segment(u.cod, u.images[s.cutoff - 1] + 1)
+    return Segment(u.cod, max(u.images[:s.cutoff], default=-1) + 1)
 
 
 def upper_image(u, s):
     """u_*: intersection of the I_{<u(j)} over j outside s (right adjoint)."""
     _check_chain(u.dom, s)
-    c = u.cod.size
-    for j in range(s.cutoff, u.dom.size):
-        c = min(c, u.images[j])
-    return Segment(u.cod, c)
+    return Segment(u.cod, min(u.images[s.cutoff:], default=u.cod.size))
 
 
 def cut_witness(u, s):
@@ -102,10 +90,7 @@ def cut_witness(u, s):
     _check_chain(u.dom, s)
     lower = {u.images[j] for j in range(s.cutoff)}
     upper = {u.images[j] for j in range(s.cutoff, u.dom.size)}
-    both = lower & upper
-    if not both:
-        return None
-    return min(both)
+    return min(lower & upper, default=None)
 
 
 def cut_bounds(s):

@@ -163,12 +163,7 @@ class Scalar(_Ints):
     def __eq__(self, other):
         if other.__class__ is not Scalar:
             return NotImplemented
-        if self.d != other.d:
-            merged = self._merged(other)
-            if merged is None:
-                return False
-            self, other, _ = merged
-        return self.p == other.p and self.q == other.q and self.n == other.n
+        return not compare_cross(self, other)
 
     def __hash__(self):
         # the rational part, and the sign and square of the irrational part:
@@ -194,20 +189,18 @@ class Scalar(_Ints):
     def __repr__(self):
         return "Scalar(%s)" % self
 
-    def _merged(self, other, verb=None):
+    def _merged(self, other, verb):
         """(x, y, d): self and other over one radical d, the smaller of two
-        radicands of one class.  For distinct radicals None, or, given the
-        verb, the DomainError "cannot <verb> scalars ..." of `+` and `*`."""
+        radicands of one class; for distinct radicals the DomainError
+        "cannot <verb> scalars ..." of `+` and `*`."""
         d, e = self.d, other.d
         if not d or not e:
             return self, other, d or e
         x, y = (self, _over(d, other)) if d < e else (_over(e, self), other)
-        if x is not None and y is not None:
-            return x, y, min(d, e)
-        if verb:
+        if x is None or y is None:
             raise DomainError("cannot %s scalars over distinct radicals"
                               % verb)
-        return None
+        return x, y, min(d, e)
 
     def __add__(self, other):
         if not isinstance(other, Scalar):

@@ -11,5 +11,5 @@ def cold_memos():
     widenings cold: a result cached by an earlier test would hide the cost
     that the timing tests bound and the work that the sympy oracles check."""
     scalars._split.cache_clear()
-    dsl.parse_group.cache_clear()
+    dsl._group.cache_clear()
     lexgroups.widening.cache_clear()

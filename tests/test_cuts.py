@@ -118,8 +118,12 @@ def test_invariance_witness_rejections():
         invariance_witness(c, zero(ZZ))
     with pytest.raises(DomainError):
         invariance_witness(c, element(ZZ, (0, 5)))
-    with pytest.raises(DomainError):
+    # a trivial cut's invariance subgroup is C_0, the whole group
+    with pytest.raises(DomainError,
+                       match="^element lies in the invariance subgroup$"):
         invariance_witness(AllBelow(ZZ), element(ZZ, (1, 0)))
+    with pytest.raises(DomainError, match="^zero stabilizes every cut$"):
+        invariance_witness(AllAbove(ZZ), zero(ZZ))
 
 
 def test_open_cut_witnesses_over_dense_factors():

@@ -1,8 +1,13 @@
-"""The README's library example runs and gives what its comments show."""
+"""The README's library example runs and gives what its comments show,
+and its command examples print what it shows under them."""
 
 import ast
+import io
 import re
+import shlex
 from pathlib import Path
+
+from ordcut import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -26,3 +31,16 @@ def test_readme_example_gives_its_commented_results():
                  namespace)
     assert shown == [("'gapped'", "'gapped'"), ("2", "2"),
                      ("'plus'", "'plus'")]
+
+
+def test_readme_commands_print_the_lines_shown_under_them():
+    blocks = [b for b in re.findall(r"```sh\n(.*?)```", README.read_text(),
+                                    re.S) if b.startswith("$ ordcut ")]
+    assert len(blocks) == 1
+    # each "$ ordcut ..." line, then the lines up to the next one
+    runs = re.findall(r"^\$ ordcut (.*)\n((?:[^$].*\n)*)", blocks[0], re.M)
+    assert len(runs) == 3
+    for command, shown in runs:
+        out, err = io.StringIO(), io.StringIO()
+        assert cli.main(shlex.split(command), out=out, err=err) == 0, command
+        assert (out.getvalue(), err.getvalue()) == (shown, ""), command

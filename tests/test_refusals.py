@@ -2,7 +2,9 @@
 its exact message, and a command line that reaches one exits with its
 code.  And the scalar contract: every entry point that reads a number takes
 an int, a Fraction or a Scalar, and refuses anything else; every record that
-holds scalars takes a tuple of Scalars, and refuses anything else."""
+holds scalars takes a tuple of Scalars, and refuses anything else; and the
+DSL's parse functions read a str over a lex or an omega group, and refuse
+any other text or group."""
 
 import io
 from decimal import Decimal
@@ -11,8 +13,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ordcut import cli, cuts, hahnomega, lexgroups, ordsets, scalars
-from ordcut.errors import DomainError
+from ordcut import cli, cuts, dsl, hahnomega, lexgroups, ordsets, scalars
+from ordcut.errors import DomainError, ParseError
 from ordcut.scalars import KIND_Q, KIND_Z, ONE, ZERO, Scalar
 
 ZZ = lexgroups.LexGroup((KIND_Z, KIND_Z))
@@ -29,7 +31,8 @@ CASES = [
     (lambda: cuts.gap_cut(ZQ, (1, 2), 2, SQRT2), DomainError,
      "gap prefix needs exactly level-1 coordinates"),
     (["trace", "lex(Z,Z)", "all_below", "0"], 2,
-     "domain error: trace of a trivial cut is trivial"),
+     "domain error: trace is trivial: the window lies inside the invariance "
+     "subgroup"),
     (lambda: cuts.push_lower(lexgroups.widening(ZZ), cuts.AllBelow(ZQ)),
      DomainError, "cut is not over the morphism domain"),
     (lambda: cuts.push_upper(lexgroups.widening(ZZ), cuts.AllBelow(ZQ)),
@@ -83,18 +86,22 @@ BIG = 10 ** 4300  # past the int-to-str limit
 _rationals = st.one_of(st.integers(), st.fractions(),
                        st.integers().map(lambda k: k + BIG),
                        st.integers().map(lambda k: k - BIG))
+GROUPS = [lexgroups.LexGroup((k,)) for k in (KIND_Z, KIND_Q,
+                                             scalars.RankOneKind("Q", 2))]
+OMEGA_GROUPS = [GZ, hahnomega.OmegaGroup(KIND_Q)]
+# texts that some parse function reads, and the groups it reads them over
+_DSL = ["lex(Z)", "hahn_omega(Q)", "[1]", "{0:1}", "all_below",
+        "below([1]; C 1)", "point({})", "widen", "scale(2)"]
 _leaves = st.one_of(
     _rationals,
     st.builds(Scalar.make, _rationals, _rationals, st.sampled_from((2, 3, 8))),
     st.booleans(), st.floats(), st.decimals(), st.text(max_size=6), st.none(),
-    st.complex_numbers())
+    st.complex_numbers(), st.sampled_from(_DSL + GROUPS + OMEGA_GROUPS),
+    st.binary(max_size=4))
 VALUES = st.recursive(_leaves, lambda inner: st.one_of(
     st.tuples(inner), st.tuples(inner, inner), st.lists(inner, max_size=3)),
     max_leaves=4)
 
-GROUPS = [lexgroups.LexGroup((k,)) for k in (KIND_Z, KIND_Q,
-                                             scalars.RankOneKind("Q", 2))]
-OMEGA_GROUPS = [GZ, hahnomega.OmegaGroup(KIND_Q)]
 ENTRY_POINTS = {
     "make(v)": lambda g, G, v: Scalar.make(v),
     "make(0, v, 2)": lambda g, G, v: Scalar.make(0, v, 2),
@@ -133,6 +140,22 @@ RECORDS = {
 }
 
 
+# the DSL's parse functions, given v as the text and as the group
+PARSERS = {
+    "parse_group(v)": lambda g, G, v: dsl.parse_group(v),
+    "parse_element(v, g)": lambda g, G, v: dsl.parse_element(v, g),
+    "parse_element(v, G)": lambda g, G, v: dsl.parse_element(v, G),
+    "parse_element('[1]', v)": lambda g, G, v: dsl.parse_element("[1]", v),
+    "parse_cut(v, g)": lambda g, G, v: dsl.parse_cut(v, g),
+    "parse_cut(v, G)": lambda g, G, v: dsl.parse_cut(v, G),
+    "parse_cut('all_below', v)":
+        lambda g, G, v: dsl.parse_cut("all_below", v),
+    "parse_morphism(v, g)": lambda g, G, v: dsl.parse_morphism(v, g),
+    "parse_morphism('widen', v)":
+        lambda g, G, v: dsl.parse_morphism("widen", v),
+}
+
+
 def _is_zero(v):
     if v.__class__ is Scalar:
         return v.sign() == 0
@@ -150,6 +173,12 @@ def test_each_number_is_read_or_refused_as_a_domain_error(v, g, G):
             pass
         except ZeroDivisionError:
             assert name == "ONE / v" and _is_zero(v), name
+    # and a text or a group of any other type is refused as a DomainError
+    for call in PARSERS.values():
+        try:
+            hash(call(g, G, v))
+        except (DomainError, ParseError):
+            pass
 
 
 @pytest.mark.parametrize("v", [True, 0.5, Decimal("0.5"), "1/3", None, 1j,

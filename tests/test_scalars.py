@@ -69,10 +69,15 @@ def test_sign_matches_interval_oracle(x):
     assert (-x).sign() == -x.sign()
 
 
+def addable(x, y):
+    """Whether x + y is defined: one radical, or two of one square class."""
+    return not x.d or not y.d or scalars.class_root(x.d, y.d) != 0
+
+
 @settings(max_examples=200, deadline=None)
 @given(scalar_strategy(), scalar_strategy())
 def test_sign_consistent_with_addition(x, y):
-    if x._merged(y) is None:
+    if not addable(x, y):
         return
     s = (x + y).sign()
     o = oracle_sign(x + y)
@@ -85,6 +90,33 @@ def test_compare_cross_examples():
     assert compare_cross(Scalar.make(Fraction(1, 2)),
                          Scalar.make(Fraction(1, 2))) == 0
     assert compare_cross(Scalar.make(2, 1, 2), Scalar.make(1, 1, 5)) == 1
+
+
+# (d, e, k): radicands of one class, e = k^2 * d, or of two (k = 0); 8
+# splits to 2, and 1031^2 * 1033 keeps its square, 1031 being past the
+# primes that `_square_free` takes out
+EQUALITY_RADICANDS = [(2, 2, 1), (2, 8, 2), (1033, 1031 ** 2 * 1033, 1031),
+                      (2, 3, 0), (0, 5, 0)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(EQUALITY_RADICANDS), rats, rats, rats, rats,
+       st.booleans())
+def test_equality_is_the_zero_of_the_order(radicands, a, b, a2, b2, same):
+    d, e, k = radicands
+    if same:  # one value written over both radicands
+        b, b2 = (b, b / k) if k else (0, 0)
+        a2 = a
+    x, y = Scalar.make(a, b, d), Scalar.make(a2, b2, e)
+    # a + b*sqrt(d) = a' + b'*sqrt(e) exactly when a = a' and the irrational
+    # parts have one sign and one square
+    equal = (x.a == y.a and x.b * x.b * x.d == y.b * y.b * y.d
+             and (x.b > 0) == (y.b > 0))
+    assert (x == y) == (y == x) == (compare_cross(x, y) == 0) == equal
+    if same:
+        assert x == y
+    if x == y:
+        assert hash(x) == hash(y)
 
 
 @settings(max_examples=200, deadline=None)
@@ -466,7 +498,7 @@ def test_arithmetic_results_are_canonical(x, y, r):
     results = [-x, x * r, x * 3]
     if r != 0:
         results.append(x / r)
-    if x._merged(y) is not None:
+    if addable(x, y):
         results += [x + y, x - y]
     if x.b == 0 or y.b == 0 or x.d == y.d:
         results.append(x * y)

@@ -322,9 +322,10 @@ def test_public_names_have_a_user():
 
 
 # Every lexicographic decision walks its coordinates through
-# first_difference; the witness builders compare against their bounds.
+# first_difference; the witness builders compare against their bounds, and
+# scalar equality is the sign rule's zero.
 COMPARE_CROSS_CALLERS = {"first_difference", "small_positive",
-                         "element_below"}
+                         "element_below", "Scalar.__eq__"}
 
 
 def test_compare_cross_has_only_allowed_callers():
@@ -400,7 +401,7 @@ def _bounded_lru_cache(call):
 
 # The library's memos: the radicand splits, the parsed group texts and the
 # injections into the divisible hull, as (module file, function).
-MEMOS = {("scalars.py", "_split"), ("dsl.py", "parse_group"),
+MEMOS = {("scalars.py", "_split"), ("dsl.py", "_group"),
          ("lexgroups.py", "widening")}
 
 
