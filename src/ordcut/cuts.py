@@ -1,20 +1,19 @@
 """Symbolic cut descriptors for finite-rank lex groups.
 
-A descriptor is one of:
-  AllBelow / AllAbove        the two trivial cuts;
-  Principal(side, anchor, k) the cut whose lower part compares the first k
-                             coordinates against the anchor (closed for side
-                             "below", open for side "above");
-  GapCut(prefix, k, delta)   the cut at an irrational point of a dense
-                             factor k, below the k-1 prefix coordinates.
-
-Every descriptor reads as one boundary (ref, closed): a k-tuple ref and a
+Every descriptor stores one boundary (ref, closed): a k-tuple ref and a
 flag, with lower part {x : x[:k] <= ref} when closed and {x : x[:k] < ref}
-when open.  The trivial cuts have k = 0 (AllBelow closed, AllAbove open); a
-principal cut's ref is the first k coordinates of its anchor; a gap's ref is
-its prefix followed by delta, and a gap is never closed.  Membership,
-comparison, translation, quotient images, traces, pushes and pulls all work
-on that boundary.
+when open.  It is one of:
+  AllBelow / AllAbove      the two trivial cuts, k = 0 (AllBelow closed,
+                           AllAbove open);
+  Principal(ref, closed)   a cut at a point of factor k: side "below" when
+                           closed, "above" when open;
+  GapCut(ref)              the cut at an irrational point ref[-1] of a
+                           dense factor k, below the prefix ref[:-1]; never
+                           closed.
+Membership, comparison, translation, quotient images, traces, pushes and
+pulls all read that boundary.  For outside readers a Principal also has
+`side`, `level` and `anchor` (the ref padded with zeros to the rank, built
+when read), and a GapCut `level`, `prefix` and `delta`.
 
 Canonical forms: `_cut(group, ref, closed)` turns every boundary into its
 descriptor and is the one builder of Principal and GapCut: `principal`,
@@ -23,16 +22,19 @@ AllBelow or AllAbove.  Over a dense factor k a last entry outside the factor
 is a gap, else a principal cut "below" (closed) or "above" (open).  Over a
 discrete factor every boundary closes at an integer: {z < r} is
 {z <= r - 1} (the relative-jump identification) and a t outside the factor
-gives {z <= floor(t)}.  Principal anchors zero every coordinate beyond the
-level; the public constructors refuse gaps over discrete factors and
-level-0 descriptors.  Descriptor equality then decides cut equality.
+gives {z <= floor(t)}.  A Principal or GapCut built directly is refused
+unless it is what `_cut` builds for its boundary; the public constructors
+refuse gaps over discrete factors and level-0 descriptors.  Descriptor
+equality then decides cut equality.
 """
 
-from .errors import DomainError, group_kind, index, same_group
+from .errors import (DomainError, expect, group_kind, index, same_group,
+                     tuple_field)
 from . import scalars
 from .record import Record
 from .scalars import Scalar, ZERO, ONE
-from .lexgroups import ConvexSubgroup, GroupElement, LexGroup, slice_group
+from .lexgroups import (ConvexSubgroup, FactorwiseInjection, GroupElement,
+                        LexGroup, slice_group)
 
 MINUS = "minus"
 PLUS = "plus"
@@ -43,6 +45,7 @@ ABOVE = "above"
 
 class AllBelow(Record):
     __slots__ = ("group",)
+    ref, closed = (), True
 
     def __post_init__(self):
         group_kind(self.group, LexGroup, "a cut")
@@ -50,27 +53,85 @@ class AllBelow(Record):
 
 class AllAbove(Record):
     __slots__ = ("group",)
+    ref, closed = (), False
 
     def __post_init__(self):
         group_kind(self.group, LexGroup, "a cut")
 
 
 class Principal(Record):
-    __slots__ = ("group", "side", "anchor", "level")
+    __slots__ = ("group", "ref", "closed")
+
+    def __post_init__(self):
+        _check(self)
+
+    @property
+    def side(self):
+        return BELOW if self.closed else ABOVE
+
+    @property
+    def level(self):
+        return len(self.ref)
+
+    @property
+    def anchor(self):
+        """The ref padded with zeros to the rank, built when read."""
+        return GroupElement(self.group, self.ref + (ZERO,) * (
+            self.group.rank - len(self.ref)))
 
 
 class GapCut(Record):
-    __slots__ = ("group", "prefix", "level", "delta")
+    __slots__ = ("group", "ref")
+    closed = False  # no coordinate of the factor equals ref[-1]
+
+    def __post_init__(self):
+        _check(self)
+
+    level = Principal.level
+
+    @property
+    def prefix(self):
+        return self.ref[:-1]
+
+    @property
+    def delta(self):
+        return self.ref[-1]
 
 
-def _checked(group, level, coords):
-    """The coordinates as Scalars, each checked against its factor."""
-    index(level, "level", 1, group.rank)
-    coords = tuple(map(Scalar.make, coords))
+CUTS = (AllBelow, AllAbove, Principal, GapCut)
+
+
+def _inside(group, coords):
     for kind, c in zip(group.factors, coords):
         if not scalars.contains(kind, c):
             raise DomainError("coordinate %s outside factor" % (c,))
+
+
+def _checked(group, level, coords):
+    """The coordinates, a list or a tuple, as Scalars, each checked against
+    its factor."""
+    group_kind(group, LexGroup, "a cut")
+    index(level, "level", 1, group.rank)
+    if not isinstance(coords, (list, tuple)):
+        raise DomainError("coordinates must be a list or a tuple")
+    coords = tuple(map(Scalar.make, coords))
+    _inside(group, coords)
     return coords
+
+
+def _check(c):
+    """Refuse a Principal or GapCut that is not what `_cut` builds for its
+    boundary: its entries but the last are Scalars in their factors, and
+    `_cut` reads the last."""
+    group_kind(c.group, LexGroup, "a cut")
+    tuple_field(c.ref, "a cut's ref")
+    index(len(c.ref), "level", 1, c.group.rank)
+    _inside(c.group, c.ref[:-1])
+    if c.closed.__class__ is not bool:
+        raise DomainError("a cut's closed flag must be a bool")
+    if _cut(c.group, c.ref, c.closed) != c:
+        raise DomainError("a cut is stored as the canonical form of its "
+                          "boundary")
 
 
 def principal(group, side, coords, level):
@@ -96,27 +157,6 @@ def gap_cut(group, prefix, level, delta):
     return c
 
 
-def is_trivial(c):
-    return isinstance(c, (AllBelow, AllAbove))
-
-
-def level_of(c):
-    if is_trivial(c):
-        return 0
-    return c.level
-
-
-def _ref(c):
-    """The boundary (ref, closed): the lower part is {x : x[:k] <= ref} when
-    closed, {x : x[:k] < ref} when open, for k = len(ref)."""
-    if isinstance(c, Principal):
-        return c.anchor.coords[:c.level], c.side == BELOW
-    if isinstance(c, GapCut):
-        # no coordinate of the factor equals delta: a gap is never closed
-        return c.prefix + (c.delta,), False
-    return (), isinstance(c, AllBelow)
-
-
 def _cut(group, ref, closed):
     """The canonical descriptor of the boundary (ref, closed) over group, for
     a ref tuple whose entries lie in their factors, but perhaps the last;
@@ -127,29 +167,33 @@ def _cut(group, ref, closed):
     kind, t = group.factors[k - 1], ref[-1]
     if scalars.is_discrete_kind(kind):
         if not scalars.contains(kind, t):
-            t, closed = Scalar.make(t.floor()), True
+            ref, closed = ref[:-1] + (Scalar.make(t.floor()),), True
         elif not closed:
-            t, closed = t - ONE, True
+            ref, closed = ref[:-1] + (t - ONE,), True
     elif not scalars.contains(kind, t):
-        return GapCut(group, ref[:-1], k, t)
-    anchor = GroupElement.trusted(
-        group, ref[:-1] + (t,) + (ZERO,) * (group.rank - k))
-    return Principal(group, BELOW if closed else ABOVE, anchor, k)
+        return GapCut.trusted(group, ref)
+    return Principal.trusted(group, ref, closed)
+
+
+def _group(c):
+    """The group of a cut descriptor; any other c is refused (`expect`)."""
+    if isinstance(c, CUTS):
+        return c.group
+    expect(c, CUTS, "cut")
 
 
 def member(c, x):
     """Which side of the cut the element lies on."""
-    same_group(x, c.group)
-    ref, closed = _ref(c)
-    s = scalars.first_difference(zip(x.coords, ref))[1]
+    same_group(x, _group(c), GroupElement)
+    s = scalars.first_difference(zip(x.coords, c.ref))[1]
     if s:
         return MINUS if s < 0 else PLUS
-    return MINUS if closed else PLUS
+    return MINUS if c.closed else PLUS
 
 
 def invariance(c):
     """The largest convex subgroup whose translates fix the lower part."""
-    return ConvexSubgroup(c.group, level_of(c))
+    return ConvexSubgroup(_group(c), len(c.ref))
 
 
 TRIVIAL = "trivial"
@@ -161,29 +205,30 @@ TIGHTENED = "tightened"
 
 
 def classify(c):
-    if is_trivial(c):
+    k = len(expect(c, CUTS, "cut").ref)
+    if not k:
         return TRIVIAL
     if isinstance(c, GapCut):
         # finite rank: C_k is always the immediate predecessor of C_{k-1},
         # so the tightened branch is unreachable here
         return GAPPED
-    if scalars.is_discrete_kind(c.group.factors[c.level - 1]):
+    if scalars.is_discrete_kind(c.group.factors[k - 1]):
         return RELATIVE_JUMP
-    return RP_BELOW if c.side == BELOW else RP_ABOVE
+    return RP_BELOW if c.closed else RP_ABOVE
 
 
 def translate(c, g):
     """The descriptor of the translated cut (lower part shifted by g)."""
-    same_group(g, c.group)
-    ref, closed = _ref(c)
-    return _cut(c.group, tuple(a + b for a, b in zip(ref, g.coords)), closed)
+    same_group(g, _group(c), GroupElement)
+    return _cut(c.group, tuple(a + b for a, b in zip(c.ref, g.coords)),
+                c.closed)
 
 
 def compare_cuts(c1, c2):
     """Total order on cuts by inclusion of lower parts: -1, 0, or +1."""
-    same_group(c2, c1.group, "cut")
-    r1, closed1 = _ref(c1)
-    r2, closed2 = _ref(c2)
+    same_group(c2, _group(c1), CUTS, "cut")
+    r1, closed1 = c1.ref, c1.closed
+    r2, closed2 = c2.ref, c2.closed
     s = scalars.first_difference(zip(r1, r2))[1]
     if s:
         return s
@@ -198,34 +243,34 @@ def compare_cuts(c1, c2):
 
 def quotient_image(c, theta):
     """The image cut under the quotient by Theta = C_m (needs m >= level)."""
-    same_group(theta, c.group, "subgroup")
+    same_group(theta, _group(c), ConvexSubgroup, "subgroup")
     m = theta.level
     qg = LexGroup(c.group.factors[:m])
-    ref, closed = _ref(c)
+    ref = c.ref
     if m < len(ref):
         raise DomainError("quotient image is not a cut: the coset of the "
                           "anchor lies in both image sides",
                           payload=GroupElement(qg, ref[:m]))
-    return _cut(qg, ref, closed)
+    return _cut(qg, ref, c.closed)
 
 
 def trace(c, theta):
     """The trace cut on Theta = C_m (needs m < level, else trivial)."""
-    same_group(theta, c.group, "subgroup")
+    same_group(theta, _group(c), ConvexSubgroup, "subgroup")
     m = theta.level
-    if m >= level_of(c):
+    if m >= len(c.ref):
         raise DomainError("trace is trivial: the window lies inside the "
                           "invariance subgroup")
-    ref, closed = _ref(c)
-    return _cut(slice_group(c.group, m, c.group.rank), ref[m:], closed)
+    return _cut(slice_group(c.group, m, c.group.rank), c.ref[m:], c.closed)
 
 
 def transport(c, theta1, theta2):
     """Trace on Theta2 then quotient by Theta1: the sub-quotient cut."""
-    same_group(theta1, c.group, "subgroup")
+    same_group(theta1, _group(c), ConvexSubgroup, "subgroup")
+    same_group(theta2, c.group, ConvexSubgroup, "subgroup")
     m1 = theta1.level
     m2 = theta2.level
-    k = level_of(c)
+    k = len(c.ref)
     if not m2 < k <= m1:
         raise DomainError("transport window does not bracket the invariance "
                           "level (need m2 < %d <= m1)" % k)
@@ -240,7 +285,7 @@ def interval_bounds(c, sigma):
     sigma may lie on either side; the final-segment variant is used when it
     lies on the plus side.
     """
-    same_group(sigma, c.group)
+    same_group(sigma, _group(c), GroupElement)
     g = c.group
     n = g.rank
 
@@ -248,10 +293,10 @@ def interval_bounds(c, sigma):
         return (ConvexSubgroup(g, pm), ConvexSubgroup(g, fm),
                 ConvexSubgroup(g, pp), ConvexSubgroup(g, fp))
 
-    if is_trivial(c):
-        return levels(min(1, n), 0, 0, 0)
-    ref = _ref(c)[0]
+    ref = c.ref
     k = len(ref)
+    if not k:
+        return levels(min(1, n), 0, 0, 0)
     # a gap's delta always differs, so a gap's ref never runs out
     i0 = scalars.first_difference(zip(sigma.coords, ref))[0]
     if i0 == k and scalars.is_discrete_kind(g.factors[k - 1]) and \
@@ -270,19 +315,24 @@ def interval_bounds(c, sigma):
 # ---------------------------------------------------------------------------
 # images along injective factorwise morphisms
 
+def _over(m, c, side):
+    """c's boundary, for a factorwise injection m and a cut c over its
+    domain or codomain (side)."""
+    expect(m, FactorwiseInjection, "morphism")
+    if _group(c) != (m.dom if side == "domain" else m.cod):
+        raise DomainError("cut is not over the morphism " + side)
+    return c.ref, c.closed
+
+
 def push_lower(m, c):
     """The smallest initial segment of the codomain containing the image."""
-    if c.group != m.dom:
-        raise DomainError("cut is not over the morphism domain")
-    ref, closed = _ref(c)
+    ref, closed = _over(m, c, "domain")
     return _cut(m.cod, tuple(x * s for x, s in zip(ref, m.scales)), closed)
 
 
 def push_upper(m, c):
     """The largest initial segment of the codomain pulling back into c."""
-    if c.group != m.dom:
-        raise DomainError("cut is not over the morphism domain")
-    ref, closed = _ref(c)
+    ref, closed = _over(m, c, "domain")
     if isinstance(c, GapCut):
         # the image of delta has no preimage: the segment closes at it
         closed = True
@@ -295,9 +345,7 @@ def push_upper(m, c):
 
 def pull(m, c):
     """The preimage cut on the morphism domain."""
-    if c.group != m.cod:
-        raise DomainError("cut is not over the morphism codomain")
-    ref, closed = _ref(c)
+    ref, closed = _over(m, c, "codomain")
     pulled = ()
     for target, s, kind in zip(ref, m.scales, m.dom.factors):
         pulled += (target / s,)
@@ -315,9 +363,9 @@ def _witness_positive(c, g, j):
     lo is the ref padded with zeros, an open ref's last entry first lowered
     into its factor, by less than g moves it (1 when j < k, else g's k-th
     coordinate), through `scalars.element_below`."""
-    k = c.level
-    ref, closed = _ref(c)
-    if not closed:
+    ref = c.ref
+    k = len(ref)
+    if not c.closed:
         bound = ONE if j < k else g.coords[k - 1]
         ref = ref[:-1] + (scalars.element_below(c.group.factors[k - 1],
                                                 ref[-1], bound),)
@@ -331,7 +379,7 @@ def invariance_witness(c, g):
     For negative g the mirrored pair (y in the upper part, y+g in the lower
     part) is returned.  Raises for g inside the invariance subgroup.
     """
-    same_group(g, c.group)
+    same_group(g, _group(c), GroupElement)
     # g's first nonzero coordinate j and its sign decide the rest: g lies in
     # the invariance subgroup C_k exactly when j > k
     for j, x in enumerate(g.coords, 1):
@@ -340,7 +388,7 @@ def invariance_witness(c, g):
             break
     else:
         raise DomainError("zero stabilizes every cut")
-    if j > level_of(c):
+    if j > len(c.ref):
         raise DomainError("element lies in the invariance subgroup")
     lo, hi = _witness_positive(c, g if s > 0 else -g, j)
     if member(c, lo) != MINUS or member(c, hi) != PLUS:

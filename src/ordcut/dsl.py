@@ -299,14 +299,16 @@ def print_oelement(x):
 
 
 def print_cut(c):
-    if isinstance(c, cuts.AllBelow):
-        return "all_below"
-    if isinstance(c, cuts.AllAbove):
-        return "all_above"
-    if isinstance(c, cuts.Principal):
-        return "%s(%s; C %d)" % (c.side, print_element(c.anchor), c.level)
-    pad = ",".join(print_scalar(s) for s in c.prefix)
-    return "gap([%s]; %d; %s)" % (pad, c.level, print_scalar(c.delta))
+    """A cut from its boundary: a principal anchor is the ref padded with
+    zeros to the rank."""
+    k = len(c.ref)
+    if not k:
+        return "all_below" if c.closed else "all_above"
+    if isinstance(c, cuts.GapCut):
+        return "gap([%s]; %d; %s)" % (",".join(map(print_scalar, c.ref[:-1])),
+                                      k, print_scalar(c.ref[-1]))
+    return "%s([%s%s]; C %d)" % (c.side, ",".join(map(print_scalar, c.ref)),
+                                 ",0" * (c.group.rank - k), k)
 
 
 def print_oanchor(a):

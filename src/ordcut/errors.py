@@ -1,8 +1,8 @@
 """Error types shared across the library, and the refusals every module
 makes: an index not an int in its range, a number not an int or a
 Fraction, a record field not a tuple, a record over a group of the wrong
-kind, and an argument over another group.  Each is written once here, so
-it reads the same everywhere."""
+kind, an argument of the wrong kind, and an argument over another group.
+Each is written once here, so it reads the same everywhere."""
 
 import sys
 
@@ -66,19 +66,38 @@ def tuple_field(value, what):
         raise DomainError("%s must be a tuple" % what)
 
 
-_GROUP_KINDS = {"LexGroup": "a lex group", "OmegaGroup": "an omega group"}
+# what group_kind and expect call each record class, by its name
+_KINDS = {"LexGroup": "a lex group", "OmegaGroup": "an omega group",
+          "GroupElement": "a lex group element",
+          "ConvexSubgroup": "a convex subgroup", "AllBelow": "a lex cut",
+          "FactorwiseInjection": "a factorwise injection",
+          "OmegaElement": "an omega element",
+          "FiniteChain": "a finite chain", "Segment": "an initial segment",
+          "MonotoneMap": "a monotone map"}
 
 
 def group_kind(group, cls, what):
     """Refuse a record over a group that is not a cls, before the record
     reads the group's fields."""
     if not isinstance(group, cls):
-        raise DomainError("%s needs %s" % (what, _GROUP_KINDS[cls.__name__]))
+        raise DomainError("%s needs %s" % (what, _KINDS[cls.__name__]))
 
 
-def same_group(x, group, what="element"):
-    """Refuse an x whose group is not this group.  The identity test comes
-    first: one group object is usually shared, and `!=` on two records
-    always runs the Python-level `Record.__eq__`."""
-    if x.group is not group and x.group != group:
+def expect(x, kinds, what):
+    """x, for an x that is an instance of kinds, a class or a tuple of them
+    named by the first; refuse any other x before its fields are read."""
+    if not isinstance(x, kinds):
+        first = kinds[0] if isinstance(kinds, tuple) else kinds
+        raise DomainError("%s must be %s" % (what, _KINDS[first.__name__]))
+    return x
+
+
+def same_group(x, group, kinds, what="element"):
+    """Refuse an x that is not one of kinds (`expect`), or whose group is
+    not this group.  The identity test comes first: one group object is
+    usually shared, and `!=` on two records always runs the Python-level
+    `Record.__eq__`."""
+    if isinstance(x, kinds) and x.group is group:
+        return
+    if expect(x, kinds, what).group != group:
         raise DomainError("%s belongs to a different group" % what)

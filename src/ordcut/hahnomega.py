@@ -56,7 +56,7 @@ class OmegaElement(Record):
         return not self.support
 
     def __add__(self, other):
-        same_group(other, self.group)
+        same_group(other, self.group, OmegaElement)
         vals = dict(self.support)
         for i, v in other.support:
             w = vals.get(i, ZERO) + v
@@ -95,26 +95,18 @@ def _pairs(x, y):
 
 
 def omega_compare(x, y):
-    same_group(y, x.group)
+    same_group(y, x.group, OmegaElement)
     return scalars.first_difference(_pairs(x.support, y.support))[1]
 
 
 # ---------------------------------------------------------------------------
 # anchors
 
-def _of_group(x, group, what):
-    """Refuse an anchor's point or gap prefix that is not an element of
-    the anchor's group."""
-    if not isinstance(x, OmegaElement):
-        raise DomainError("%s must be an omega element" % what)
-    same_group(x, group, what)
-
-
 class OmegaPoint(Record):
     __slots__ = ("group", "point")
 
     def __post_init__(self):
-        _of_group(self.point, self.group, "anchor point")
+        same_group(self.point, self.group, OmegaElement, "anchor point")
 
 
 class OmegaGapAt(Record):
@@ -128,7 +120,7 @@ class OmegaGapAt(Record):
                 "discrete factor normalizes gap to principal; use a point")
         if scalars.contains(self.group.factor, self.delta):
             raise DomainError("gap anchor lies inside the factor")
-        _of_group(self.prefix, self.group, "gap prefix")
+        same_group(self.prefix, self.group, OmegaElement, "gap prefix")
         if self.prefix.max_index() >= self.index:
             raise DomainError("gap prefix support must stay below the index")
 
@@ -170,7 +162,7 @@ def omega_member(anchor, x):
     ref with a closed flag: a point is closed (equality lands on the minus
     side), a gap is its prefix then delta at its index, open; a periodic
     anchor runs to a horizon past x's support and one period."""
-    same_group(x, anchor.group)
+    same_group(x, anchor.group, OmegaElement)
     if isinstance(anchor, OmegaPoint):
         pairs, closed = _pairs(x.support, anchor.point.support), True
     elif isinstance(anchor, OmegaGapAt):
@@ -202,7 +194,7 @@ class OmegaConvexSubgroup(Record):
             index(self.index, "tail index")
 
     def member(self, x):
-        same_group(x, self.group)
+        same_group(x, self.group, OmegaElement)
         if self.index is None:
             return x.is_zero()
         return all(i >= self.index for i, _ in x.support)
@@ -237,7 +229,7 @@ def index_cut(anchor):
 
 def omega_translate(anchor, g):
     """The anchor of the translated cut."""
-    same_group(g, anchor.group)
+    same_group(g, anchor.group, OmegaElement)
     if isinstance(anchor, OmegaPoint):
         return OmegaPoint(anchor.group, anchor.point + g)
     if isinstance(anchor, OmegaGapAt):
@@ -288,7 +280,7 @@ def omega_invariance_witness(anchor, g):
     For negative g the mirrored pair (y in the upper part, y+g in the lower
     part) is returned.  Raises for g inside the invariance subgroup.
     """
-    same_group(g, anchor.group)
+    same_group(g, anchor.group, OmegaElement)
     if not g.support:
         raise DomainError("zero stabilizes every cut")
     # g's first entry, head at j, decides the rest: a gap at i has invariance

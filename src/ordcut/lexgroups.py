@@ -59,7 +59,7 @@ class GroupElement(Record):
                 raise DomainError("coordinate %s outside factor" % (c,))
 
     def __add__(self, other):
-        same_group(other, self.group)
+        same_group(other, self.group, GroupElement)
         return GroupElement.trusted(self.group, tuple(
             a + b for a, b in zip(self.coords, other.coords)))
 
@@ -82,7 +82,7 @@ class ConvexSubgroup(Record):
         index(self.level, "level", 0, self.group.rank)
 
     def member(self, x):
-        same_group(x, self.group)
+        same_group(x, self.group, GroupElement)
         return all(c.sign() == 0 for c in x.coords[:self.level])
 
 
@@ -103,7 +103,7 @@ def unit(group, i):
 
 
 def lex_compare(x, y):
-    same_group(y, x.group)
+    same_group(y, x.group, GroupElement)
     return scalars.first_difference(zip(x.coords, y.coords))[1]
 
 
@@ -221,6 +221,6 @@ def discreteness(g):
 
 def epsilon_upper(m, c):
     """The trace on the domain of a convex subgroup of the codomain."""
-    same_group(c, m.cod, "subgroup")
+    same_group(c, m.cod, ConvexSubgroup, "subgroup")
     return ConvexSubgroup(m.dom, c.level)
 

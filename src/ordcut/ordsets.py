@@ -9,7 +9,7 @@ adjoint triple lower_image -| pullback -| upper_image.
 from bisect import bisect_left
 from itertools import combinations_with_replacement
 
-from .errors import DomainError, index, tuple_field
+from .errors import DomainError, expect, index, tuple_field
 from .record import Record
 
 
@@ -24,7 +24,8 @@ class Segment(Record):
     __slots__ = ("chain", "cutoff")
 
     def __post_init__(self):
-        index(self.cutoff, "cutoff", 0, self.chain.size)
+        index(self.cutoff, "cutoff", 0,
+              expect(self.chain, FiniteChain, "chain").size)
 
 
 class MonotoneMap(Record):
@@ -52,42 +53,47 @@ class MonotoneMap(Record):
 
 
 def all_segments(chain):
-    return [Segment(chain, c) for c in range(chain.size + 1)]
+    return [Segment(chain, c)
+            for c in range(expect(chain, FiniteChain, "chain").size + 1)]
 
 
 def all_monotone_maps(dom, cod):
     """Every monotone map between the two chains (exhaustive oracle input)."""
+    expect(dom, FiniteChain, "domain")
     return [MonotoneMap(dom, cod, images)
-            for images in combinations_with_replacement(range(cod.size),
-                                                        dom.size)]
+            for images in combinations_with_replacement(
+                range(expect(cod, FiniteChain, "codomain").size), dom.size)]
 
 
-def _check_chain(expected, segment):
-    if segment.chain != expected:
+def _check_chain(u, s, on_cod):
+    """Refuse a u that is not a monotone map, or an s that is not a segment
+    of its codomain (on_cod) or domain."""
+    expect(u, MonotoneMap, "map")
+    if expect(s, Segment, "segment").chain != (u.cod if on_cod else u.dom):
         raise DomainError("segment belongs to a different chain")
 
 
 def pullback(u, s):
     """u^*: the preimage {j : u(j) in s}, an initial segment of dom."""
-    _check_chain(u.cod, s)
+    _check_chain(u, s, True)
     return Segment(u.dom, bisect_left(u.images, s.cutoff))  # images ascend
 
 
 def lower_image(u, s):
     """u_!: smallest initial segment of cod containing u(s)."""
-    _check_chain(u.dom, s)
+    _check_chain(u, s, False)
     return Segment(u.cod, max(u.images[:s.cutoff], default=-1) + 1)
 
 
 def upper_image(u, s):
     """u_*: intersection of the I_{<u(j)} over j outside s (right adjoint)."""
-    _check_chain(u.dom, s)
+    _check_chain(u, s, False)
     return Segment(u.cod, min(u.images[s.cutoff:], default=u.cod.size))
 
 
 def cut_witness(u, s):
     """The element of u(lower part) intersect u(upper part), if any."""
-    _check_chain(u.dom, s)
+    _check_chain(u, s, False)
     lower = {u.images[j] for j in range(s.cutoff)}
     upper = {u.images[j] for j in range(s.cutoff, u.dom.size)}
     return min(lower & upper, default=None)
@@ -95,6 +101,7 @@ def cut_witness(u, s):
 
 def cut_bounds(s):
     """(sup of the lower part, inf of the upper part), None on empty sides."""
+    expect(s, Segment, "segment")
     lam_minus = s.cutoff - 1 if s.cutoff > 0 else None
     lam_plus = s.cutoff if s.cutoff < s.chain.size else None
     return lam_minus, lam_plus
@@ -107,7 +114,7 @@ def reconstruct(chain):
     maps to the segment of cutoff i.  For the empty chain the witness is the
     empty list.
     """
-    n = chain.size
+    n = expect(chain, FiniteChain, "chain").size
     if n == 0:
         return []
     suc = FiniteChain(n - 1)

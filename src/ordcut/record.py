@@ -8,11 +8,13 @@ defines one.  `==` and `hash` go by class and fields, `repr` reads
 Name(field=value, ...), and a record pickles and copies through its
 class's `__init__`, so a rebuilt record is checked again.
 
-`Record.trusted` skips `__post_init__`, for inputs that already pass it;
-tests/test_source.py lists its callers, each with its reason.
+`cls.trusted(...)` takes the same fields but makes the record without
+`__post_init__`, for inputs that already pass it; tests/test_source.py
+lists its callers, each with its reason.
 
-Each constructor is a closure over its class's field names, with one body
-per field count, and runs as fast as a hand-written `__init__`.  A body
+Each constructor is a closure over its class and field names, with one
+body per field count: `__init__` runs as fast as a hand-written one, and
+`trusted` as fast as a class whose `__init__` has no check.  A body
 that loops over the fields made a record take 1.3 to 2 times as long to
 build, and an `__init__` compiled from source text per class would be
 compiled again at every cold start, since no bytecode cache holds it.
@@ -23,11 +25,16 @@ from operator import attrgetter
 _set = object.__setattr__
 
 
-def _init(names, check):
-    """The positional `__init__` of a record with these 1 to 4 fields; it
-    calls `__post_init__` last when `check` is true."""
+def _constructors(cls):
+    """(`__init__`, `trusted`) of a record class with 1 to 4 fields.  The
+    positional `__init__` stores the fields and calls `__post_init__` last
+    where the class has one; `trusted` makes the instance, stores the fields
+    and returns it, with no check."""
+    names = cls.__slots__
     if not 1 <= len(names) <= 4:
         raise TypeError("a record has 1 to 4 fields, not %d" % len(names))
+    check = hasattr(cls, "__post_init__")
+    new = object.__new__
     a, b, c, d = names + ("",) * (4 - len(names))
 
     def init1(self, w, /):
@@ -35,11 +42,22 @@ def _init(names, check):
         if check:
             self.__post_init__()
 
+    def trusted1(w, /):
+        self = new(cls)
+        _set(self, a, w)
+        return self
+
     def init2(self, w, x, /):
         _set(self, a, w)
         _set(self, b, x)
         if check:
             self.__post_init__()
+
+    def trusted2(w, x, /):
+        self = new(cls)
+        _set(self, a, w)
+        _set(self, b, x)
+        return self
 
     def init3(self, w, x, y, /):
         _set(self, a, w)
@@ -47,6 +65,13 @@ def _init(names, check):
         _set(self, c, y)
         if check:
             self.__post_init__()
+
+    def trusted3(w, x, y, /):
+        self = new(cls)
+        _set(self, a, w)
+        _set(self, b, x)
+        _set(self, c, y)
+        return self
 
     def init4(self, w, x, y, z, /):
         _set(self, a, w)
@@ -56,24 +81,28 @@ def _init(names, check):
         if check:
             self.__post_init__()
 
-    return (init1, init2, init3, init4)[len(names) - 1]
+    def trusted4(w, x, y, z, /):
+        self = new(cls)
+        _set(self, a, w)
+        _set(self, b, x)
+        _set(self, c, y)
+        _set(self, d, z)
+        return self
+
+    k = len(names) - 1
+    return (init1, init2, init3, init4)[k], \
+        (trusted1, trusted2, trusted3, trusted4)[k]
 
 
 class Record:
     __slots__ = ()
 
     def __init_subclass__(cls):
-        cls.__init__ = _init(cls.__slots__, hasattr(cls, "__post_init__"))
-        cls.__init__.__qualname__ = cls.__qualname__ + ".__init__"
-        cls._store = _init(cls.__slots__, False)
+        init, make = _constructors(cls)
+        init.__qualname__ = cls.__qualname__ + ".__init__"
+        make.__qualname__ = cls.__qualname__ + ".trusted"
+        cls.__init__, cls.trusted = init, staticmethod(make)
         cls._fields = attrgetter(*cls.__slots__)
-
-    @classmethod
-    def trusted(cls, *fields):
-        """The record of these fields, stored without `__post_init__`."""
-        x = object.__new__(cls)
-        cls._store(x, *fields)
-        return x
 
     def __eq__(self, other):
         if self is other:

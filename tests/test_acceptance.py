@@ -153,7 +153,7 @@ def test_criterion_05_trichotomy_and_transport():
     while done < 200:
         g = FAMILIES[done % len(FAMILIES)]
         c = sampling.sample_descriptor(g, rng, 6)
-        k = cuts.level_of(c)
+        k = len(c.ref)
         m2 = rng.randint(0, k - 1)
         m1 = rng.randint(k, g.rank)
         out = transport(c, ConvexSubgroup(g, m1), ConvexSubgroup(g, m2))

@@ -341,7 +341,7 @@ def test_quotient_image_membership_agreement():
     for g in FAMILIES:
         for _ in range(25):
             c = sampling.sample_descriptor(g, rng, 6)
-            k = cuts.level_of(c)
+            k = len(c.ref)
             for m in range(k, g.rank + 1):
                 theta = ConvexSubgroup(g, m)
                 q = quotient_image(c, theta)
@@ -367,7 +367,7 @@ def test_trace_membership_agreement():
     for g in FAMILIES:
         for _ in range(25):
             c = sampling.sample_descriptor(g, rng, 6)
-            k = cuts.level_of(c)
+            k = len(c.ref)
             for m in range(k):
                 theta = ConvexSubgroup(g, m)
                 t = trace(c, theta)
@@ -392,7 +392,7 @@ def test_transport_example_and_type_preservation():
     while done < 200:
         g = FAMILIES[done % len(FAMILIES)]
         c = sampling.sample_descriptor(g, rng, 6)
-        k = cuts.level_of(c)
+        k = len(c.ref)
         m2 = rng.randint(0, k - 1)
         m1 = rng.randint(k, g.rank)
         out = transport(c, ConvexSubgroup(g, m1), ConvexSubgroup(g, m2))
@@ -662,12 +662,8 @@ def test_a_witness_walks_g_once(monkeypatch):
     # of g's first j coordinates are read once each, none past them; at
     # j = k small_positive may check its bound, g's k-th coordinate, again
     built, signed = [], []
-    init, store, sign = ConvexSubgroup.__init__, ConvexSubgroup._store, \
+    init, trusted, sign = ConvexSubgroup.__init__, ConvexSubgroup.trusted, \
         Scalar.sign
-
-    def counted(make):
-        return lambda self, *fields: built.append(fields) or \
-            make(self, *fields)
 
     g4 = LexGroup((KIND_Z, quad_q(2), KIND_Q, quad_z(3)))
     cut_list = [principal(g4, side, (2, SQRT2, Fraction(3, 4), 5), k)
@@ -675,8 +671,10 @@ def test_a_witness_walks_g_once(monkeypatch):
         gap_cut(g4, (1,), 2, Scalar.make(0, 1, 3)),
         gap_cut(g4, (1, SQRT2), 3, SQRT2),
         gap_cut(g4, (1, SQRT2, 0), 4, Scalar.make(Fraction(1, 2)))]
-    monkeypatch.setattr(ConvexSubgroup, "__init__", counted(init))
-    monkeypatch.setattr(ConvexSubgroup, "_store", counted(store))
+    monkeypatch.setattr(ConvexSubgroup, "__init__", lambda self, *fields:
+                        built.append(fields) or init(self, *fields))
+    monkeypatch.setattr(ConvexSubgroup, "trusted", staticmethod(
+        lambda *fields: built.append(fields) or trusted(*fields)))
     monkeypatch.setattr(Scalar, "sign",
                         lambda self: signed.append(self) or sign(self))
     for c in cut_list:
@@ -723,7 +721,14 @@ def _built_cuts(c, g, x, rng):
              for j in range(k, g.rank + 1)])
 
 
-def test_trusted_values_pass_the_element_check():
+def _rebuilt(d):
+    """The descriptor built again through its class's checked constructor."""
+    return type(d)(*[getattr(d, name) for name in type(d).__slots__])
+
+
+def test_trusted_values_pass_the_checks_they_skip():
+    # elements and cut descriptors built with `trusted` pass the checks of
+    # the checked constructor, and come out equal
     rng = sampling.rng_for(16)
     for g in RECHECK_GROUPS:
         for _ in range(25):
@@ -733,8 +738,8 @@ def test_trusted_values_pass_the_element_check():
                 assert GroupElement(v.group, v.coords) == v
             c = sampling.sample_descriptor(g, rng, 6)
             for d in _built_cuts(c, g, x, rng):
-                if isinstance(d, Principal):
-                    assert GroupElement(d.group, d.anchor.coords) == d.anchor
+                if d is not None:
+                    assert _rebuilt(d) == d, d
 
 
 # ---------------------------------------------------------------------------
@@ -763,20 +768,64 @@ def _outside(kind):
     return vals
 
 
-def test_cut_rebuilds_every_public_descriptor():
+def _public_descriptors():
+    """Every descriptor `principal` and `gap_cut` build over groups of rank
+    0 to 2 from `_inside` and `_outside` values, and the trivial cuts."""
     for rank in (0, 1, 2):
         for kinds in product(CANON_KINDS, repeat=rank):
             g = LexGroup(kinds)
-            cs = [AllBelow(g), AllAbove(g)]
+            yield AllBelow(g)
+            yield AllAbove(g)
             for k, kind in enumerate(kinds, 1):
                 pad = (0,) * (rank - k)
                 for head in product(*map(_inside, kinds[:k - 1])):
-                    cs += [principal(g, side, head + (v,) + pad, k)
-                           for v in _inside(kind) for side in (BELOW, ABOVE)]
+                    for v in _inside(kind):
+                        for side in (BELOW, ABOVE):
+                            yield principal(g, side, head + (v,) + pad, k)
                     if sampling.is_dense_kind(kind):
-                        cs += [gap_cut(g, head, k, t) for t in _outside(kind)]
-            for c in cs:
-                assert cuts._cut(c.group, *cuts._ref(c)) == c, c
+                        for t in _outside(kind):
+                            yield gap_cut(g, head, k, t)
+
+
+def test_cut_rebuilds_every_public_descriptor():
+    for c in _public_descriptors():
+        assert cuts._cut(c.group, c.ref, c.closed) == c, c
+        # and what _cut builds passes the checks that `trusted` skips
+        assert _rebuilt(c) == c, c
+
+
+def test_every_public_descriptor_prints_and_parses_back():
+    for c in _public_descriptors():
+        assert dsl.parse_cut(dsl.print_cut(c), c.group) == c, c
+
+
+def test_cut_operations_build_no_group_element(monkeypatch):
+    # a descriptor stores its boundary (ref, closed): building, comparing,
+    # moving and printing cuts makes no padded anchor element
+    built = []
+    check, trusted = GroupElement.__post_init__, GroupElement.trusted
+    g = LexGroup((KIND_Q, quad_z(2), KIND_Q))
+    x, y = element(g, (1, SQRT2, 2)), element(g, (-2, 0, Fraction(1, 3)))
+    m, scale = widening(g), FactorwiseInjection(g, g, (3, 1, 2))
+    hx = m.apply(x)
+    monkeypatch.setattr(GroupElement, "__post_init__",
+                        lambda self: built.append(self) or check(self))
+    monkeypatch.setattr(GroupElement, "trusted", staticmethod(
+        lambda *fields: built.append(fields) or trusted(*fields)))
+    cs = [principal(g, side, (1, SQRT2, 5), k)
+          for side in (BELOW, ABOVE) for k in (1, 2, 3)] + [
+        gap_cut(g, (), 1, SQRT2),
+        gap_cut(g, (1, SQRT2), 3, Scalar.make(Fraction(1, 3), 1, 2)),
+        AllBelow(g), AllAbove(g)]
+    for c in cs:
+        for d in [c, translate(c, x), translate(c, y)] + [
+                push(f, c) for f in (m, scale)
+                for push in (push_lower, push_upper)] + [
+                pull(m, push_lower(m, c)), pull(scale, c)]:
+            member(d, x if d.group == g else hx)
+            compare_cuts(d, translate(d, x if d.group == g else hx))
+            dsl.print_cut(d)
+    assert built == []
 
 
 def _in_factor(draw, kind):
@@ -831,7 +880,7 @@ def test_cut_keeps_the_lower_part_of_a_raw_boundary(boundary):
     c = cuts._cut(g, ref, closed)
     k = len(ref)
     # the result is one the public constructors build, at the same level
-    assert cuts.level_of(c) == k
+    assert len(c.ref) == k
     if isinstance(c, GapCut):
         assert c == gap_cut(g, c.prefix, k, c.delta)
     else:

@@ -222,6 +222,8 @@ def test_list_errors_keep_their_messages_and_positions():
              (dsl.parse_morphism, ("scale(1,)", zq), "expected an integer", 8),
              (dsl.parse_morphism, ("scale( 1 , 2 ", zq), "expected ')'", 13),
              (dsl.parse_element, ("[1,]", zq), "expected an integer", 3),
+             # at the end of the denominator, not at the next token
+             (dsl.parse_element, ("[1, 2/0 ]", zq), "zero denominator", 7),
              (dsl.parse_element, ("[ ]", zq), "element needs 2 coordinates",
               3),
              (dsl.parse_element, ("{1:2,}", oq), "expected an integer", 5),

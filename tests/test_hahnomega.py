@@ -209,20 +209,19 @@ def test_an_omega_witness_walks_g_once(monkeypatch):
     # sign is read on g's values past its first entry; at a gap's index
     # small_positive may check its bound, g's first entry, again
     built, signed = [], []
-    init, store, sign = OmegaConvexSubgroup.__init__, \
-        OmegaConvexSubgroup._store, Scalar.sign
-
-    def counted(make):
-        return lambda self, *fields: built.append(fields) or \
-            make(self, *fields)
+    init, trusted, sign = OmegaConvexSubgroup.__init__, \
+        OmegaConvexSubgroup.trusted, Scalar.sign
 
     anchors = [omega_point(GQ, [(0, 1), (2, -1)]), omega_point(GQ, []),
                omega_gap_at(GQ, [(0, 1)], 2, SQRT2),
                omega_gap_at(GQ, [], 0, SQRT2),
                omega_periodic(GQ, (1,), (0, -2)),
                omega_periodic(GQ, (), (Fraction(3, 2),))]
-    monkeypatch.setattr(OmegaConvexSubgroup, "__init__", counted(init))
-    monkeypatch.setattr(OmegaConvexSubgroup, "_store", counted(store))
+    monkeypatch.setattr(OmegaConvexSubgroup, "__init__",
+                        lambda self, *fields: built.append(fields) or
+                        init(self, *fields))
+    monkeypatch.setattr(OmegaConvexSubgroup, "trusted", staticmethod(
+        lambda *fields: built.append(fields) or trusted(*fields)))
     monkeypatch.setattr(Scalar, "sign",
                         lambda self: signed.append(self) or sign(self))
     for anchor in anchors:

@@ -2,9 +2,10 @@
 its exact message, and a command line that reaches one exits with its
 code.  And the scalar contract: every entry point that reads a number takes
 an int, a Fraction or a Scalar, and refuses anything else; every record that
-holds scalars takes a tuple of Scalars, and refuses anything else; and the
-DSL's parse functions read a str over a lex or an omega group, and refuse
-any other text or group."""
+holds scalars takes a tuple of Scalars, and refuses anything else; the DSL's
+parse functions read a str over a lex or an omega group, and refuse any
+other text or group; and the operations on cuts and on segments refuse an
+argument of the wrong kind, a record of another class included."""
 
 import io
 from decimal import Decimal
@@ -21,6 +22,7 @@ ZZ = lexgroups.LexGroup((KIND_Z, KIND_Z))
 ZQ = lexgroups.LexGroup((KIND_Z, KIND_Q))
 GZ = hahnomega.OmegaGroup(KIND_Z)
 SQRT2 = Scalar.make(0, 1, 2)
+SQRT3 = Scalar.make(0, 1, 3)
 
 # (library call, exception, message) or (argv, exit code, stderr line)
 CASES = [
@@ -97,7 +99,7 @@ _leaves = st.one_of(
     st.builds(Scalar.make, _rationals, _rationals, st.sampled_from((2, 3, 8))),
     st.booleans(), st.floats(), st.decimals(), st.text(max_size=6), st.none(),
     st.complex_numbers(), st.sampled_from(_DSL + GROUPS + OMEGA_GROUPS),
-    st.binary(max_size=4))
+    st.binary(max_size=4), st.deferred(lambda: st.sampled_from(POOL)))
 VALUES = st.recursive(_leaves, lambda inner: st.one_of(
     st.tuples(inner), st.tuples(inner, inner), st.lists(inner, max_size=3)),
     max_leaves=4)
@@ -137,6 +139,21 @@ RECORDS = {
         lambda g, G, v: hahnomega.OmegaPeriodic(G, (), (v,)),
     "scaling(v)": lambda g, G, v: lexgroups.scaling(g, v),
     "scaling((v,))": lambda g, G, v: lexgroups.scaling(g, (v,)),
+    "AllBelow(v)": lambda g, G, v: cuts.AllBelow(v),
+    "AllAbove(v)": lambda g, G, v: cuts.AllAbove(v),
+    "Principal(v, (ONE,), True)":
+        lambda g, G, v: cuts.Principal(v, (ONE,), True),
+    "Principal(v)": lambda g, G, v: cuts.Principal(g, v, True),
+    "Principal((v,))": lambda g, G, v: cuts.Principal(g, (v,), True),
+    "Principal((ONE, v))":
+        lambda g, G, v: cuts.Principal(ZQ, (ONE, v), True),
+    "Principal((v, ONE))":
+        lambda g, G, v: cuts.Principal(ZQ, (v, ONE), True),
+    "Principal((ONE,), v)": lambda g, G, v: cuts.Principal(g, (ONE,), v),
+    "GapCut(v, (SQRT3,))": lambda g, G, v: cuts.GapCut(v, (SQRT3,)),
+    "GapCut(v)": lambda g, G, v: cuts.GapCut(g, v),
+    "GapCut((v,))": lambda g, G, v: cuts.GapCut(g, (v,)),
+    "GapCut((v, SQRT3))": lambda g, G, v: cuts.GapCut(ZQ, (v, SQRT3)),
 }
 
 
@@ -191,3 +208,109 @@ def test_what_is_not_rational_is_refused_by_its_type(v):
             call(GROUPS[1], OMEGA_GROUPS[1], v)
         assert str(e.value) == "%s is an int or a Fraction, not %s" % (
             what, type(v).__name__), name
+
+
+# ---------------------------------------------------------------------------
+# the operations on cuts and on segments, over arbitrary Python values
+
+X = lexgroups.element(ZQ, (1, 2))
+CUT = cuts.principal(ZQ, cuts.BELOW, (1, 0), 1)
+GAP = cuts.gap_cut(ZQ, (1,), 2, SQRT2)
+WIDEN = lexgroups.widening(ZQ)
+SUB0, SUB2 = lexgroups.ConvexSubgroup(ZQ, 0), lexgroups.ConvexSubgroup(ZQ, 2)
+CHAIN2, CHAIN3 = ordsets.FiniteChain(2), ordsets.FiniteChain(3)
+MAP = ordsets.MonotoneMap(CHAIN2, CHAIN3, (0, 2))
+# records of every class the operations take, over the groups and chains
+# above and others, for v to be a record of the wrong class or object
+POOL = [X, CUT, GAP, WIDEN, SUB0, SUB2, CHAIN2, CHAIN3, MAP,
+        cuts.AllBelow(ZQ), cuts.AllAbove(ZZ),
+        cuts.principal(ZZ, cuts.ABOVE, (1, 1), 2),
+        lexgroups.element(ZZ, (0, 0)), lexgroups.ConvexSubgroup(ZZ, 1),
+        lexgroups.scaling(ZZ, (2, 1)), ordsets.Segment(CHAIN2, 1),
+        ordsets.Segment(CHAIN3, 3), ordsets.FiniteChain(0),
+        hahnomega.omega_element(GZ, [(0, 1)]),
+        hahnomega.OmegaPoint(GZ, hahnomega.omega_element(GZ, []))]
+
+# each operation with valid arguments; v replaces one at a time
+OPERATIONS = {
+    "principal": (cuts.principal, (ZQ, cuts.BELOW, (1, 0), 1)),
+    "gap_cut": (cuts.gap_cut, (ZQ, (1,), 2, SQRT2)),
+    "member": (cuts.member, (CUT, X)),
+    "invariance": (cuts.invariance, (CUT,)),
+    "classify": (cuts.classify, (GAP,)),
+    "translate": (cuts.translate, (GAP, X)),
+    "compare_cuts": (cuts.compare_cuts, (CUT, GAP)),
+    "quotient_image": (cuts.quotient_image, (CUT, SUB2)),
+    "trace": (cuts.trace, (GAP, SUB0)),
+    "transport": (cuts.transport, (GAP, SUB2, SUB0)),
+    "interval_bounds": (cuts.interval_bounds, (CUT, X)),
+    "push_lower": (cuts.push_lower, (WIDEN, GAP)),
+    "push_upper": (cuts.push_upper, (WIDEN, CUT)),
+    "pull": (cuts.pull, (WIDEN, cuts.push_lower(WIDEN, GAP))),
+    "invariance_witness": (cuts.invariance_witness, (CUT, X)),
+    "FiniteChain": (ordsets.FiniteChain, (3,)),
+    "Segment": (ordsets.Segment, (CHAIN3, 1)),
+    "MonotoneMap": (ordsets.MonotoneMap, (CHAIN2, CHAIN3, (0, 2))),
+    "all_segments": (ordsets.all_segments, (CHAIN3,)),
+    "all_monotone_maps": (ordsets.all_monotone_maps, (CHAIN2, CHAIN3)),
+    "pullback": (ordsets.pullback, (MAP, ordsets.Segment(CHAIN3, 2))),
+    "lower_image": (ordsets.lower_image, (MAP, ordsets.Segment(CHAIN2, 1))),
+    "upper_image": (ordsets.upper_image, (MAP, ordsets.Segment(CHAIN2, 1))),
+    "cut_witness": (ordsets.cut_witness, (MAP, ordsets.Segment(CHAIN2, 1))),
+    "cut_bounds": (ordsets.cut_bounds, (ordsets.Segment(CHAIN2, 1),)),
+    "reconstruct": (ordsets.reconstruct, (CHAIN3,)),
+}
+
+
+def test_operations_answer_their_valid_arguments():
+    for op, args in OPERATIONS.values():
+        op(*args)
+
+
+@settings(max_examples=200, deadline=None)
+@given(VALUES)
+def test_each_operation_returns_or_refuses_a_foreign_argument(v):
+    for op, args in OPERATIONS.values():
+        for i in range(len(args)):
+            try:
+                op(*args[:i], v, *args[i + 1:])
+            except DomainError:
+                pass
+
+
+# (call, message): an argument of the wrong kind, and cut records built
+# directly that `_cut` would not build
+FOREIGN = [
+    (lambda: cuts.member(CUT, 5), "element must be a lex group element"),
+    (lambda: cuts.member(5, X), "cut must be a lex cut"),
+    (lambda: cuts.member(CUT, CUT), "element must be a lex group element"),
+    (lambda: cuts.trace(CUT, 1), "subgroup must be a convex subgroup"),
+    (lambda: cuts.compare_cuts(CUT, X), "cut must be a lex cut"),
+    (lambda: cuts.push_lower(SUB0, CUT),
+     "morphism must be a factorwise injection"),
+    (lambda: ordsets.pullback(MAP, 3), "segment must be an initial segment"),
+    (lambda: ordsets.pullback(3, ordsets.Segment(CHAIN3, 2)),
+     "map must be a monotone map"),
+    (lambda: ordsets.Segment(1, 0), "chain must be a finite chain"),
+    (lambda: cuts.Principal("x", 1, 2), "a cut needs a lex group"),
+    (lambda: cuts.Principal(ZQ, [ONE], True), "a cut's ref must be a tuple"),
+    (lambda: cuts.Principal(ZQ, (), True), "level 0 outside 1..2"),
+    (lambda: cuts.Principal(ZQ, (5, ONE), True),
+     "a coordinate is a Scalar, not int"),
+    (lambda: cuts.GapCut(ZQ, (ONE / 2, SQRT2)),
+     "coordinate 1/2 outside factor"),
+    (lambda: cuts.GapCut(ZQ, (ONE, ONE / 2)),
+     "a cut is stored as the canonical form of its boundary"),
+    (lambda: cuts.Principal(ZQ, (ONE,), 1),
+     "a cut's closed flag must be a bool"),
+    (lambda: cuts.Principal(ZQ, (ONE,), False),
+     "a cut is stored as the canonical form of its boundary"),
+]
+
+
+@pytest.mark.parametrize("call, message", FOREIGN,
+                         ids=[message for _, message in FOREIGN])
+def test_a_foreign_argument_is_refused_by_its_kind(call, message):
+    with pytest.raises(DomainError) as e:
+        call()
+    assert str(e.value) == message

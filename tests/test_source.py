@@ -37,7 +37,7 @@ def test_records_take_their_constructor_from_record():
     assert found == []
 
 
-# The callers of Record.trusted, the one constructor that skips a class's
+# The callers of a record class's `trusted`, the one constructor that skips its
 # checks, each with the reason its inputs pass them.
 TRUSTED_CALLERS = {
     "GroupElement.__add__":
@@ -48,8 +48,9 @@ TRUSTED_CALLERS = {
         "an element of the domain: the morphism's check puts each scaled "
         "coordinate in its codomain factor",
     "_cut":
-        "ref entries but the last lie in their factors, _cut settles the "
-        "last, and zeros pad the anchor to the rank",
+        "ref entries but the last lie in their factors and _cut settles the "
+        "last: a principal ref ends inside its factor, closed over a "
+        "discrete one, and a gap's ends outside a dense one",
     "OmegaElement.__add__":
         "operands of one group: sums stay in the factor, zeros are dropped "
         "and indices sorted",
@@ -106,16 +107,17 @@ def _library_uses(name):
 
 def test_trusted_constructor_has_only_allowed_callers():
     uses = _library_uses("trusted")
+    # Record gives each class its `trusted`; every other use is a call
+    assert [p.split(":")[0] for p in uses.pop("Record.__init_subclass__")] \
+        == ["record.py"]
     assert set(uses) == set(TRUSTED_CALLERS), uses
     assert all(reason for reason in TRUSTED_CALLERS.values())
     # and it is the only constructor that goes round __post_init__: no
-    # other code stores through the closure or makes a bare instance, but
-    # for scalars' `_new`, which `_raw` uses to build a Scalar (not a record)
-    assert set(_library_uses("_store")) == {"Record.__init_subclass__",
-                                            "Record.trusted"}
+    # other code makes a bare instance, but for scalars' `_new`, which
+    # `_raw` uses to build a Scalar (not a record)
     files = {scope: [p.split(":")[0] for p in places]
              for scope, places in _library_uses("__new__").items()}
-    assert files == {"Record.trusted": ["record.py"], "": ["scalars.py"]}
+    assert files == {"_constructors": ["record.py"], "": ["scalars.py"]}
 
 
 def _builds(cls):
@@ -188,6 +190,7 @@ def test_common_refusals_are_said_once():
 # benchmark.  A definition that only other tests use lives in tests/.  An
 # import counts as a use.
 OUTSIDE_USERS = {
+    "cuts.Principal.anchor": "perfbench/adapter.py",
     "cuts.invariance_witness": "tests/test_acceptance.py",
     "dsl.print_morphism": "perfbench/adapter.py",
     "hahnomega.omega_gap_at": "tests/test_acceptance.py",
