@@ -34,7 +34,7 @@ from . import scalars
 from .record import Record
 from .scalars import Scalar, ZERO, ONE
 from .lexgroups import (ConvexSubgroup, FactorwiseInjection, GroupElement,
-                        LexGroup, slice_group)
+                        LexGroup, _scalars, slice_group)
 
 MINUS = "minus"
 PLUS = "plus"
@@ -112,9 +112,7 @@ def _checked(group, level, coords):
     its factor."""
     group_kind(group, LexGroup, "a cut")
     index(level, "level", 1, group.rank)
-    if not isinstance(coords, (list, tuple)):
-        raise DomainError("coordinates must be a list or a tuple")
-    coords = tuple(map(Scalar.make, coords))
+    coords = _scalars(coords)
     _inside(group, coords)
     return coords
 

@@ -35,16 +35,29 @@ def integer(value, what):
                           % (what, value.__class__.__name__))
 
 
+_fraction = None  # fractions.Fraction, once rational has read one
+
+
 def rational(value, what):
     """(numerator, denominator) in lowest terms of an int, not a bool, or a
-    Fraction, which exists only once fractions is loaded; refuse the rest."""
+    Fraction; refuse the rest, each subclass of int or Fraction included.
+
+    A Fraction exists only once something has imported fractions, so this
+    module imports nothing: a value whose class is not the Fraction seen
+    last is looked up as `sys.modules["fractions"].Fraction`, which also
+    finds the class of a reloaded fractions module.  Its fields are read
+    from Fraction's slots, `_numerator` and `_denominator`, which hold them
+    in lowest terms, with no call."""
+    global _fraction
     if value.__class__ is int:
         return value, 1
-    fractions = sys.modules.get("fractions")
-    if fractions is not None and value.__class__ is fractions.Fraction:
-        return value.as_integer_ratio()
-    raise DomainError("%s is an int or a Fraction, not %s"
-                      % (what, value.__class__.__name__))
+    if value.__class__ is not _fraction:
+        fractions = sys.modules.get("fractions")
+        if fractions is None or value.__class__ is not fractions.Fraction:
+            raise DomainError("%s is an int or a Fraction, not %s"
+                              % (what, value.__class__.__name__))
+        _fraction = fractions.Fraction
+    return value._numerator, value._denominator
 
 
 def index(value, what, lo=0, hi=None):
@@ -71,7 +84,7 @@ _KINDS = {"LexGroup": "a lex group", "OmegaGroup": "an omega group",
           "GroupElement": "a lex group element",
           "ConvexSubgroup": "a convex subgroup", "AllBelow": "a lex cut",
           "FactorwiseInjection": "a factorwise injection",
-          "OmegaElement": "an omega element",
+          "OmegaElement": "an omega element", "OmegaPoint": "an omega anchor",
           "FiniteChain": "a finite chain", "Segment": "an initial segment",
           "MonotoneMap": "a monotone map"}
 

@@ -7,7 +7,8 @@ infinite descending chain Tail(0) > Tail(1) > ... with trivial intersection
 lives, and with it the tightened cut type that finite rank cannot produce.
 """
 
-from .errors import DomainError, group_kind, index, same_group, tuple_field
+from .errors import (DomainError, expect, group_kind, index, same_group,
+                     tuple_field)
 from . import scalars
 from .record import Record
 from .scalars import ONE, RankOneKind, Scalar, ZERO
@@ -95,7 +96,7 @@ def _pairs(x, y):
 
 
 def omega_compare(x, y):
-    same_group(y, x.group, OmegaElement)
+    same_group(y, expect(x, OmegaElement, "element").group, OmegaElement)
     return scalars.first_difference(_pairs(x.support, y.support))[1]
 
 
@@ -147,6 +148,14 @@ class OmegaPeriodic(Record):
         return self.period[(i - len(self.preperiod)) % len(self.period)]
 
 
+ANCHORS = (OmegaPoint, OmegaGapAt, OmegaPeriodic)
+
+
+def _group(anchor):
+    """The group of an anchor; any other value is refused (`expect`)."""
+    return expect(anchor, ANCHORS, "cut anchor").group
+
+
 def omega_gap_at(group, prefix_pairs, index, delta):
     return OmegaGapAt(group, omega_element(group, prefix_pairs), index,
                       Scalar.make(delta))
@@ -162,7 +171,7 @@ def omega_member(anchor, x):
     ref with a closed flag: a point is closed (equality lands on the minus
     side), a gap is its prefix then delta at its index, open; a periodic
     anchor runs to a horizon past x's support and one period."""
-    same_group(x, anchor.group, OmegaElement)
+    same_group(x, _group(anchor), OmegaElement)
     if isinstance(anchor, OmegaPoint):
         pairs, closed = _pairs(x.support, anchor.point.support), True
     elif isinstance(anchor, OmegaGapAt):
@@ -201,12 +210,14 @@ class OmegaConvexSubgroup(Record):
 
 
 def omega_invariance(anchor):
+    group = _group(anchor)
     if isinstance(anchor, OmegaGapAt):
-        return OmegaConvexSubgroup(anchor.group, anchor.index + 1)
-    return OmegaConvexSubgroup(anchor.group, None)  # point and periodic
+        return OmegaConvexSubgroup(group, anchor.index + 1)
+    return OmegaConvexSubgroup(group, None)  # point and periodic
 
 
 def omega_classify(anchor):
+    expect(anchor, ANCHORS, "cut anchor")
     if isinstance(anchor, OmegaPoint):
         # the group has no least positive element (e_i -> 0+), so the
         # principal cut never upgrades to a relative jump
@@ -229,7 +240,7 @@ def index_cut(anchor):
 
 def omega_translate(anchor, g):
     """The anchor of the translated cut."""
-    same_group(g, anchor.group, OmegaElement)
+    same_group(g, _group(anchor), OmegaElement)
     if isinstance(anchor, OmegaPoint):
         return OmegaPoint(anchor.group, anchor.point + g)
     if isinstance(anchor, OmegaGapAt):
@@ -280,7 +291,7 @@ def omega_invariance_witness(anchor, g):
     For negative g the mirrored pair (y in the upper part, y+g in the lower
     part) is returned.  Raises for g inside the invariance subgroup.
     """
-    same_group(g, anchor.group, OmegaElement)
+    same_group(g, _group(anchor), OmegaElement)
     if not g.support:
         raise DomainError("zero stabilizes every cut")
     # g's first entry, head at j, decides the rest: a gap at i has invariance

@@ -12,17 +12,18 @@ skeleton is its rank and factors, its Hahn embedding is the identity on
 coordinates, each factor being a subgroup of the reals, and `widening` is
 its injection into the divisible hull.
 
-`widening` keeps a memo keyed by the group (by its factors, so two equal
-groups share an entry), bounded at 256 entries: the injection into the
-divisible hull is built and checked once per group, and every later call
-returns the same immutable record, which callers share.  A group that is
-refused is not stored, so it raises its error again on every call.
+`widening` keeps a memo, `_widening`, keyed by the group (by its factors,
+so two equal groups share an entry) and bounded at 256 entries; a value
+that is not a LexGroup is refused before the memo hashes it.  The injection
+into the divisible hull is built and checked once per group, and every
+later call returns the same immutable record, which callers share.  A group
+that is refused is not stored, so it raises its error again on every call.
 """
 
 from functools import lru_cache
 
-from .errors import (DomainError, group_kind, index, rational, same_group,
-                     tuple_field)
+from .errors import (DomainError, expect, group_kind, index, rational,
+                     same_group, tuple_field)
 from . import scalars
 from .record import Record
 from .scalars import RankOneKind, Scalar, ZERO, ONE
@@ -86,41 +87,53 @@ class ConvexSubgroup(Record):
         return all(c.sign() == 0 for c in x.coords[:self.level])
 
 
+def _scalars(coords):
+    """The coordinates, a list or a tuple, as a tuple of Scalars: a Scalar
+    passes as it is, any other value is read by `Scalar.make`."""
+    if not isinstance(coords, (list, tuple)):
+        raise DomainError("coordinates must be a list or a tuple")
+    return tuple([c if c.__class__ is Scalar else Scalar.make(c)
+                  for c in coords])
+
+
 def element(group, coords):
-    return GroupElement(group, tuple(map(Scalar.make, coords)))
+    return GroupElement(group, _scalars(coords))
 
 
 def zero(group):
-    return GroupElement(group, (ZERO,) * group.rank)
+    return GroupElement(group,
+                        (ZERO,) * expect(group, LexGroup, "group").rank)
 
 
 def unit(group, i):
     """The element with 1 at coordinate i (1-based), 0 elsewhere."""
-    index(i, "coordinate index", 1, group.rank)
+    index(i, "coordinate index", 1, expect(group, LexGroup, "group").rank)
     coords = [ZERO] * group.rank
     coords[i - 1] = ONE
     return GroupElement(group, tuple(coords))
 
 
 def lex_compare(x, y):
-    same_group(y, x.group, GroupElement)
+    same_group(y, expect(x, GroupElement, "element").group, GroupElement)
     return scalars.first_difference(zip(x.coords, y.coords))[1]
 
 
 def iota(x):
     """Archimedean class: the 1-based index of the first nonzero coordinate."""
-    for i, c in enumerate(x.coords):
+    for i, c in enumerate(expect(x, GroupElement, "element").coords):
         if c.sign() != 0:
             return i + 1
     raise DomainError("iota is undefined at zero")
 
 
 def initial_part(x):
-    return x.coords[iota(x) - 1]
+    i = iota(x)  # before x.coords is read
+    return x.coords[i - 1]
 
 
 def convex_subgroups(g):
-    return [ConvexSubgroup(g, k) for k in range(g.rank + 1)]
+    return [ConvexSubgroup(g, k)
+            for k in range(expect(g, LexGroup, "group").rank + 1)]
 
 
 def is_principal(c):
@@ -165,6 +178,8 @@ class FactorwiseInjection(Record):
     __slots__ = ("dom", "cod", "scales")
 
     def __post_init__(self):
+        group_kind(self.dom, LexGroup, "a factorwise injection")
+        group_kind(self.cod, LexGroup, "a factorwise injection")
         if self.dom.rank != self.cod.rank:
             raise DomainError("factorwise morphism needs equal ranks")
         tuple_field(self.scales, "scales")
@@ -188,6 +203,7 @@ def scaling(g, scales):
     """The factorwise injection of g by these rational scalars into the
     group of each factor itself, or of its divisible hull where the scaled
     factor leaves it."""
+    expect(g, LexGroup, "group")
     tuple_field(scales, "scales")
     scales = tuple(map(_scale, scales))
     return FactorwiseInjection(g, LexGroup(tuple(
@@ -195,23 +211,28 @@ def scaling(g, scales):
         for k, s in zip(g.factors, scales))), scales)
 
 
-@lru_cache(maxsize=256)  # the groups of a session
 def widening(g):
-    """The canonical injection of g into its factorwise divisible hull."""
+    """The canonical injection of g into its factorwise divisible hull; g
+    is refused before the memo hashes it."""
+    return _widening(expect(g, LexGroup, "group"))
+
+
+@lru_cache(maxsize=256)  # the groups of a session
+def _widening(g):
     hull = LexGroup(tuple(scalars.divisible_hull_kind(k) for k in g.factors))
     return FactorwiseInjection(g, hull, (ONE,) * g.rank)
 
 
 def slice_group(g, k1, k2):
     """The sub-quotient C_{k1}/C_{k2}: factors k1+1..k2."""
-    index(k1, "slice bound", 0, g.rank)
+    index(k1, "slice bound", 0, expect(g, LexGroup, "group").rank)
     index(k2, "slice bound", k1, g.rank)
     return LexGroup(g.factors[k1:k2])
 
 
 def discreteness(g):
     """(has least positive element, all factors discrete, that element)."""
-    if g.rank == 0:
+    if expect(g, LexGroup, "group").rank == 0:
         return False, True, None
     is_discrete = scalars.is_discrete_kind(g.factors[-1])
     discretely_ordered = all(scalars.is_discrete_kind(k) for k in g.factors)
@@ -221,6 +242,7 @@ def discreteness(g):
 
 def epsilon_upper(m, c):
     """The trace on the domain of a convex subgroup of the codomain."""
-    same_group(c, m.cod, ConvexSubgroup, "subgroup")
+    same_group(c, expect(m, FactorwiseInjection, "morphism").cod,
+               ConvexSubgroup, "subgroup")
     return ConvexSubgroup(m.dom, c.level)
 

@@ -2,27 +2,30 @@
 
 A record class names its fields in `__slots__` and, where it has checks,
 defines `__post_init__`.  Its constructor comes from Record: it takes the
-fields positionally, in `__slots__` order, stores each with
-object.__setattr__ and ends with `self.__post_init__()` when the class
-defines one.  `==` and `hash` go by class and fields, `repr` reads
-Name(field=value, ...), and a record pickles and copies through its
-class's `__init__`, so a rebuilt record is checked again.
+fields positionally, in `__slots__` order (a keyword or a wrong count is a
+TypeError), stores each through its slot descriptor and ends with
+`self.__post_init__()` when the class defines one.  `==` and `hash` go by
+class and fields, so `AllBelow(g) != AllAbove(g)`; `repr` reads
+Name(field=value, ...); setting or deleting a field raises AttributeError;
+and a record pickles and copies through its class's `__init__`, so a
+rebuilt record is checked again.
 
 `cls.trusted(...)` takes the same fields but makes the record without
 `__post_init__`, for inputs that already pass it; tests/test_source.py
 lists its callers, each with its reason.
 
-Each constructor is a closure over its class and field names, with one
-body per field count: `__init__` runs as fast as a hand-written one, and
-`trusted` as fast as a class whose `__init__` has no check.  A body
-that loops over the fields made a record take 1.3 to 2 times as long to
-build, and an `__init__` compiled from source text per class would be
-compiled again at every cold start, since no bytecode cache holds it.
+Each constructor is a closure over its class and the `__set__` of each
+field's slot descriptor, bound once per class, with one body per field
+count (1 to 4): `__init__` runs as fast as a hand-written one, and
+`trusted` as fast as a class whose `__init__` has no check.  A body that
+loops over the fields made a record take 1.3 to 2 times as long to build;
+storing through `object.__setattr__` and the field name costs a lookup of
+the name per field; and an `__init__` compiled from source text per class
+would be compiled again at every cold start, since no bytecode cache holds
+it.
 """
 
 from operator import attrgetter
-
-_set = object.__setattr__
 
 
 def _constructors(cls):
@@ -35,58 +38,60 @@ def _constructors(cls):
         raise TypeError("a record has 1 to 4 fields, not %d" % len(names))
     check = hasattr(cls, "__post_init__")
     new = object.__new__
-    a, b, c, d = names + ("",) * (4 - len(names))
+    # each field's slot descriptor stores it, past Record.__setattr__
+    a, b, c, d = [cls.__dict__[name].__set__ for name in names] + \
+        [None] * (4 - len(names))
 
     def init1(self, w, /):
-        _set(self, a, w)
+        a(self, w)
         if check:
             self.__post_init__()
 
     def trusted1(w, /):
         self = new(cls)
-        _set(self, a, w)
+        a(self, w)
         return self
 
     def init2(self, w, x, /):
-        _set(self, a, w)
-        _set(self, b, x)
+        a(self, w)
+        b(self, x)
         if check:
             self.__post_init__()
 
     def trusted2(w, x, /):
         self = new(cls)
-        _set(self, a, w)
-        _set(self, b, x)
+        a(self, w)
+        b(self, x)
         return self
 
     def init3(self, w, x, y, /):
-        _set(self, a, w)
-        _set(self, b, x)
-        _set(self, c, y)
+        a(self, w)
+        b(self, x)
+        c(self, y)
         if check:
             self.__post_init__()
 
     def trusted3(w, x, y, /):
         self = new(cls)
-        _set(self, a, w)
-        _set(self, b, x)
-        _set(self, c, y)
+        a(self, w)
+        b(self, x)
+        c(self, y)
         return self
 
     def init4(self, w, x, y, z, /):
-        _set(self, a, w)
-        _set(self, b, x)
-        _set(self, c, y)
-        _set(self, d, z)
+        a(self, w)
+        b(self, x)
+        c(self, y)
+        d(self, z)
         if check:
             self.__post_init__()
 
     def trusted4(w, x, y, z, /):
         self = new(cls)
-        _set(self, a, w)
-        _set(self, b, x)
-        _set(self, c, y)
-        _set(self, d, z)
+        a(self, w)
+        b(self, x)
+        c(self, y)
+        d(self, z)
         return self
 
     k = len(names) - 1

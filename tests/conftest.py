@@ -12,4 +12,4 @@ def cold_memos():
     that the timing tests bound and the work that the sympy oracles check."""
     scalars._split.cache_clear()
     dsl._group.cache_clear()
-    lexgroups.widening.cache_clear()
+    lexgroups._widening.cache_clear()

@@ -122,6 +122,9 @@ MUTANTS = [
        "import decimal\nfrom functools import lru_cache",
        "a cold start loads decimal"),
     # ---- lexgroups --------------------------------------------------------
+    _m(L, "    return tuple([c if c.__class__ is Scalar else Scalar.make(c)",
+       "    return tuple([c if c.__class__ is not int else Scalar.make(c)",
+       "the Scalar pass-through lets a Fraction coordinate through unread"),
     _m(L, "        if x.group != self.dom:\n"
           "            raise DomainError(\"element is not in the morphism "
           "domain\")\n", "",
@@ -133,23 +136,26 @@ MUTANTS = [
     _m(L, "    if kc.tag != \"Q\" and (kd.tag == \"Q\" or s.n != 1):",
        "    if kc.tag != \"Q\" and s.n != 1:",
        "a divisible factor may map into a Z-tag factor"),
-    _m(L, "    return GroupElement(group, tuple(map(Scalar.make, coords)))",
-       "    return GroupElement.trusted(group, "
-       "tuple(map(Scalar.make, coords)))",
+    _m(L, "    return GroupElement(group, _scalars(coords))",
+       "    return GroupElement.trusted(group, _scalars(coords))",
        "an unlisted caller of trusted (TRUSTED_CALLERS)"),
-    _m(L, "    if g.rank == 0:\n        return False, True, None",
-       "    if g.rank == 0:\n        return True, True, None",
+    _m(L, "    if expect(g, LexGroup, \"group\").rank == 0:\n"
+          "        return False, True, None",
+       "    if expect(g, LexGroup, \"group\").rank == 0:\n"
+          "        return True, True, None",
        "lex() is said to have a least positive element"),
     _m(L, "            c * s for c, s in zip(x.coords, self.scales)))",
        "            c * s / 2 for c, s in zip(x.coords, self.scales)))",
        "FactorwiseInjection.apply halves its result"),
-    _m(L, "    index(k1, \"slice bound\", 0, g.rank)",
+    _m(L, "    index(k1, \"slice bound\", 0, "
+          "expect(g, LexGroup, \"group\").rank)",
        "    if not 0 <= k1 <= g.rank:\n"
        "        raise DomainError(\"slice bound %d outside 0..%d\" "
        "% (k1, g.rank))\n"
        "    index(k1, \"slice bound\", 0, g.rank)",
        "a range refusal worded outside errors.py"),
-    _m(L, "    same_group(y, x.group, GroupElement)\n"
+    _m(L, "    same_group(y, expect(x, GroupElement, \"element\").group, "
+          "GroupElement)\n"
           "    return scalars.first_difference",
        "    if y.group != x.group:\n"
        "        raise DomainError(\"elements of different groups\")\n"
@@ -177,9 +183,9 @@ MUTANTS = [
        "repr names no class"),
     _m(R, "        return hash(self._fields(self))", "        return id(self)",
        "equal records hash apart"),
-    _m(R, "        _set(self, b, x)\n        if check:\n"
+    _m(R, "        b(self, x)\n        if check:\n"
           "            self.__post_init__()",
-       "        _set(self, b, x)\n        if False:\n"
+       "        b(self, x)\n        if False:\n"
           "            self.__post_init__()",
        "two-field records skip their checks"),
     _m(R, "        init.__qualname__ = cls.__qualname__ + \".__init__\"\n", "",
@@ -194,11 +200,14 @@ MUTANTS = [
        "Record.__eq__ without its identity shortcut",
        equivalent="the field comparison gives the same answer for one "
                   "object; only the speed changes"),
-    _m(R, "        self = new(cls)\n        _set(self, a, w)\n"
-          "        _set(self, b, x)\n        return self",
-       "        self = new(cls)\n        _set(self, a, w)\n"
-          "        _set(self, b, w)\n        return self",
+    _m(R, "        self = new(cls)\n        a(self, w)\n"
+          "        b(self, x)\n        return self",
+       "        self = new(cls)\n        a(self, w)\n"
+          "        b(self, w)\n        return self",
        "a two-field trusted record stores its first field twice"),
+    _m(R, "[cls.__dict__[name].__set__ for name in names]",
+       "[cls.__dict__[name].__set__ for name in reversed(names)]",
+       "the slot setters bound in the wrong field order"),
     # ---- ordsets ----------------------------------------------------------
     _m(O, "class FiniteChain(Record):\n    __slots__ = (\"size\",)\n",
        "class FiniteChain(Record):\n    __slots__ = (\"size\",)\n\n"
@@ -225,6 +234,9 @@ MUTANTS = [
        "def unused_helper():\n    return 0\n\n\ndef cut_bounds(s):",
        "a public definition with no user"),
     # ---- errors -----------------------------------------------------------
+    _m(E, "    return value._numerator, value._denominator",
+       "    return value._denominator, value._numerator",
+       "a Fraction read with its numerator and denominator swapped"),
     _m(E, "    if isinstance(x, kinds) and x.group is group:\n"
           "        return\n"
           "    if expect(x, kinds, what).group != group:",
@@ -283,11 +295,11 @@ MUTANTS = [
        "        bound = ONE",
        "the lex witness moves an open ref's last entry by a fixed 1"),
     _m(C, "    index(level, \"level\", 1, group.rank)\n"
-          "    if not isinstance(coords",
+          "    coords = _scalars(coords)",
        "    if level.__class__ is not int:\n"
        "        raise DomainError(\"level must be an integer\")\n"
        "    index(level, \"level\", 1, group.rank)\n"
-       "    if not isinstance(coords",
+       "    coords = _scalars(coords)",
        "an int refusal worded outside errors.py"),
     _m(C, "                          \"invariance subgroup\")\n"
           "    return _cut(slice_group",

@@ -4,8 +4,9 @@ code.  And the scalar contract: every entry point that reads a number takes
 an int, a Fraction or a Scalar, and refuses anything else; every record that
 holds scalars takes a tuple of Scalars, and refuses anything else; the DSL's
 parse functions read a str over a lex or an omega group, and refuse any
-other text or group; and the operations on cuts and on segments refuse an
-argument of the wrong kind, a record of another class included."""
+other text or group; and the operations on groups, elements, cuts, anchors
+and segments refuse an argument of the wrong kind, a record of another class
+included."""
 
 import io
 from decimal import Decimal
@@ -211,7 +212,8 @@ def test_what_is_not_rational_is_refused_by_its_type(v):
 
 
 # ---------------------------------------------------------------------------
-# the operations on cuts and on segments, over arbitrary Python values
+# the operations on groups, elements, cuts, anchors and segments, over
+# arbitrary Python values
 
 X = lexgroups.element(ZQ, (1, 2))
 CUT = cuts.principal(ZQ, cuts.BELOW, (1, 0), 1)
@@ -220,6 +222,8 @@ WIDEN = lexgroups.widening(ZQ)
 SUB0, SUB2 = lexgroups.ConvexSubgroup(ZQ, 0), lexgroups.ConvexSubgroup(ZQ, 2)
 CHAIN2, CHAIN3 = ordsets.FiniteChain(2), ordsets.FiniteChain(3)
 MAP = ordsets.MonotoneMap(CHAIN2, CHAIN3, (0, 2))
+OX = hahnomega.omega_element(GZ, [(0, 1)])
+OPOINT = hahnomega.OmegaPoint(GZ, OX)
 # records of every class the operations take, over the groups and chains
 # above and others, for v to be a record of the wrong class or object
 POOL = [X, CUT, GAP, WIDEN, SUB0, SUB2, CHAIN2, CHAIN3, MAP,
@@ -233,6 +237,28 @@ POOL = [X, CUT, GAP, WIDEN, SUB0, SUB2, CHAIN2, CHAIN3, MAP,
 
 # each operation with valid arguments; v replaces one at a time
 OPERATIONS = {
+    "element": (lexgroups.element, (ZQ, (1, 2))),
+    "zero": (lexgroups.zero, (ZQ,)),
+    "unit": (lexgroups.unit, (ZQ, 2)),
+    "lex_compare": (lexgroups.lex_compare, (X, X)),
+    "iota": (lexgroups.iota, (X,)),
+    "initial_part": (lexgroups.initial_part, (X,)),
+    "convex_subgroups": (lexgroups.convex_subgroups, (ZQ,)),
+    "scaling": (lexgroups.scaling, (ZQ, (2, 1))),
+    "widening": (lexgroups.widening, (ZQ,)),
+    "slice_group": (lexgroups.slice_group, (ZQ, 0, 1)),
+    "discreteness": (lexgroups.discreteness, (ZQ,)),
+    "epsilon_upper": (lexgroups.epsilon_upper,
+                      (WIDEN, lexgroups.ConvexSubgroup(WIDEN.cod, 1))),
+    "FactorwiseInjection": (lexgroups.FactorwiseInjection, (ZQ, ZQ, (1, 1))),
+    "omega_compare": (hahnomega.omega_compare, (OX, OX)),
+    "omega_member": (hahnomega.omega_member, (OPOINT, OX)),
+    "omega_invariance": (hahnomega.omega_invariance, (OPOINT,)),
+    "omega_classify": (hahnomega.omega_classify, (OPOINT,)),
+    "index_cut": (hahnomega.index_cut, (OPOINT,)),
+    "omega_translate": (hahnomega.omega_translate, (OPOINT, OX)),
+    "omega_invariance_witness":
+        (hahnomega.omega_invariance_witness, (OPOINT, OX)),
     "principal": (cuts.principal, (ZQ, cuts.BELOW, (1, 0), 1)),
     "gap_cut": (cuts.gap_cut, (ZQ, (1,), 2, SQRT2)),
     "member": (cuts.member, (CUT, X)),
@@ -305,6 +331,17 @@ FOREIGN = [
      "a cut's closed flag must be a bool"),
     (lambda: cuts.Principal(ZQ, (ONE,), False),
      "a cut is stored as the canonical form of its boundary"),
+    (lambda: lexgroups.element(ZQ, 5),
+     "coordinates must be a list or a tuple"),
+    (lambda: lexgroups.lex_compare(5, X),
+     "element must be a lex group element"),
+    (lambda: hahnomega.omega_member(5, OX),
+     "cut anchor must be an omega anchor"),
+    (lambda: lexgroups.iota(5), "element must be a lex group element"),
+    (lambda: lexgroups.slice_group(5, 0, 0), "group must be a lex group"),
+    # refused before the memo hashes it: a list does not hash
+    (lambda: lexgroups.widening([ZQ]), "group must be a lex group"),
+    (lambda: lexgroups.discreteness(5), "group must be a lex group"),
 ]
 
 

@@ -2,10 +2,13 @@
 
 import copy
 import pickle
+import subprocess
+import sys
 import time
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd, isqrt
+from pathlib import Path
 
 import pytest
 import sympy
@@ -238,6 +241,14 @@ def test_make_returns_a_scalar_as_it_is():
         assert Scalar.make(x, 0, 0) is x
 
 
+class _Int(int):
+    pass
+
+
+class _Fraction(Fraction):
+    pass
+
+
 def test_make_reads_ints_and_fractions_and_refuses_the_rest():
     # an int, not a bool, or a Fraction is read exactly; anything else, what
     # Fraction(x) would read included, is refused with its type's name
@@ -245,17 +256,43 @@ def test_make_reads_ints_and_fractions_and_refuses_the_rest():
         assert (Scalar.make(x).a, Scalar.make(0, x, 2).b) == (Fraction(x),) * 2
         assert all(type(v) is int for v in (Scalar.make(x).p,
                                             Scalar.make(1, x, 3).q))
-    # a Scalar is returned as it is when b = d = 0, and is no coefficient
+    # a Scalar is returned as it is when b = d = 0, and is no coefficient;
+    # a subclass of int or of Fraction is refused, as bool is
     root = Scalar.make(1, 1, 2)
     for x in (True, False, 0.375, -2.0, float("nan"), float("-inf"),
               Decimal("-1.25"), Decimal("NaN"), Decimal("Infinity"), "5/6",
-              " -2 ", "1/0", "x", None, 1j, [1], (1,), root):
+              " -2 ", "1/0", "x", None, 1j, [1], (1,), root,
+              _Int(3), _Fraction(1, 3)):
         message = ("^a coefficient is an int or a Fraction, not %s$"
                    % type(x).__name__)
         for a, b, d in ((x, 0, 0), (1, x, 0), (x, 1, 2), (0, x, 2)):
             if a is not root or b or d:
                 with pytest.raises(DomainError, match=message):
                     Scalar.make(a, b, d)
+
+
+def test_a_fraction_is_read_once_fractions_is_loaded_or_reloaded():
+    # ordcut imports no fractions: an int scalar is built first, then
+    # fractions is imported and its Fraction read; after a reload of
+    # fractions, a Fraction of the new class is read too
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys; sys.path.insert(0, %r)\n"
+            "from ordcut.scalars import Scalar\n"
+            "x = Scalar.make(5)\n"
+            "print(x.p, x.n, 'fractions' in sys.modules)\n"
+            "import fractions, importlib\n"
+            "x = Scalar.make(fractions.Fraction(-3, 4))\n"
+            "print(x.p, x.q, x.n, x.d)\n"
+            "old = fractions.Fraction\n"
+            "new = importlib.reload(fractions).Fraction\n"
+            "x = Scalar.make(0, new(-10, 4), 8)\n"
+            "print(new is not old, x.p, x.q, x.n, x.d)" % str(src))
+    done = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    # -5/2*sqrt(8) = -5*sqrt(2)
+    assert done.stdout.splitlines() == ["5 1 False", "-3 0 4 0",
+                                        "True 0 -5 1 2"]
 
 
 def test_canonical_form():

@@ -405,7 +405,7 @@ def _bounded_lru_cache(call):
 # The library's memos: the radicand splits, the parsed group texts and the
 # injections into the divisible hull, as (module file, function).
 MEMOS = {("scalars.py", "_split"), ("dsl.py", "_group"),
-         ("lexgroups.py", "widening")}
+         ("lexgroups.py", "_widening")}
 
 
 def test_memos_are_bounded():
