@@ -1,8 +1,9 @@
 """Error types shared across the library, and the refusals every module
 makes: an index not an int in its range, a number not an int or a
-Fraction, a record field not a tuple, a record over a group of the wrong
-kind, an argument of the wrong kind, and an argument over another group.
-Each is written once here, so it reads the same everywhere."""
+Fraction, a sequence not a list or a tuple, a record field not a tuple, a
+record over a group of the wrong kind, an argument of the wrong kind, and
+an argument over another group.  Each is written once here, so it reads
+the same everywhere."""
 
 import sys
 
@@ -71,6 +72,13 @@ def index(value, what, lo=0, hi=None):
         from .scalars import _print_ratio  # scalars imports this module
         raise DomainError("%s %s outside %d..%s" % (
             what, _print_ratio(value, 1), lo, _print_ratio(hi, 1)))
+
+
+def sequence(value, what):
+    """Refuse a value that is not a list or a tuple, before it is
+    iterated."""
+    if not isinstance(value, (list, tuple)):
+        raise DomainError("%s must be a list or a tuple" % what)
 
 
 def tuple_field(value, what):

@@ -8,10 +8,11 @@ lives, and with it the tightened cut type that finite rank cannot produce.
 """
 
 from .errors import (DomainError, expect, group_kind, index, same_group,
-                     tuple_field)
+                     sequence, tuple_field)
 from . import scalars
 from .record import Record
 from .scalars import ONE, RankOneKind, Scalar, ZERO
+from .lexgroups import _scalars
 from .cuts import GAPPED, MINUS, PLUS, RP_BELOW, TIGHTENED
 
 
@@ -23,6 +24,13 @@ class OmegaGroup(Record):
             raise DomainError("omega factor must be a rank-one kind")
 
 
+def _entry(pair, kinds):
+    """A support entry, an (index, value) pair of one of kinds."""
+    if not isinstance(pair, kinds) or len(pair) != 2:
+        raise DomainError("a support entry is an (index, value) pair")
+    return pair
+
+
 class OmegaElement(Record):
     # support: sorted ((index, value), ...), values nonzero
     __slots__ = ("group", "support")
@@ -32,9 +40,7 @@ class OmegaElement(Record):
         tuple_field(self.support, "support")
         prev = -1
         for pair in self.support:
-            if not isinstance(pair, tuple) or len(pair) != 2:
-                raise DomainError("a support entry is an (index, value) tuple")
-            i, v = pair
+            i, v = _entry(pair, tuple)
             index(i, "support index")
             if i <= prev:
                 raise DomainError("support indices must strictly increase")
@@ -76,10 +82,13 @@ class OmegaElement(Record):
 
 
 def omega_element(group, pairs):
-    """The element with value v at index i for each (i, v) in pairs; an
-    index may not repeat, and zero values are dropped."""
+    """The element with value v at index i for each (i, v) in pairs, a list
+    or a tuple of pairs; an index may not repeat, and zero values are
+    dropped."""
+    sequence(pairs, "support pairs")
     vals = {}
-    for i, v in pairs:
+    for pair in pairs:
+        i, v = _entry(pair, (list, tuple))
         index(i, "support index")  # before sorted() compares them
         if i in vals:
             raise DomainError("index %s repeats" % scalars._print_ratio(i, 1))
@@ -162,8 +171,8 @@ def omega_gap_at(group, prefix_pairs, index, delta):
 
 
 def omega_periodic(group, preperiod, period):
-    return OmegaPeriodic(group, tuple(map(Scalar.make, preperiod)),
-                         tuple(map(Scalar.make, period)))
+    return OmegaPeriodic(group, _scalars(preperiod, "preperiod"),
+                         _scalars(period, "period"))
 
 
 def omega_member(anchor, x):

@@ -23,7 +23,7 @@ that is refused is not stored, so it raises its error again on every call.
 from functools import lru_cache
 
 from .errors import (DomainError, expect, group_kind, index, rational,
-                     same_group, tuple_field)
+                     same_group, sequence, tuple_field)
 from . import scalars
 from .record import Record
 from .scalars import RankOneKind, Scalar, ZERO, ONE
@@ -87,11 +87,11 @@ class ConvexSubgroup(Record):
         return all(c.sign() == 0 for c in x.coords[:self.level])
 
 
-def _scalars(coords):
-    """The coordinates, a list or a tuple, as a tuple of Scalars: a Scalar
-    passes as it is, any other value is read by `Scalar.make`."""
-    if not isinstance(coords, (list, tuple)):
-        raise DomainError("coordinates must be a list or a tuple")
+def _scalars(coords, what="coordinates"):
+    """The coordinates (or the values `what` names), a list or a tuple, as
+    a tuple of Scalars: a Scalar passes as it is, any other value is read
+    by `Scalar.make`."""
+    sequence(coords, what)
     return tuple([c if c.__class__ is Scalar else Scalar.make(c)
                   for c in coords])
 
@@ -137,7 +137,7 @@ def convex_subgroups(g):
 
 
 def is_principal(c):
-    return c.level <= c.group.rank - 1
+    return expect(c, ConvexSubgroup, "subgroup").level <= c.group.rank - 1
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +193,7 @@ class FactorwiseInjection(Record):
         object.__setattr__(self, "scales", scales)
 
     def apply(self, x):
-        if x.group != self.dom:
-            raise DomainError("element is not in the morphism domain")
+        same_group(x, self.dom, GroupElement)
         return GroupElement.trusted(self.cod, tuple(
             c * s for c, s in zip(x.coords, self.scales)))
 

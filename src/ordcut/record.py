@@ -11,8 +11,9 @@ and a record pickles and copies through its class's `__init__`, so a
 rebuilt record is checked again.
 
 `cls.trusted(...)` takes the same fields but makes the record without
-`__post_init__`, for inputs that already pass it; tests/test_source.py
-lists its callers, each with its reason.
+`__post_init__`, for inputs that already pass it; a pickled copy of such a
+record is checked, which tests/test_cuts.py and tests/test_hahnomega.py do
+to every record the operations return.
 
 Each constructor is a closure over its class and the `__set__` of each
 field's slot descriptor, bound once per class, with one body per field

@@ -62,8 +62,10 @@ MUTANTS = [
           "            (other.p, other.q, other.n, other.d)",
        "scalar equality by fields, not by value across one square class"),
     _m(S, "        return _raw(-self.p, -self.q, self.n, self.d)",
-       "        return _raw(-self.p, -self.q, self.n, self.d) or Fraction",
-       "a Fraction named in the integer core (FRACTION_FREE)"),
+       "        from fractions import Fraction\n"
+       "        return _raw(-self.p, -self.q, Fraction(self.n).numerator, "
+       "self.d)",
+       "Scalar.__neg__ reads a Fraction: the integer core imports fractions"),
     _m(S, "    def __reduce__(self):\n"
           "        return _raw, (self.p, self.q, self.n, self.d)\n", "",
        "a Scalar no longer pickles or copies"),
@@ -112,12 +114,16 @@ MUTANTS = [
        "Scalar.make no longer returns a Scalar itself"),
     _m(S, "    return (x > 0) - (x < 0)",
        "    return (x > 0) - (x < 0) or Fraction",
-       "_sgn names a Fraction (FRACTION_FREE)"),
+       "_sgn names a Fraction, which scalars never imports"),
     _m(S, "    return RankOneKind.trusted(\"Q\", kind.d)",
        "    return RankOneKind(\"Q\", kind.d)",
        "the hull re-checks a radicand its kind already passed"),
     _m(S, "    return _scalar(an, 0, ad, 0)", "    return _raw(an, 0, ad, 0)",
        "from_ratios leaves a rational unreduced"),
+    _m(S, "        n, m = self.n, other.n\n        if n == m:",
+       "        from fractions import Fraction\n"
+       "        n, m = Fraction(self.n).numerator, other.n\n        if n == m:",
+       "a Fraction inside Scalar.__add__: the integer core imports fractions"),
     _m(S, "from functools import lru_cache",
        "import decimal\nfrom functools import lru_cache",
        "a cold start loads decimal"),
@@ -125,10 +131,11 @@ MUTANTS = [
     _m(L, "    return tuple([c if c.__class__ is Scalar else Scalar.make(c)",
        "    return tuple([c if c.__class__ is not int else Scalar.make(c)",
        "the Scalar pass-through lets a Fraction coordinate through unread"),
-    _m(L, "        if x.group != self.dom:\n"
-          "            raise DomainError(\"element is not in the morphism "
-          "domain\")\n", "",
+    _m(L, "        same_group(x, self.dom, GroupElement)\n", "",
        "FactorwiseInjection.apply maps an element of another group"),
+    _m(L, "    return expect(c, ConvexSubgroup, \"subgroup\").level",
+       "    return c.level",
+       "is_principal reads a value that is not a subgroup"),
     _m(L, "        same_group(other, self.group, GroupElement)\n"
           "        return GroupElement.trusted",
        "        return GroupElement.trusted",
@@ -138,7 +145,7 @@ MUTANTS = [
        "a divisible factor may map into a Z-tag factor"),
     _m(L, "    return GroupElement(group, _scalars(coords))",
        "    return GroupElement.trusted(group, _scalars(coords))",
-       "an unlisted caller of trusted (TRUSTED_CALLERS)"),
+       "element builds its result with trusted, past the checks"),
     _m(L, "    if expect(g, LexGroup, \"group\").rank == 0:\n"
           "        return False, True, None",
        "    if expect(g, LexGroup, \"group\").rank == 0:\n"
@@ -154,6 +161,11 @@ MUTANTS = [
        "% (k1, g.rank))\n"
        "    index(k1, \"slice bound\", 0, g.rank)",
        "a range refusal worded outside errors.py"),
+    _m(L, "    return scalars.first_difference(zip(x.coords, y.coords))[1]",
+       "    for a, b in zip(x.coords, y.coords):\n"
+       "        scalars.compare_cross(a, b)\n"
+       "    return scalars.first_difference(zip(x.coords, y.coords))[1]",
+       "lex_compare makes one extra compare_cross per coordinate"),
     _m(L, "    same_group(y, expect(x, GroupElement, \"element\").group, "
           "GroupElement)\n"
           "    return scalars.first_difference",
@@ -306,6 +318,10 @@ MUTANTS = [
        "                          \"invariance subgroup.\")\n"
           "    return _cut(slice_group",
        "a refusal message changes (the corpus digests and CASES)"),
+    _m(C, "    return _cut(group, coords[:level], side == BELOW)",
+       "    return Principal.trusted(group, coords[:level], side == BELOW)",
+       "principal builds a trusted record that is not canonical: an open "
+       "cut over Z"),
     # ---- dsl and cli ------------------------------------------------------
     _m(D, "\",0\" * (c.group.rank - k)", "\"\" * (c.group.rank - k)",
        "print_cut without the zero padding of a principal anchor"),
@@ -343,6 +359,24 @@ MUTANTS = [
        "a LEVEL past the int-to-str limit is read as 0"),
     _m(CLI, "import json\n", "import json\nimport typing\n",
        "a cold start loads typing"),
+    _m(CLI, "    if len(args) != 1 + len(row.args):",
+       "    if not 1 + len(row.args) <= len(args) <= 2 + len(row.args):",
+       "_run accepts one argument too many"),
+    _m(CLI, "    except (_Usage, ParseError) as e:\n"
+            "        print(\"syntax error: %s\" % e, file=err)\n"
+            "        return 1\n",
+       "    except _Usage as e:\n"
+       "        print(\"syntax error: %s\" % e, file=err)\n"
+       "        return 1\n"
+       "    except ParseError as e:\n"
+       "        print(\"syntax error: %s\" % e, file=err)\n"
+       "        return 2\n",
+       "a ParseError exits 2"),
+    _m(CLI, "_ORDER_NAMES = {-1: \"less\", 0: \"equal\", 1: \"greater\"}",
+       "_ORDER_NAMES = {-1: \"greater\", 0: \"equal\", 1: \"less\"}",
+       "compare prints the order reversed"),
+    _m(CLI, "        if e.payload is not None:", "        if False:",
+       "a domain error drops its witness"),
     # ---- hahnomega --------------------------------------------------------
     _m(H, "            if w.sign() == 0:\n                vals.pop(i, None)",
        "            if False:\n                vals.pop(i, None)",
@@ -364,6 +398,22 @@ MUTANTS = [
           "            raise DomainError(\"index %s repeats\" % "
           "scalars._print_ratio(i, 1))\n", "",
        "omega_element takes a repeated index, the last value winning"),
+    _m(H, "        pairs, closed = _pairs(x.support, anchor.point.support), True",
+       "        pairs, closed = _pairs(x.support, anchor.point.support), False",
+       "a point's tie lands on PLUS"),
+    _m(H, "        return OmegaConvexSubgroup(group, anchor.index + 1)",
+       "        return OmegaConvexSubgroup(group, anchor.index)",
+       "omega_invariance gives a gap Tail(index), not Tail(index + 1)"),
+    _m(H, "    sequence(pairs, \"support pairs\")\n", "",
+       "omega_element iterates a value that is not a sequence"),
+    _m(H, "_scalars(preperiod, \"preperiod\")",
+       "tuple(map(Scalar.make, preperiod))",
+       "omega_periodic iterates a preperiod that is not a sequence"),
+    _m(H, "    # invariance (0) is not an immediate predecessor on the Tail "
+          "chain\n    return TIGHTENED",
+       "    # invariance (0) is not an immediate predecessor on the Tail "
+       "chain\n    return GAPPED",
+       "a periodic anchor classified gapped, not tightened"),
     # ---- the README's commands --------------------------------------------
     _m("README.md", "upper: below([1/2]; C 1)", "upper: below([1/2,0]; C 1)",
        "a README command's shown output no longer matches"),

@@ -4,6 +4,7 @@ The randomized checks are seeded and use the default box of 6, matching the
 library convention; brute-force box enumeration backs the derived formulas.
 """
 
+import pickle
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import product
@@ -11,7 +12,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ordcut import cuts, dsl, scalars
+from ordcut import cuts, dsl, lexgroups, scalars
 from ordcut.cuts import (ABOVE, BELOW, MINUS, PLUS, AllAbove, AllBelow,
                          GapCut, Principal, classify, compare_cuts, gap_cut,
                          interval_bounds, invariance, invariance_witness,
@@ -698,27 +699,37 @@ def test_a_witness_walks_g_once(monkeypatch):
     assert built == []
 
 
-RECHECK_GROUPS = [LexGroup((KIND_Z, quad_q(2))),
+RECHECK_GROUPS = [LexGroup((KIND_Z,)), LexGroup((KIND_Z, quad_q(2))),
                   LexGroup((quad_z(2), KIND_Q, KIND_Z)),
                   LexGroup((KIND_Q, quad_q(3), quad_z(2), KIND_Z))]
 
 
-def _morphisms(g):
-    """The widening of g and x -> 3x, into its hull and into g itself."""
-    return widening(g), FactorwiseInjection(g, g, (Fraction(3),) * g.rank)
-
-
-def _built_cuts(c, g, x, rng):
-    """Every descriptor the operations build from c, over g, for x in g."""
-    k = c.level
-    return ([c, sampling.refused_or(translate, c, x)] +
-            [push(m, c) for m in _morphisms(g)
-             for push in (push_lower, push_upper)] +
-            [pull(m, sampling.sample_descriptor(m.cod, rng, 6))
-             for m in _morphisms(g)] +
-            [trace(c, ConvexSubgroup(g, j)) for j in range(k)] +
-            [quotient_image(c, ConvexSubgroup(g, j))
-             for j in range(k, g.rank + 1)])
+def _results(g, rng):
+    """What the operations on elements, cuts and morphisms of g return on
+    one draw of arguments."""
+    x = sampling.sample_element(g, rng, 6)
+    y = sampling.sample_nonzero(g, rng, 6)
+    c = rng.choice([sampling.sample_descriptor(g, rng, 6), AllBelow(g),
+                    AllAbove(g)])
+    m = rng.choice([widening(g), lexgroups.scaling(g, tuple(
+        Fraction(rng.randint(1, 4), rng.randint(1, 4)) for _ in g.factors))])
+    k, subs = len(c.ref), lexgroups.convex_subgroups(g)
+    out = [x + y, x - y, -x, m, m.apply(x), zero(g),
+           lexgroups.unit(g, rng.randint(1, g.rank)), c, invariance(c),
+           sampling.refused_or(translate, c, x), push_lower(m, c),
+           push_upper(m, c), pull(m, push_lower(m, c)),
+           pull(m, sampling.sample_descriptor(m.cod, rng, 6)),
+           lexgroups.epsilon_upper(m, rng.choice(
+               lexgroups.convex_subgroups(m.cod))),
+           lexgroups.slice_group(g, 0, rng.randint(0, g.rank))]
+    out += interval_bounds(c, x)
+    out += [quotient_image(c, h) for h in subs[k:]]
+    out += [trace(c, h) for h in subs[:k]]
+    if k:
+        out.append(transport(c, rng.choice(subs[k:]), rng.choice(subs[:k])))
+        if lexgroups.iota(y) <= k:
+            out += invariance_witness(c, y)
+    return out
 
 
 def _rebuilt(d):
@@ -727,19 +738,15 @@ def _rebuilt(d):
 
 
 def test_trusted_values_pass_the_checks_they_skip():
-    # elements and cut descriptors built with `trusted` pass the checks of
-    # the checked constructor, and come out equal
+    # an operation may build its result with `trusted`, past the checks of
+    # its class; a pickled record is rebuilt through them, and comes back
+    # equal
     rng = sampling.rng_for(16)
     for g in RECHECK_GROUPS:
         for _ in range(25):
-            x = sampling.sample_element(g, rng, 6)
-            y = sampling.sample_element(g, rng, 6)
-            for v in [x + y, -x, x - y] + [m.apply(x) for m in _morphisms(g)]:
-                assert GroupElement(v.group, v.coords) == v
-            c = sampling.sample_descriptor(g, rng, 6)
-            for d in _built_cuts(c, g, x, rng):
-                if d is not None:
-                    assert _rebuilt(d) == d, d
+            for r in _results(g, rng):
+                if r is not None:
+                    assert pickle.loads(pickle.dumps(r)) == r, r
 
 
 # ---------------------------------------------------------------------------

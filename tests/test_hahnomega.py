@@ -1,6 +1,7 @@
 """Omega-indexed lex sums: order, anchors, invariance, constructive
 invariance witnesses."""
 
+import pickle
 import time
 from fractions import Fraction
 
@@ -354,7 +355,8 @@ def test_member_of_a_far_gap_is_quick():
              ({0: 1, 5: -1}, MINUS), ({0: 1, far - 1: -1}, PLUS)]
     t0 = time.perf_counter()
     for pairs, side in cases:
-        assert omega_member(gap, omega_element(GQ, pairs.items())) == side
+        assert omega_member(gap, omega_element(GQ, list(pairs.items()))) \
+            == side
     assert time.perf_counter() - t0 < 1
 
 
@@ -377,7 +379,8 @@ def test_member_of_a_periodic_anchor_stops_at_the_first_difference(
     cases = [({far: 1}, MINUS), ({0: 1, far: 1}, MINUS),
              ({0: 1, 1: 2, far: -1}, PLUS)]
     for pairs, side in cases:
-        assert omega_member(anchor, omega_element(GZ, pairs.items())) == side
+        assert omega_member(anchor, omega_element(GZ, list(pairs.items()))) \
+            == side
 
 
 def test_translate():
@@ -496,22 +499,10 @@ def test_finite_rank_consistency():
         assert omega_member(gap_o, x) == cuts.member(gap_c, lifted)
 
 
-def _checked(v):
-    """v rebuilt through its class's checked constructor, its prefix or
-    point too."""
-    if isinstance(v, hahnomega.OmegaElement):
-        return hahnomega.OmegaElement(v.group, v.support)
-    if isinstance(v, hahnomega.OmegaPoint):
-        return hahnomega.OmegaPoint(v.group, _checked(v.point))
-    if isinstance(v, hahnomega.OmegaGapAt):
-        return hahnomega.OmegaGapAt(v.group, _checked(v.prefix), v.index,
-                                    v.delta)
-    return hahnomega.OmegaPeriodic(v.group, v.preperiod, v.period)
-
-
 def test_trusted_values_pass_the_checks_they_skip():
-    # sums, negations and translated anchors skip the checks of their
-    # classes; rebuilt through them, each comes back equal
+    # sums, negations, translated anchors, invariance subgroups and
+    # witnesses may skip the checks of their classes; a pickled record is
+    # rebuilt through them, its prefix or point too, and comes back equal
     rng = sampling.rng_for(16)
     anchors = SIGNED + [omega_point(GQ, [(1, Fraction(-1, 2))])]
     for group in (GZ2, GQ3):
@@ -519,8 +510,13 @@ def test_trusted_values_pass_the_checks_they_skip():
     for anchor in anchors:
         for _ in range(8):
             x = sampling.sample_omega_element(anchor.group, rng, 4)
-            y = sampling.sample_omega_element(anchor.group, rng, 4)
-            moved = sampling.refused_or(omega_translate, anchor, x)
-            for v in (x + y, -x, x - y, x - x, moved):
+            y = sampling.sample_omega_nonzero(anchor.group, rng, 4)
+            out = [x + y, -x, x - y, x - x, anchor, omega_invariance(anchor),
+                   sampling.refused_or(omega_translate, anchor, x)]
+            try:
+                out += omega_invariance_witness(anchor, y)
+            except DomainError:  # y lies in the invariance subgroup
+                pass
+            for v in out:
                 if v is not None:
-                    assert _checked(v) == v
+                    assert pickle.loads(pickle.dumps(v)) == v, v

@@ -251,6 +251,8 @@ OPERATIONS = {
     "epsilon_upper": (lexgroups.epsilon_upper,
                       (WIDEN, lexgroups.ConvexSubgroup(WIDEN.cod, 1))),
     "FactorwiseInjection": (lexgroups.FactorwiseInjection, (ZQ, ZQ, (1, 1))),
+    "apply": (WIDEN.apply, (X,)),
+    "is_principal": (lexgroups.is_principal, (SUB0,)),
     "omega_compare": (hahnomega.omega_compare, (OX, OX)),
     "omega_member": (hahnomega.omega_member, (OPOINT, OX)),
     "omega_invariance": (hahnomega.omega_invariance, (OPOINT,)),
@@ -342,6 +344,17 @@ FOREIGN = [
     # refused before the memo hashes it: a list does not hash
     (lambda: lexgroups.widening([ZQ]), "group must be a lex group"),
     (lambda: lexgroups.discreteness(5), "group must be a lex group"),
+    (lambda: WIDEN.apply(5), "element must be a lex group element"),
+    (lambda: lexgroups.is_principal(5), "subgroup must be a convex subgroup"),
+    # the omega builders read their sequences before iterating them
+    (lambda: hahnomega.omega_element(GZ, 5),
+     "support pairs must be a list or a tuple"),
+    (lambda: hahnomega.omega_element(GZ, [1]),
+     "a support entry is an (index, value) pair"),
+    (lambda: hahnomega.omega_periodic(GZ, 5, [1]),
+     "preperiod must be a list or a tuple"),
+    (lambda: hahnomega.omega_gap_at(OMEGA_GROUPS[1], 5, 1, SQRT2),
+     "support pairs must be a list or a tuple"),
 ]
 
 

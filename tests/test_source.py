@@ -1,11 +1,21 @@
-"""Checks on the library source itself."""
+"""Checks on the library as a whole: what its source may hold, how many
+scalar comparisons its lex decisions make, and which modules it loads."""
 
 import ast
+import contextlib
+import io
 import json
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+from ordcut import cuts, lexgroups, scalars
+from ordcut.lexgroups import LexGroup
+from ordcut.scalars import KIND_Q, KIND_Z
+
+import sampling
+from sampling import quad_q, quad_z, sample_descriptor, sample_element
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "ordcut"
 
@@ -37,33 +47,6 @@ def test_records_take_their_constructor_from_record():
     assert found == []
 
 
-# The callers of a record class's `trusted`, the one constructor that skips its
-# checks, each with the reason its inputs pass them.
-TRUSTED_CALLERS = {
-    "GroupElement.__add__":
-        "operands of one group: each coordinate sum stays in its factor",
-    "GroupElement.__neg__":
-        "an element's negated coordinates stay in their factors",
-    "FactorwiseInjection.apply":
-        "an element of the domain: the morphism's check puts each scaled "
-        "coordinate in its codomain factor",
-    "_cut":
-        "ref entries but the last lie in their factors and _cut settles the "
-        "last: a principal ref ends inside its factor, closed over a "
-        "discrete one, and a gap's ends outside a dense one",
-    "OmegaElement.__add__":
-        "operands of one group: sums stay in the factor, zeros are dropped "
-        "and indices sorted",
-    "OmegaElement.__neg__":
-        "negated nonzero values stay in the factor, in index order",
-    "omega_translate":
-        "an anchor plus an element of its group: entries stay in the factor, "
-        "a gap's delta stays outside it and its prefix below its index",
-    "divisible_hull_kind":
-        "the radicand is that of a kind that passed the check",
-}
-
-
 def _scoped(tree, match):
     """(enclosing function, line) of each node that `match` accepts; the
     enclosing function is qualified by its class."""
@@ -88,55 +71,6 @@ def _uses(tree, name):
         isinstance(node, ast.Name) and node.id == name or
         isinstance(node, ast.Attribute) and node.attr == name or
         isinstance(node, ast.alias) and name in (node.name, node.asname)))
-
-
-def _library_scopes(find):
-    """{enclosing function: ["file:line", ...]} for each node that
-    find(tree) reports in the library."""
-    uses = {}
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(), str(path))
-        for scope, line in find(tree):
-            uses.setdefault(scope, []).append("%s:%d" % (path.name, line))
-    return uses
-
-
-def _library_uses(name):
-    return _library_scopes(lambda tree: _uses(tree, name))
-
-
-def test_trusted_constructor_has_only_allowed_callers():
-    uses = _library_uses("trusted")
-    # Record gives each class its `trusted`; every other use is a call
-    assert [p.split(":")[0] for p in uses.pop("Record.__init_subclass__")] \
-        == ["record.py"]
-    assert set(uses) == set(TRUSTED_CALLERS), uses
-    assert all(reason for reason in TRUSTED_CALLERS.values())
-    # and it is the only constructor that goes round __post_init__: no
-    # other code makes a bare instance, but for scalars' `_new`, which
-    # `_raw` uses to build a Scalar (not a record)
-    files = {scope: [p.split(":")[0] for p in places]
-             for scope, places in _library_uses("__new__").items()}
-    assert files == {"_constructors": ["record.py"], "": ["scalars.py"]}
-
-
-def _builds(cls):
-    """Calls that construct cls, checked or trusted."""
-    def match(node):
-        f = getattr(node, "func", None)
-        if isinstance(f, ast.Attribute) and f.attr == "trusted":
-            f = f.value
-        return isinstance(node, ast.Call) and getattr(f, "id", None) == cls
-    return lambda tree: _scoped(tree, match)
-
-
-def test_only_cut_builds_principal_and_gap_descriptors():
-    # principal, gap_cut and every operation return through cuts._cut
-    for cls in ("Principal", "GapCut"):
-        uses = _library_scopes(_builds(cls))
-        assert set(uses) == {"_cut"}, uses
-        assert all(p.startswith("cuts.py:")
-                   for places in uses.values() for p in places), uses
 
 
 # errors.integer, errors.index and errors.same_group say the common
@@ -324,18 +258,38 @@ def test_public_names_have_a_user():
         assert _mentions(path, name.rsplit(".", 1)[1]), (name, path)
 
 
-# Every lexicographic decision walks its coordinates through
-# first_difference; the witness builders compare against their bounds, and
-# scalar equality is the sign rule's zero.
-COMPARE_CROSS_CALLERS = {"first_difference", "small_positive",
-                         "element_below", "Scalar.__eq__"}
+LEX_GROUPS = [LexGroup(f) for f in ((KIND_Z,), (KIND_Q, KIND_Z),
+                                    (quad_z(2), KIND_Z, quad_q(3)),
+                                    (KIND_Z, quad_q(2), KIND_Q))]
 
 
-def test_compare_cross_has_only_allowed_callers():
-    uses = _library_uses("compare_cross")
-    assert set(uses) == COMPARE_CROSS_CALLERS, uses
-    assert all(p.startswith("scalars.py:")
-               for places in uses.values() for p in places), uses
+def test_a_lex_decision_compares_each_coordinate_once_at_most(monkeypatch):
+    # a comparison, a membership and a comparison of cuts over rank k make
+    # at most k scalar comparisons, k when every coordinate ties
+    calls = []
+    compare = scalars.compare_cross
+
+    def counted(x, y):
+        calls.append(None)
+        return compare(x, y)
+
+    monkeypatch.setattr(scalars, "compare_cross", counted)
+    rng = sampling.rng_for(31)
+    for g in LEX_GROUPS:
+        for _ in range(20):
+            x, y = sample_element(g, rng, 2), sample_element(g, rng, 2)
+            c, c2 = sample_descriptor(g, rng, 2), sample_descriptor(g, rng, 2)
+            k = len(c.ref)
+            for decide, most, tie in (
+                    (lambda: lexgroups.lex_compare(x, x), g.rank, True),
+                    (lambda: lexgroups.lex_compare(x, y), g.rank, False),
+                    (lambda: cuts.member(c, x), k, False),
+                    (lambda: cuts.compare_cuts(c, c), k, True),
+                    (lambda: cuts.compare_cuts(c, c2), min(k, len(c2.ref)),
+                     False)):
+                calls.clear()
+                decide()
+                assert len(calls) == most if tie else len(calls) <= most
 
 
 def _unused_imports(tree):
@@ -367,31 +321,54 @@ def test_library_has_no_unused_imports():
     assert found == []
 
 
-# The integer scalar core: these bodies work on the ints (p, q, n, d) alone,
-# and so does the sign kernel under them and the witness builders over them.
-FRACTION_FREE = {"Scalar.__add__", "Scalar.__neg__", "Scalar.__sub__",
-                 "Scalar.__mul__", "Scalar.__truediv__",
-                 "Scalar.sign", "Scalar.floor",
-                 "Scalar._merged", "Scalar.__eq__", "Scalar.__hash__",
-                 "class_root", "_over", "from_ratios", "compare_cross",
-                 "first_difference", "contains", "_sgn", "_quad_sign",
-                 "small_positive", "element_below"}
+# Scalars built from ints, over one radical, over two and over one square
+# class, and the arithmetic, signs, floors, comparisons and witness builders
+# over them, printed as one list.
+SCALAR_CORE = """
+from ordcut.errors import DomainError
+from ordcut.scalars import (RankOneKind, Scalar, compare_cross, contains,
+                            element_below, first_difference, small_positive)
+xs = [Scalar.make(a, b, d) for a, b, d in (
+    (3, 0, 0), (-7, 2, 2), (1, -1, 8), (5, 3, 3), (-2, 5, 12),
+    (10 ** 30, -7 * 10 ** 29, 2), (0, 1, 1031 ** 2 * 1033), (1, 1031, 1033))]
+kinds = [RankOneKind(t, d) for t in "ZQ" for d in (0, 2, 3)]
+out = [first_difference(zip(xs, xs[::-1]))]
+for x in xs:
+    out += [x.sign(), x.floor(), hash(x), -x, x * 3, 3 * x, x / 7, x + 1,
+            x - 2]
+    for y in xs:
+        out += [compare_cross(x, y), x == y]
+        try:
+            out += [x + y, x - y, x * y, x / y]
+        except (DomainError, ZeroDivisionError) as e:
+            out.append(e)
+    for kind in kinds:
+        out.append(contains(kind, x))
+        for call in (lambda: small_positive(kind, x),
+                     lambda: element_below(kind, x, xs[3] / 5),
+                     lambda: element_below(kind, x, xs[0] - 1)):
+            try:
+                out.append(call())
+            except DomainError as e:
+                out.append(e)
+print([str(v) for v in out])
+"""
 
 
-def test_scalar_arithmetic_and_signs_name_no_fraction():
-    tree = ast.parse((SRC / "scalars.py").read_text(), "scalars.py")
-    bodies = {}
-    for node in tree.body:
-        if isinstance(node, ast.FunctionDef):
-            bodies[node.name] = node
-        elif isinstance(node, ast.ClassDef) and node.name == "Scalar":
-            for item in node.body:
-                if isinstance(item, ast.FunctionDef):
-                    bodies["Scalar." + item.name] = item
-    assert FRACTION_FREE <= set(bodies)
-    found = ["%s:%d" % (name, line) for name in sorted(FRACTION_FREE)
-             for _, line in _uses(bodies[name], "Fraction")]
-    assert found == []
+def test_scalar_core_runs_where_fractions_cannot_be_imported():
+    # a Scalar is four ints: arithmetic, signs, floors, comparisons and the
+    # witness builders on scalars built from ints import no fractions, and
+    # answer as they do beside it
+    code = ("import sys; sys.path.insert(0, %r)\n"
+            "sys.modules['fractions'] = None  # import fractions fails\n"
+            % str(SRC.parent) + SCALAR_CORE)
+    done = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    here = io.StringIO()
+    with contextlib.redirect_stdout(here):
+        exec(SCALAR_CORE, {})
+    assert done.stdout == here.getvalue()
 
 
 def _bounded_lru_cache(call):
@@ -400,12 +377,6 @@ def _bounded_lru_cache(call):
                             if k.arg == "maxsize"]
     return len(size) == 1 and isinstance(size[0], ast.Constant) and \
         type(size[0].value) is int
-
-
-# The library's memos: the radicand splits, the parsed group texts and the
-# injections into the divisible hull, as (module file, function).
-MEMOS = {("scalars.py", "_split"), ("dsl.py", "_group"),
-         ("lexgroups.py", "_widening")}
 
 
 def test_memos_are_bounded():
@@ -428,14 +399,6 @@ def test_memos_are_bounded():
             if unbounded or cache:
                 found.append("%s:%d" % (path.name, node.lineno))
     assert found == []
-    # and each memo is there, by name, under a bounded lru_cache
-    memos = {(path.name, node.name) for path in sorted(SRC.glob("*.py"))
-             for node in ast.parse(path.read_text(), str(path)).body
-             if isinstance(node, ast.FunctionDef) and any(
-                 isinstance(d, ast.Call) and _bounded_lru_cache(d) and
-                 getattr(d.func, "id", None) == "lru_cache"
-                 for d in node.decorator_list)}
-    assert memos == MEMOS
 
 
 # Modules a cold `ordcut` command should not pay for: the records need no
