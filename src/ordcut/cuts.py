@@ -34,7 +34,7 @@ from . import scalars
 from .record import Record
 from .scalars import Scalar, ZERO, ONE
 from .lexgroups import (ConvexSubgroup, FactorwiseInjection, GroupElement,
-                        LexGroup, _scalars, slice_group)
+                        LexGroup, _inside, _scalars, slice_group)
 
 MINUS = "minus"
 PLUS = "plus"
@@ -99,12 +99,6 @@ class GapCut(Record):
 
 
 CUTS = (AllBelow, AllAbove, Principal, GapCut)
-
-
-def _inside(group, coords):
-    for kind, c in zip(group.factors, coords):
-        if not scalars.contains(kind, c):
-            raise DomainError("coordinate %s outside factor" % (c,))
 
 
 def _checked(group, level, coords):

@@ -55,9 +55,7 @@ class GroupElement(Record):
         tuple_field(self.coords, "coordinates")
         if len(self.coords) != self.group.rank:
             raise DomainError("element has wrong number of coordinates")
-        for kind, c in zip(self.group.factors, self.coords):
-            if not scalars.contains(kind, c):
-                raise DomainError("coordinate %s outside factor" % (c,))
+        _inside(self.group, self.coords)
 
     def __add__(self, other):
         same_group(other, self.group, GroupElement)
@@ -85,6 +83,13 @@ class ConvexSubgroup(Record):
     def member(self, x):
         same_group(x, self.group, GroupElement)
         return all(c.sign() == 0 for c in x.coords[:self.level])
+
+
+def _inside(group, coords):
+    """Refuse a coordinate outside its factor of the group."""
+    for kind, c in zip(group.factors, coords):
+        if not scalars.contains(kind, c):
+            raise DomainError("coordinate %s outside factor" % (c,))
 
 
 def _scalars(coords, what="coordinates"):

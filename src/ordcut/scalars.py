@@ -214,6 +214,8 @@ class Scalar(_Ints):
         return _scalar(self.p * m + other.p * n, self.q * m + other.q * n,
                        n * m, d)
 
+    __radd__ = __add__
+
     def __neg__(self):
         return _raw(-self.p, -self.q, self.n, self.d)
 
@@ -221,6 +223,9 @@ class Scalar(_Ints):
         if not isinstance(other, Scalar):  # read before it is negated
             other = Scalar.make(other)
         return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
 
     def __mul__(self, other):
         if not isinstance(other, Scalar):
@@ -254,6 +259,9 @@ class Scalar(_Ints):
         if m < 0:
             m, k = -m, -k
         return _scalar(self.p * k, self.q * k, self.n * m, self.d)
+
+    def __rtruediv__(self, other):
+        return Scalar.make(other) / self
 
     def sign(self):
         return _quad_sign(self.p, self.q, self.d)

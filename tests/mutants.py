@@ -318,6 +318,20 @@ MUTANTS = [
        "                          \"invariance subgroup.\")\n"
           "    return _cut(slice_group",
        "a refusal message changes (the corpus digests and CASES)"),
+    _m(C, "it\n        closed = True", "it\n        pass",
+       "push_upper no longer closes a gap whose image lies in the codomain"),
+    _m(C, "(ref[-1] + ONE,), False", "(ref[-1],), False",
+       "push_upper closes below the image of the cut, not of the next coset"),
+    _m(C, "            break  # outside", "            pass  # outside",
+       "pull reads on past an entry outside its factor: a non-canonical cut"),
+    _m(C, "    if m < len(ref):", "    if m < len(ref) - 1:",
+       "quotient_image answers for a window one level too small"),
+    _m(C, "g.coords)),\n                c.closed)",
+       "g.coords)),\n                True)", "translate closes every cut"),
+    _m(C, "c.ref[m:], c.closed)", "c.ref[m + 1:], c.closed)",
+       "trace drops one entry too many"),
+    _m(C, "    if j > len(c.ref):", "    if j >= len(c.ref):",
+       "invariance_witness refuses a g whose first entry is at the level"),
     _m(C, "    return _cut(group, coords[:level], side == BELOW)",
        "    return Principal.trusted(group, coords[:level], side == BELOW)",
        "principal builds a trusted record that is not canonical: an open "

@@ -61,6 +61,9 @@ CASES = [
                                  ordsets.FiniteChain(2), (0, 1)),
      DomainError, "image sequence has wrong length"),
     (lambda: Scalar.make(1) / 0, ZeroDivisionError, "division by zero"),
+    # a float before an operator is refused as one after it is
+    (lambda: 2.0 + SQRT2, DomainError,
+     "a coefficient is an int or a Fraction, not float"),
     (lambda: scalars.RankOneKind("R", 0), DomainError,
      "unknown rank-one kind 'R'"),
     (lambda: scalars.small_positive(KIND_Z, ONE), DomainError,
@@ -110,10 +113,13 @@ ENTRY_POINTS = {
     "make(0, v, 2)": lambda g, G, v: Scalar.make(0, v, 2),
     "make(v, 1, 2)": lambda g, G, v: Scalar.make(v, 1, 2),
     "ONE + v": lambda g, G, v: ONE + v,
+    "v + ONE": lambda g, G, v: v + ONE,
     "ONE - v": lambda g, G, v: ONE - v,
+    "v - ONE": lambda g, G, v: v - ONE,
     "ONE * v": lambda g, G, v: ONE * v,
     "v * ONE": lambda g, G, v: v * ONE,
     "ONE / v": lambda g, G, v: ONE / v,
+    "v / ONE": lambda g, G, v: v / ONE,
     "scale": lambda g, G, v: lexgroups.FactorwiseInjection(g, g, (v,)),
     "element": lambda g, G, v: lexgroups.element(g, [v]),
     "principal": lambda g, G, v: cuts.principal(g, cuts.BELOW, [v], 1),

@@ -437,12 +437,19 @@ def arithmetic(case, r):
               (x - r, vx - vr, 1), (x * r, vx * vr, 1), (r * x, vx * vr, 1)]
     if r:
         checks.append((x / r, vx, vr))
+    # each operator in the other operand order, against the checked ones
+    flips = [(r + x, x + r), (r - x, -(x - r))]
+    if x.sign():
+        flips.append((r / x * x, Scalar.make(r)))
     pair = []
     if one_class(x, y):
         pair = [(x + y, vx + vy, 1), (y + x, vx + vy, 1),
                 (x - y, vx - vy, 1), (x * y, vx * vy, 1), (y * x, vx * vy, 1)]
+        flips.append((y - x, -(x - y)))
         if y.sign():
             pair.append((x / y, vx, vy))
+        if x.sign():
+            flips.append((y / x * x, y))
     else:  # two square classes: no sum or product is a scalar
         with pytest.raises(DomainError, match="^cannot add scalars over"):
             x + y
@@ -451,6 +458,9 @@ def arithmetic(case, r):
     for z, num, den in checks + pair:
         assert_canonical(z)
         assert sympy.expand(value(z, roots) * den - num) == 0
+    for z, flipped in flips:
+        assert_canonical(z)
+        assert z == flipped
     for z, _, _ in pair:  # over the smaller radicand of one class
         assert z.d in (0, min(x.d or y.d, y.d or x.d))
     # a scalar is returned as it is, rebuilt from its parts, and is no tuple
@@ -519,51 +529,51 @@ def class_order(case, r):
             (a.denominator == (b / int(P)).denominator == 1)
 
 
-def driven(check, n, *families):
-    """A test of check on n draws of the families."""
-    return settings(max_examples=n, deadline=None)(given(*families)(check))
-
-
 def pairs(x, y):
     return st.tuples(x, y, st.none())
 
 
-# Each family of delicate scalars runs through both properties, each test on
-# one family as many draws as the per-operation test of its name made
-# before the properties were merged; factors are the rationals that the
-# arithmetic property combines with x.
+def run(check, draws, *families):
+    """Run check on that many draws of the families."""
+    settings(max_examples=draws, deadline=None)(given(*families)(check))()
+
+
+# each property's families of delicate scalars and their draws, as many as
+# the per-operation tests of the old names made; factors are the rationals
+# that the arithmetic property combines with x
 factors = huge_rats | huge | rats
 small = pairs(small_parts, small_parts)
-test_arithmetic_results_are_canonical = driven(arithmetic, 300, small, factors)
-test_arithmetic_of_scalars_matches_sympy = driven(
-    arithmetic, 150, one_value() | squaring(), factors)
-test_make_matches_sympy = driven(arithmetic, 150, big(), factors)
-test_arithmetic_with_rationals_matches_sympy = driven(
-    arithmetic, 150, pairs(tall(), mixed()), factors)
-test_make_with_zero_radicand_is_rational_and_canonical = driven(
-    arithmetic, 150, rational(), factors)
-test_height_hash_and_parts = driven(arithmetic, 150, crossing(), factors)
-test_sign_matches_interval_oracle = driven(order, 300, small)
-test_equality_is_the_zero_of_the_order = driven(order, 300, one_value())
-test_sign_consistent_with_addition = driven(
-    order, 200, one_value() | big() | small)
-test_sign_floor_and_compare_match_sympy = driven(order, 150, big())
-test_compare_cross_matches_sympy = driven(order, 150, crossing())
-test_compare_cross_of_rationals_is_the_fraction_order = driven(
-    order, 150, rational())
-test_compare_cross_of_two_radicals_matches_sympy = driven(
-    order, 100, squaring())
-test_compare_cross_antisymmetric = driven(
-    order, 200, pairs(mixed(), delicate()))
-test_floor = driven(order, 200, pairs(delicate(), delicate()))
-test_floor_matches_sympy = driven(order, 150, pairs(tall(), tall()))
-test_quad_sign_matches_sympy = driven(order, 200, pairs(tall(), mixed()))
-test_quad_sign_of_mixed_signs_matches_sympy = driven(
-    order, 200, pairs(mixed(), mixed()))
-test_one_square_class_matches_sympy = driven(
-    class_order, 150, square_class(), factors)
-test_square_free_keeps_its_contract = driven(
-    assert_split, 300, split_radicands)
+ARITHMETIC = {"small": (small, 300), "one_value|squaring": (
+    one_value() | squaring(), 150), "big": (big(), 150),
+    "tall,mixed": (pairs(tall(), mixed()), 150), "rational": (rational(), 150),
+    "crossing": (crossing(), 150)}
+ORDER = {"small": (small, 300), "one_value": (one_value(), 300),
+         "one_value|big|small": (one_value() | big() | small, 200),
+         "big": (big(), 150), "crossing": (crossing(), 150),
+         "rational": (rational(), 150), "squaring": (squaring(), 100),
+         "mixed,delicate": (pairs(mixed(), delicate()), 200),
+         "delicate,delicate": (pairs(delicate(), delicate()), 200),
+         "tall,tall": (pairs(tall(), tall()), 150),
+         "tall,mixed": (pairs(tall(), mixed()), 200),
+         "mixed,mixed": (pairs(mixed(), mixed()), 200)}
+
+
+@pytest.mark.parametrize("family", ARITHMETIC)
+def test_arithmetic(family):
+    run(arithmetic, ARITHMETIC[family][1], ARITHMETIC[family][0], factors)
+
+
+@pytest.mark.parametrize("family", ORDER)
+def test_order(family):
+    run(order, ORDER[family][1], ORDER[family][0])
+
+
+def test_class_order():
+    run(class_order, 150, square_class(), factors)
+
+
+def test_assert_split():
+    run(assert_split, 300, split_radicands)
 
 
 @settings(max_examples=200, deadline=None)
