@@ -21,7 +21,7 @@ from itertools import product
 
 import pytest
 
-from ordcut import cuts, scalars
+from ordcut import cuts, dsl, scalars
 from ordcut.cuts import (MINUS, PLUS, classify, compare_cuts, invariance,
                          invariance_witness, member, pull, push_lower,
                          push_upper, quotient_image, trace, translate,
@@ -130,6 +130,8 @@ class World:
 
 
 WORLDS = [World(g, grid) for g, grid in GROUPS]
+IN_EACH_WORLD = pytest.mark.parametrize(  # one case per world
+    "w", WORLDS, ids=lambda w: dsl.print_group(w.group))
 
 
 def _below(c, xs):
@@ -159,69 +161,69 @@ def _raw_lower(ref, closed, x):
     return closed
 
 
-def test_cut_keeps_the_lower_part_of_every_raw_boundary():
+@IN_EACH_WORLD
+def test_cut_keeps_the_lower_part_of_every_raw_boundary(w):
     # a cut is the partition of Gamma into a lower and an upper part: the
     # canonical form `_cut` of every boundary (ref, closed), its last entry
     # anywhere, is a cut of the same level that its class's checks rebuild,
     # whose lower part holds the points the boundary puts below
-    for w in WORLDS:
-        g = w.group
-        for ref in w.refs(w.grid + RAW)[1:]:
-            k = len(ref)
-            xs = [GroupElement(g, head + (v,) + (tail,) * (g.rank - k))
-                  for head in product(*[(a - ONE, a, a + ONE)
-                                        for a in ref[:-1]])
-                  for v in _near(g.factors[k - 1], ref[-1])
-                  for tail in (ZERO, ONE, -ONE)]
-            for closed in (True, False):
-                c = _built(cuts._cut(g, ref, closed))
-                assert len(c.ref) == k
-                assert _below(c, xs) == [_raw_lower(ref, closed, x)
-                                         for x in xs], c
+    g = w.group
+    for ref in w.refs(w.grid + RAW)[1:]:
+        k = len(ref)
+        xs = [GroupElement(g, head + (v,) + (tail,) * (g.rank - k))
+              for head in product(*[(a - ONE, a, a + ONE) for a in ref[:-1]])
+              for v in _near(g.factors[k - 1], ref[-1])
+              for tail in (ZERO, ONE, -ONE)]
+        for closed in (True, False):
+            c = _built(cuts._cut(g, ref, closed))
+            assert len(c.ref) == k
+            assert _below(c, xs) == [_raw_lower(ref, closed, x)
+                                     for x in xs], c
 
 
-def test_compare_cuts_orders_lower_parts_by_inclusion():
+@IN_EACH_WORLD
+def test_compare_cuts_orders_lower_parts_by_inclusion(w):
     # the cuts of Gamma are its initial segments, totally ordered by
     # inclusion: each lower part is downward closed; compare_cuts is the
     # inclusion of lower parts, and so transitive, and it returns 0 exactly
     # on equal descriptors, since the probes tell distinct cuts apart
-    for w in WORLDS:
-        sizes = []
-        for c in w.cuts:
-            assert w.sides[c] == sorted(w.sides[c], reverse=True), c
-            sizes.append(sum(w.sides[c]))
-        assert len(set(sizes)) == len(w.cuts)
-        for c, s in zip(w.cuts, sizes):
-            assert [compare_cuts(c, d) for d in w.cuts] == [
-                (s > t) - (s < t) for t in sizes], c
-        assert sorted(w.cuts, key=cmp_to_key(compare_cuts)) == \
-            sorted(w.cuts, key=dict(zip(w.cuts, sizes)).get)
+    sizes = []
+    for c in w.cuts:
+        assert w.sides[c] == sorted(w.sides[c], reverse=True), c
+        sizes.append(sum(w.sides[c]))
+    assert len(set(sizes)) == len(w.cuts)
+    for c, s in zip(w.cuts, sizes):
+        assert [compare_cuts(c, d) for d in w.cuts] == [
+            (s > t) - (s < t) for t in sizes], c
+    assert sorted(w.cuts, key=cmp_to_key(compare_cuts)) == sorted(
+        w.cuts, key=dict(zip(w.cuts, sizes)).get)
 
 
-def test_push_and_pull_form_an_adjoint_triple():
+@pytest.mark.parametrize("m, grid", MORPHISMS, ids=[
+    f"{dsl.print_morphism(m)} {dsl.print_group(m.dom)}" for m, _ in MORPHISMS])
+def test_push_and_pull_form_an_adjoint_triple(m, grid):
     # the images of cuts along an injective morphism m (criterion 6):
     # push_lower(m, c) <= d iff c <= pull(m, d), and pull(m, d) <= c iff
     # d <= push_upper(m, c); the pushes bracket the image and keep c's
     # invariance level, and membership agrees through m.apply
-    for m, grid in MORPHISMS:
-        dom, cod = World(m.dom, grid), World(m.cod, grid)
-        lo = {c: _built(push_lower(m, c)) for c in dom.cuts}
-        hi = {c: _built(push_upper(m, c)) for c in dom.cuts}
-        back = [_built(pull(m, d)) for d in cod.cuts]
-        at = _ranks(cod.cuts + list(lo.values()) + list(hi.values()))
-        on = _ranks(dom.cuts + back)
-        ds, bs = [at[d] for d in cod.cuts], [on[b] for b in back]
-        images = [m.apply(x) for x in dom.elements]
-        for c in dom.cuts:
-            r, rl, rh = on[c], at[lo[c]], at[hi[c]]
-            assert [rl <= d for d in ds] == [r <= b for b in bs], c
-            assert [b <= r for b in bs] == [d <= rh for d in ds], c
-            assert rl <= rh
-            for pushed in (lo[c], hi[c]):
-                assert invariance(pushed).level == invariance(c).level
-                assert _below(pushed, images) == dom.below(c), (c, pushed)
-        for d, b in zip(cod.cuts, back):
-            assert _below(b, dom.elements) == _below(d, images), (d, b)
+    dom, cod = World(m.dom, grid), World(m.cod, grid)
+    lo = {c: _built(push_lower(m, c)) for c in dom.cuts}
+    hi = {c: _built(push_upper(m, c)) for c in dom.cuts}
+    back = [_built(pull(m, d)) for d in cod.cuts]
+    at = _ranks(cod.cuts + list(lo.values()) + list(hi.values()))
+    on = _ranks(dom.cuts + back)
+    ds, bs = [at[d] for d in cod.cuts], [on[b] for b in back]
+    images = [m.apply(x) for x in dom.elements]
+    for c in dom.cuts:
+        r, rl, rh = on[c], at[lo[c]], at[hi[c]]
+        assert [rl <= d for d in ds] == [r <= b for b in bs], c
+        assert [b <= r for b in bs] == [d <= rh for d in ds], c
+        assert rl <= rh
+        for pushed in (lo[c], hi[c]):
+            assert invariance(pushed).level == invariance(c).level
+            assert _below(pushed, images) == dom.below(c), (c, pushed)
+    for d, b in zip(cod.cuts, back):
+        assert _below(b, dom.elements) == _below(d, images), (d, b)
 
 
 def test_translation_moves_the_lower_part_and_keeps_the_type():
@@ -247,80 +249,79 @@ def test_translation_moves_the_lower_part_and_keeps_the_type():
     assert refused == 9
 
 
-def test_the_invariance_subgroup_fixes_the_cut_and_nothing_else_does():
+@IN_EACH_WORLD
+def test_the_invariance_subgroup_fixes_the_cut_and_nothing_else_does(w):
     # criterion 4 on every case: translating by any g in the invariance
     # subgroup C_k fixes membership; invariance_witness(c, g) straddles c,
     # below then above for g > 0, for every g outside C_k, and is refused
     # for every g inside it
-    for w in WORLDS:
-        up = {g: lex_compare(g, zero(w.group)) > 0 for g in w.elements}
-        for c in w.cuts:
-            sub, below = invariance(c), w.below(c)
-            for g in w.elements:
-                if sub.member(g):
-                    assert g.is_zero() or _below(c, w.moved(g)) == below
-                    with pytest.raises(DomainError):
-                        invariance_witness(c, g)
-                    continue
-                y, z = invariance_witness(c, g)
-                assert z == y + g
-                assert (member(c, y), member(c, z)) == (
-                    (MINUS, PLUS) if up[g] else (PLUS, MINUS)), (c, g)
+    up = {g: lex_compare(g, zero(w.group)) > 0 for g in w.elements}
+    for c in w.cuts:
+        sub, below = invariance(c), w.below(c)
+        for g in w.elements:
+            if sub.member(g):
+                assert g.is_zero() or _below(c, w.moved(g)) == below
+                with pytest.raises(DomainError):
+                    invariance_witness(c, g)
+                continue
+            y, z = invariance_witness(c, g)
+            assert z == y + g
+            assert (member(c, y), member(c, z)) == (
+                (MINUS, PLUS) if up[g] else (PLUS, MINUS)), (c, g)
 
 
-def test_quotient_trace_and_transport_agree_with_member():
+@IN_EACH_WORLD
+def test_quotient_trace_and_transport_agree_with_member(w):
     # the sub-quotients of a cut c at level k: its image in Gamma/C_m, for
     # m >= k, holds x[:m] exactly when c holds x, and is refused for m < k;
     # its trace on C_m, for m < k, holds y exactly when c holds ref[:m] + y,
     # and is refused for m >= k; transport is the trace on C_m2 read in
     # C_m2/C_m1, of c's type (criterion 5), with invariance level k - m2
-    for w in WORLDS:
-        n = w.group.rank
-        subs = [ConvexSubgroup(w.group, m) for m in range(n + 1)]
-        for c in w.cuts:
-            k = len(c.ref)
-            for m in range(k, n + 1):
-                q = quotient_image(c, subs[m])
-                assert _below(q, w.heads(m)) == w.below(c), (c, m)
-                with pytest.raises(DomainError):
-                    trace(c, subs[m])
-            for m in range(k):
-                with pytest.raises(DomainError) as e:
-                    quotient_image(c, subs[m])
-                assert e.value.payload.coords == c.ref[:m]
-                tail = World(LexGroup(w.group.factors[m:]), w.grid)
-                lifted = w.below(c, [GroupElement(w.group, c.ref[:m] +
-                                                  y.coords)
-                                     for y in tail.elements])
-                t = trace(c, subs[m])
-                assert _below(t, tail.elements) == lifted, (c, m)
-                for m1 in range(k, n + 1):
-                    out = transport(c, subs[m1], subs[m])
-                    assert classify(out) == classify(c)
-                    assert invariance(out).level == k - m
-                    assert _below(out, tail.heads(m1 - m)) == lifted
+    n = w.group.rank
+    subs = [ConvexSubgroup(w.group, m) for m in range(n + 1)]
+    for c in w.cuts:
+        k = len(c.ref)
+        for m in range(k, n + 1):
+            q = quotient_image(c, subs[m])
+            assert _below(q, w.heads(m)) == w.below(c), (c, m)
+            with pytest.raises(DomainError):
+                trace(c, subs[m])
+        for m in range(k):
+            with pytest.raises(DomainError) as e:
+                quotient_image(c, subs[m])
+            assert e.value.payload.coords == c.ref[:m]
+            tail = World(LexGroup(w.group.factors[m:]), w.grid)
+            lifted = w.below(c, [GroupElement(w.group, c.ref[:m] + y.coords)
+                                 for y in tail.elements])
+            t = trace(c, subs[m])
+            assert _below(t, tail.elements) == lifted, (c, m)
+            for m1 in range(k, n + 1):
+                out = transport(c, subs[m1], subs[m])
+                assert classify(out) == classify(c)
+                assert invariance(out).level == k - m
+                assert _below(out, tail.heads(m1 - m)) == lifted
 
 
-def test_each_cut_is_the_preimage_of_a_cut_with_invariance_zero():
+@IN_EACH_WORLD
+def test_each_cut_is_the_preimage_of_a_cut_with_invariance_zero(w):
     # the dictionary: a cut c of Gamma with invariance C_k is the preimage of
     # its image in Gamma/C_k, a cut of the same type whose invariance is
     # (0); and the cut with the boundary of a cut q of Gamma/C_k with
     # invariance (0) has invariance C_k and image q, so that it is q's
     # preimage (the quotient law above).  Both sides are counted on the grid.
-    for w in WORLDS:
-        g = w.group
-        for k in range(g.rank + 1):
-            sub = ConvexSubgroup(g, k)
-            ours = [c for c in w.cuts if invariance(c) == sub]
-            theirs = [q for q in World(LexGroup(g.factors[:k]), w.grid).cuts
-                      if invariance(q).level == k]
-            images = [quotient_image(c, sub) for c in ours]
-            preimages = [cuts._cut(g, q.ref, q.closed) for q in theirs]
-            # as many on each side, each map onto the other side, and one
-            # way round the identity: the maps are inverse bijections
-            assert len(ours) == len(theirs)
-            assert set(images) == set(theirs) and set(preimages) == set(ours)
-            for c, q in zip(ours, images):
-                assert invariance(q).level == k and classify(q) == classify(c)
-            for p, q in zip(preimages, theirs):
-                assert quotient_image(p, sub) == q
+    g = w.group
+    for k in range(g.rank + 1):
+        sub = ConvexSubgroup(g, k)
+        ours = [c for c in w.cuts if invariance(c) == sub]
+        theirs = [q for q in World(LexGroup(g.factors[:k]), w.grid).cuts
+                  if invariance(q).level == k]
+        images = [quotient_image(c, sub) for c in ours]
+        preimages = [cuts._cut(g, q.ref, q.closed) for q in theirs]
+        # as many on each side, each map onto the other side, and one
+        # way round the identity: the maps are inverse bijections
+        assert len(ours) == len(theirs)
+        assert set(images) == set(theirs) and set(preimages) == set(ours)
+        for c, q in zip(ours, images):
+            assert invariance(q).level == k and classify(q) == classify(c)
+        for p, q in zip(preimages, theirs):
+            assert quotient_image(p, sub) == q
